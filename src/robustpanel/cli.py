@@ -7,10 +7,9 @@ one `error: ...` line to stderr so scripts can parse failures.
 
 import argparse
 import csv
+import math
 import os
 import sys
-
-import numpy as np
 
 from .errors import DataError, EstimationError
 from .estimators import fit_estimator
@@ -20,15 +19,14 @@ from .io import (
     read_panel_csv,
     write_weights_csv,
 )
+from .panel import ESTIMATOR_NAMES
 from .simulation import (
     ContaminationScheme,
     DgpConfig,
-    error_dist_study,
+    _seeds,
     rmse_prediction_study,
     run_mc,
 )
-
-ESTIMATOR_CHOICES = ("ls", "huber", "tukey", "esl")
 
 
 class UsageError(Exception):
@@ -46,11 +44,11 @@ def _build_parser():
 
     fit = sub.add_parser("fit", help="fit one estimator to a panel CSV")
     fit.add_argument("--input", required=True, help="panel CSV (unit,time,y,x1..xK)")
-    fit.add_argument("--estimator", required=True, choices=ESTIMATOR_CHOICES)
+    fit.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
     fit.add_argument("--c", default="auto",
                      help="tuning constant, a positive number or 'auto' (default)")
     fit.add_argument("--seed", type=int, default=0,
-                     help="seed for the high-breakdown subsample search")
+                     help="seed for the high-breakdown start of every robust estimator")
     fit.add_argument("--out", default="fit_report.json",
                      help="JSON report path; weights CSV goes next to it")
 
@@ -58,10 +56,6 @@ def _build_parser():
     sim.add_argument("--config", required=True, help="JSON experiment config")
     sim.add_argument("--out-dir", required=True, help="directory for the CSV tables")
     return parser
-
-
-def _cell_seed(master_seed, *key):
-    return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1)[0])
 
 
 def _write_table(path, header, rows):
@@ -76,13 +70,15 @@ def _fmt(value):
 
 
 def _run_fit(args):
-    panel = read_panel_csv(args.input)
     c = args.c
     if c != "auto":
         try:
             c = float(c)
         except ValueError:
+            c = math.nan
+        if not 0 < c < math.inf:
             raise UsageError("--c must be a positive number or 'auto', got %r" % (args.c,))
+    panel = read_panel_csv(args.input)
     fit = fit_estimator(panel, args.estimator, c=c, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write(fit_report_json(fit))
@@ -91,15 +87,14 @@ def _run_fit(args):
     return 0
 
 
+def _dgp(config, n, t, error_dist=None):
+    return DgpConfig(n_units=n, n_periods=t, beta=config.beta, gamma=config.gamma,
+                     error_dist=error_dist or config.error_dist)
+
+
 def _outlier_tables(config, out_dir):
     study = config.outlier_study
-    dgp = DgpConfig(
-        n_units=study.n_units,
-        n_periods=study.n_periods,
-        beta=config.beta,
-        gamma=config.gamma,
-        error_dist=config.error_dist,
-    )
+    dgp = _dgp(config, study.n_units, study.n_periods)
     columns = []
     mse_rows = {name: [] for name in config.estimators}
     rmse_rows = {name: [] for name in config.estimators}
@@ -112,7 +107,7 @@ def _outlier_tables(config, out_dir):
                 config.estimators,
                 config.s,
                 study.n_test,
-                _cell_seed(config.master_seed, 1, ki, mi),
+                _seeds(config.master_seed, (1, ki, mi))[0],
             )
             for name in config.estimators:
                 mse_rows[name].append(report.mse[name])
@@ -134,10 +129,8 @@ def _consistency_table(config, out_dir):
     for axis, points in (("n", [(n, study.t_fixed) for n in study.n_values]),
                          ("t", [(study.n_fixed, t) for t in study.t_values])):
         for pi, (n, t) in enumerate(points):
-            dgp = DgpConfig(n_units=n, n_periods=t, beta=config.beta,
-                            gamma=config.gamma, error_dist=config.error_dist)
-            report = run_mc(dgp, None, config.estimators, config.s,
-                            _cell_seed(config.master_seed, 2, 0 if axis == "n" else 1, pi))
+            report = run_mc(_dgp(config, n, t), None, config.estimators, config.s,
+                            _seeds(config.master_seed, (2, 0 if axis == "n" else 1, pi))[0])
             for name in config.estimators:
                 rows.append([axis, n, t, name, _fmt(report.mse[name])])
     _write_table(os.path.join(out_dir, "consistency_curves.csv"),
@@ -146,15 +139,15 @@ def _consistency_table(config, out_dir):
 
 def _se_samples_table(config, out_dir):
     study = config.error_dist_study
-    reports = error_dist_study(
-        [tuple(p) for p in study.pairs], config.estimators, config.s,
-        _cell_seed(config.master_seed, 3),
-    )
+    base_seed = _seeds(config.master_seed, (3,))[0]
     rows = []
-    for (dist, (n, t)), report in reports.items():
-        for name in config.estimators:
-            for rep, se in enumerate(report.se_samples[name]):
-                rows.append([dist, n, t, name, rep, _fmt(se)])
+    for di, dist in enumerate(("normal", "t5", "chisq4", "cauchy")):
+        for pi, (n, t) in enumerate(study.pairs):
+            report = run_mc(_dgp(config, n, t, dist), None, config.estimators, config.s,
+                            _seeds(base_seed, (di, pi))[0])
+            for name in config.estimators:
+                for rep, se in enumerate(report.se_samples[name]):
+                    rows.append([dist, n, t, name, rep, _fmt(se)])
     _write_table(os.path.join(out_dir, "se_samples.csv"),
                  ["error_dist", "n", "t", "estimator", "rep", "se"], rows)
 

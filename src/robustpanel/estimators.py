@@ -13,6 +13,9 @@ constant and the starting point:
 
 ``sandwich_se`` provides asymptotic standard errors of the familiar
 (E psi^2 / (E psi')^2) * sigma^2 * (X''X'')^{-1} form for any of them.
+
+``fit_estimator`` and the simulation studies fit through one dispatcher,
+``_fit``, which starts every robust estimator from ``high_breakdown_init``.
 """
 
 import dataclasses
@@ -37,13 +40,13 @@ from .tuning import (
 )
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for refinement passes
+HB_SUBSAMPLES = 500  # elemental subsets drawn by high_breakdown_init
 
 
 @dataclass(frozen=True)
 class IrlsConfig:
     tol: float = 1e-8
     max_iter: int = 100
-    rescale_each_iter: bool = False
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -90,8 +93,6 @@ def irls_fit(panel, spec, beta_init, sigma, config=None):
         new_beta = _weighted_solve(xdd, ydd, w)
         delta = np.max(np.abs(new_beta - beta))
         beta = new_beta
-        if config.rescale_each_iter:
-            sig = initial_scale(ydd - xdd @ beta).value
         w = weight(spec, (ydd - xdd @ beta) / sig)
         if delta < config.tol:
             converged = True
@@ -107,7 +108,7 @@ def irls_fit(panel, spec, beta_init, sigma, config=None):
     )
 
 
-def fit_mestimator(panel, family, c="auto", config=None, beta_init=None):
+def fit_mestimator(panel, family, c="auto", beta_init=None):
     """Four-step Huber/Tukey fit: LS start, robust scale, tuned c, IRLS.
 
     `c` is "auto" (grid search by efficiency factor) or a fixed positive
@@ -141,13 +142,13 @@ def fit_mestimator(panel, family, c="auto", config=None, beta_init=None):
         c_use = float(c)
         if not c_use > 0:
             raise ValueError("fixed c must be positive")
-    return irls_fit(cp, LossSpec(family, c_use), beta0, sigma, config)
+    return irls_fit(cp, LossSpec(family, c_use), beta0, sigma)
 
 
-def high_breakdown_init(panel, n_subsamples=500, seed=0):
+def high_breakdown_init(panel, seed=0):
     """High-breakdown starting vector from an elemental-subset search.
 
-    Draws `n_subsamples` random K-point subsets of the centered
+    Draws HB_SUBSAMPLES random K-point subsets of the centered
     observations, solves each exactly, scores every candidate by the
     MAD scale of its full-sample residuals, keeps the best, and refines
     it with a single bounded-weight (Tukey, c=4.685) reweighted solve.
@@ -163,15 +164,15 @@ def high_breakdown_init(panel, n_subsamples=500, seed=0):
     ydd = cp.y.ravel()
 
     rng = np.random.default_rng(seed)
-    idx = np.argpartition(rng.random((n_subsamples, nt)), k - 1, axis=1)[:, :k]
-    a = xdd[idx]  # (n_subsamples, K, K)
+    idx = np.argpartition(rng.random((HB_SUBSAMPLES, nt)), k - 1, axis=1)[:, :k]
+    a = xdd[idx]  # (HB_SUBSAMPLES, K, K)
     b = ydd[idx]
     dets = np.abs(np.linalg.det(a))
     scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300) ** k
     good = dets > 1e-12 * scale
     if not good.any():
         raise DegenerateDesign(
-            "all %d elemental subsets were singular" % n_subsamples
+            "all %d elemental subsets were singular" % HB_SUBSAMPLES
         )
     betas = np.linalg.solve(a[good], b[good][..., None])[..., 0]  # (G, K)
 
@@ -191,7 +192,7 @@ def high_breakdown_init(panel, n_subsamples=500, seed=0):
     return beta0
 
 
-def fit_esl(panel, config=None, seed=0, max_outer=3, c="auto"):
+def fit_esl(panel, seed=0, max_outer=3, c="auto"):
     """Exponential-squared fit with data-driven constant selection.
 
     The candidate grid is built once, from the MAD scale of the
@@ -206,8 +207,6 @@ def fit_esl(panel, config=None, seed=0, max_outer=3, c="auto"):
     the MAD scale at which the final selection was made.  A fixed `c`
     skips the selection step entirely.
     """
-    if config is None:
-        config = IrlsConfig()
     if c != "auto" and not float(c) > 0:
         raise ValueError("fixed c must be positive")
     cp = _as_centered(panel)
@@ -229,12 +228,12 @@ def fit_esl(panel, config=None, seed=0, max_outer=3, c="auto"):
         else:
             c_sel = float(c)
             sigma_mad = mad_scale((cp.y - cp.x @ beta).ravel()).value
-        fit = irls_fit(cp, LossSpec("esl", c_sel), beta, 1.0, config)
+        fit = irls_fit(cp, LossSpec("esl", c_sel), beta, 1.0)
         total_iters += fit.iterations
         inner_converged = fit.converged
         delta = np.max(np.abs(fit.beta - beta))
         beta = fit.beta
-        if prev_c is not None and delta < config.tol and abs(c_sel - prev_c) / c_sel < 0.01:
+        if prev_c is not None and delta < IrlsConfig.tol and abs(c_sel - prev_c) / c_sel < 0.01:
             outer_converged = True
             break
         prev_c = c_sel
@@ -296,22 +295,35 @@ def sandwich_se(panel, fit, spec, sigma=None):
     return SandwichCovariance(cov, psi_sq_mean, psi_prime_mean, float(sigma))
 
 
-def fit_estimator(panel, estimator, c="auto", seed=0, config=None):
-    """Dispatch one named estimator and attach its standard errors.
+def _fit(cp, name, c, seed):
+    """Fit one named estimator to a centered panel; the one name -> procedure map.
+
+    huber and tukey start from high_breakdown_init rather than the printed
+    LS start: under concentrated contamination the LS start leaves the
+    redescending fit in the contaminated local minimum (the outliers look
+    like the fit and the clean data like outliers).  esl draws its own
+    high-breakdown start from the same seed.
+    """
+    if name == "ls":
+        return within_ls(cp)
+    if name in ("huber", "tukey"):
+        return fit_mestimator(cp, name, c=c, beta_init=high_breakdown_init(cp, seed=seed))
+    if name == "esl":
+        return fit_esl(cp, seed=seed, c=c)
+    raise ValueError("unknown estimator %r" % (name,))
+
+
+def fit_estimator(panel, estimator, c="auto", seed=0):
+    """Fit one named estimator and attach its standard errors.
 
     ls: within-group least squares with classical standard errors.
-    huber / tukey: four-step M-fit with sandwich standard errors.
+    huber / tukey: M-fit started from high_breakdown_init(panel, seed),
+    with sandwich standard errors.
     esl: exponential-squared fit with sandwich standard errors.
     """
     cp = _as_centered(panel)
+    fit = _fit(cp, estimator, c, seed)
     if estimator == "ls":
-        return within_ls(cp)
-    if estimator in ("huber", "tukey"):
-        fit = fit_mestimator(cp, estimator, c=c, config=config)
-        cov = sandwich_se(cp, fit, LossSpec(estimator, fit.c_selected))
-    elif estimator == "esl":
-        fit = fit_esl(cp, config=config, seed=seed, c=c)
-        cov = sandwich_se(cp, fit, LossSpec("esl", fit.c_selected))
-    else:
-        raise ValueError("unknown estimator %r" % (estimator,))
+        return fit
+    cov = sandwich_se(cp, fit, LossSpec(estimator, fit.c_selected))
     return dataclasses.replace(fit, std_errors=cov.std_errors)

@@ -25,7 +25,7 @@ from .errors import (
     NonNumericCell,
     UnbalancedPanel,
 )
-from .panel import PanelData
+from .panel import ESTIMATOR_NAMES, PanelData
 from .simulation import CONTAMINATION_KINDS, ERROR_DISTS
 
 
@@ -60,6 +60,10 @@ def read_panel_csv(path):
     for row_no, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
+        if len(row) < len(header):
+            raise MissingColumn(
+                "row %d has %d fields but the header has %d" % (row_no, len(row), len(header))
+            )
         unit = row[cols["unit"]].strip()
         time = row[cols["time"]].strip()
         if (unit, time) in seen:
@@ -109,6 +113,15 @@ def write_panel_csv(panel, path):
                 )
 
 
+def _check_sizes(section, **sizes):
+    """Reject panel dimensions that cannot form a panel (N, T >= 2)."""
+    for key, values in sizes.items():
+        for v in values if isinstance(values, (tuple, list)) else (values,):
+            if not isinstance(v, int) or v < 2:
+                raise ConfigError("%s.%s: sizes must be whole numbers of at least 2, got %r"
+                                  % (section, key, v))
+
+
 @dataclass(frozen=True)
 class OutlierStudyConfig:
     """One Table-style grid: every contamination kind at every m level."""
@@ -120,6 +133,7 @@ class OutlierStudyConfig:
     n_test: int = 50
 
     def __post_init__(self):
+        _check_sizes("outlier_study", n_units=self.n_units, n_periods=self.n_periods)
         for kind in self.kinds:
             if kind not in CONTAMINATION_KINDS:
                 raise ConfigError("unknown contamination kind %r" % (kind,))
@@ -132,10 +146,21 @@ class ConsistencyStudyConfig:
     t_values: tuple = (4, 6, 9, 12, 24)
     n_fixed: int = 50
 
+    def __post_init__(self):
+        _check_sizes("consistency_study", n_values=self.n_values, t_fixed=self.t_fixed,
+                     t_values=self.t_values, n_fixed=self.n_fixed)
+
 
 @dataclass(frozen=True)
 class ErrorDistStudyConfig:
     pairs: tuple = ((30, 20), (75, 8), (200, 3))
+
+    def __post_init__(self):
+        for pair in self.pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ConfigError("error_dist_study.pairs must hold [n, t] pairs, got %r"
+                                  % (pair,))
+            _check_sizes("error_dist_study", pairs=pair)
 
 
 @dataclass(frozen=True)
@@ -143,7 +168,7 @@ class ExperimentConfig:
     """Everything `simulate` needs: estimators, replication count, seeds,
     the data-generating parameters, and which studies to run."""
 
-    estimators: tuple = ("ls", "huber", "tukey", "esl")
+    estimators: tuple = ESTIMATOR_NAMES
     s: int = 50
     master_seed: int = 0
     beta: tuple = (2.4, -1.2)
@@ -154,8 +179,11 @@ class ExperimentConfig:
     error_dist_study: ErrorDistStudyConfig = None
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ConfigError("s must be a positive replication count")
+        if not self.estimators or any(name not in ESTIMATOR_NAMES for name in self.estimators):
+            raise ConfigError("estimators must be a nonempty list drawn from %s, got %r"
+                              % (ESTIMATOR_NAMES, self.estimators))
+        if not isinstance(self.s, int) or self.s < 1:
+            raise ConfigError("s must be a positive replication count, got %r" % (self.s,))
         if self.error_dist not in ERROR_DISTS:
             raise ConfigError("unknown error_dist %r" % (self.error_dist,))
         if len(self.beta) != len(self.gamma):

@@ -237,11 +237,9 @@ def fixed_effects(panel: PanelData, beta) -> np.ndarray:
     return panel.y.mean(axis=1) - panel.x.mean(axis=1) @ beta
 
 
-def predict(test_panel: PanelData, beta, alpha_policy: str = "own_means") -> np.ndarray:
+def predict(test_panel: PanelData, beta) -> np.ndarray:
     """Predicted y for every cell, with each unit's intercept recovered from
-    its own sample means (the only supported policy)."""
-    if alpha_policy != "own_means":
-        raise ValueError(f"unknown alpha policy {alpha_policy!r}")
+    its own sample means."""
     beta = np.asarray(beta, dtype=float)
     alpha = fixed_effects(test_panel, beta)
     return test_panel.x @ beta + alpha[:, None]

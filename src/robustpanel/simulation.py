@@ -22,7 +22,7 @@ never the whole unit: within-group centering absorbs any value that is
 constant inside a unit, so whole-unit blocks would vanish from the
 centered data and leave nothing for the estimators to disagree about.
 
-Per-replication randomness is derived as
+Every derived seed comes from ``_seeds``: replication s of a study uses
 SeedSequence(master_seed, spawn_key=(s,)), so replication s is the same
 no matter how many replications surround it.
 """
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockPolicyError, EstimationError
-from .estimators import fit_esl, fit_mestimator, high_breakdown_init
-from .panel import PanelData, predict, within_ls, within_transform
+from .estimators import _fit
+from .panel import PanelData, predict, within_transform
 
 ERROR_DISTS = ("normal", "t5", "chisq4", "cauchy", "none")
 CONTAMINATION_KINDS = (
@@ -213,25 +213,10 @@ class SimulationReport:
     rmse: dict = None
 
 
-def _replication_seeds(master_seed, s, n_streams):
-    state = np.random.SeedSequence(master_seed, spawn_key=(s,)).generate_state(n_streams)
+def _seeds(master_seed, key, n=1):
+    """The first n words of SeedSequence(master_seed, spawn_key=key), as ints."""
+    state = np.random.SeedSequence(master_seed, spawn_key=key).generate_state(n)
     return [int(v) for v in state]
-
-
-def _fit_one(name, cp, fit_seed):
-    if name == "ls":
-        return within_ls(cp)
-    if name in ("huber", "tukey"):
-        # The studies run under heavy, sometimes concentrated contamination,
-        # where the printed LS starting point leaves the redescending fits in
-        # the contaminated local minimum (the outliers look like the fit and
-        # the clean data like outliers).  The harness therefore supplies the
-        # high-breakdown start through the estimator's beta_init override.
-        beta0 = high_breakdown_init(cp, seed=fit_seed)
-        return fit_mestimator(cp, name, beta_init=beta0)
-    if name == "esl":
-        return fit_esl(cp, seed=fit_seed)
-    raise ValueError("unknown estimator %r" % (name,))
 
 
 def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None,
@@ -244,7 +229,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None,
     rmse = {name: [] for name in names} if n_test else None
     failures = []
     for s in range(s_total):
-        seeds = _replication_seeds(master_seed, s, 4)
+        seeds = _seeds(master_seed, (s,), 4)
         panel = gen_panel(dataclasses.replace(dgp, seed=seeds[0]))
         if scheme is not None:
             panel = contaminate(panel, dataclasses.replace(scheme, seed=seeds[1]))
@@ -252,7 +237,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None,
         if n_test:
             test_panel = gen_holdout_panel(dgp, n_test, seeds[3], test_effects)
         try:
-            fits = {name: _fit_one(name, cp, seeds[2]) for name in names}
+            fits = {name: _fit(cp, name, "auto", seeds[2]) for name in names}
         except EstimationError as err:
             failures.append((s, "%s: %s" % (type(err).__name__, err)))
             continue
@@ -297,23 +282,3 @@ def rmse_prediction_study(dgp, scheme, estimators, s_total, n_test, master_seed,
         raise ValueError("n_test must be at least 1")
     return _study(dgp, scheme, estimators, s_total, master_seed,
                   n_test=n_test, test_effects=test_effects)
-
-
-def error_dist_study(pairs, estimators, s_total, master_seed):
-    """Clean-data squared-error samples for every error law and panel size.
-
-    Returns {(error_dist, (n, t)): SimulationReport} with the sub-study
-    master seed derived deterministically from the law and pair indices.
-    """
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
-    dists = ("normal", "t5", "chisq4", "cauchy")
-    out = {}
-    for di, dist in enumerate(dists):
-        for pi, (n, t) in enumerate(pairs):
-            sub_seed = int(
-                np.random.SeedSequence(master_seed, spawn_key=(di, pi)).generate_state(1)[0]
-            )
-            dgp = DgpConfig(n_units=n, n_periods=t, error_dist=dist)
-            out[(dist, (n, t))] = run_mc(dgp, None, estimators, s_total, sub_seed)
-    return out

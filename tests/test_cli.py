@@ -6,6 +6,7 @@ import pytest
 
 from robustpanel import cli
 from robustpanel.io import write_panel_csv
+from robustpanel.simulation import ContaminationScheme, DgpConfig, contaminate, gen_panel
 
 from conftest import synth_panel
 
@@ -79,6 +80,34 @@ class TestFitCommand:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    def test_tukey_recovers_slopes_under_concentrated_leverage(self, tmp_path, capsys):
+        # The fit command starts tukey from the high-breakdown fit, as the
+        # study harness does; the LS start lands in the contaminated minimum.
+        panel = contaminate(gen_panel(DgpConfig(120, 2, seed=11)),
+                            ContaminationScheme("concentrated_leverage", 24, seed=12))
+        path = str(tmp_path / "lev.csv")
+        write_panel_csv(panel, path)
+        out = str(tmp_path / "report.json")
+        code, _, err = run(
+            ["fit", "--input", path, "--estimator", "tukey", "--out", out], capsys,
+        )
+        assert code == 0, err
+        beta = json.loads(open(out).read())["beta"]
+        assert abs(beta[0] - 2.4) < 0.5 and abs(beta[1] + 1.2) < 0.5
+
+    @pytest.mark.parametrize("estimator", ["huber", "esl"])
+    @pytest.mark.parametrize("c", ["nan", "inf", "-1", "0"])
+    def test_non_positive_or_non_finite_c_is_usage_error(
+            self, panel_csv, tmp_path, capsys, estimator, c):
+        code, _, err = run(
+            ["fit", "--input", panel_csv, "--estimator", estimator,
+             "--c", c, "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_non_numeric_c_is_usage_error(self, panel_csv, tmp_path, capsys):
         code, _, err = run(
             ["fit", "--input", panel_csv, "--estimator", "huber",
@@ -107,6 +136,18 @@ class TestFitCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_short_row_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("unit,time,y,x1\na,1,1.0,1.0\na,2,2.0\n")
+        code, _, err = run(
+            ["fit", "--input", str(bad), "--estimator", "ls",
+             "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: MissingColumn:")
+        assert err.count("\n") == 1
 
     def test_degenerate_design_is_estimation_error(self, tmp_path, capsys):
         # regressor constant within every unit: the within transform
@@ -211,6 +252,39 @@ class TestSimulateCommand:
             first = open(os.path.join(dirs[0], name), "rb").read()
             second = open(os.path.join(dirs[1], name), "rb").read()
             assert first == second, name
+
+    def test_se_samples_follow_config_beta_and_gamma(self, tmp_path, capsys):
+        base = dict(TINY_CONFIG, error_dist_study={"pairs": [[10, 4], [20, 2]]})
+        tables = {}
+        for label, extra in (("k2", {}), ("k3", {"beta": [1.0, -2.0, 0.5],
+                                                 "gamma": [1.0, 2.0, 3.0]})):
+            cfg = write_config(tmp_path, dict(base, **extra), name=label + ".json")
+            out_dir = str(tmp_path / label)
+            assert run(["simulate", "--config", cfg, "--out-dir", out_dir], capsys)[0] == 0
+            with open(os.path.join(out_dir, "se_samples.csv")) as fh:
+                tables[label] = list(csv.reader(fh))
+        assert tables["k2"] != tables["k3"]
+        for rows in tables.values():
+            cells = [tuple(r[:3]) for r in rows[1:]]
+            want = [(d, n, t) for d in ("normal", "t5", "chisq4", "cauchy")
+                    for n, t in (("10", "4"), ("20", "2"))]
+            # s replications per (law, pair), each law and pair in config order
+            assert cells == [c for c in want for _ in range(TINY_CONFIG["s"])]
+
+    @pytest.mark.parametrize("change", [
+        {"s": "10"},
+        {"estimators": ["ls", "lasso"]},
+        {"outlier_study": dict(TINY_CONFIG["outlier_study"], n_units=1)},
+        {"consistency_study": dict(TINY_CONFIG["consistency_study"], t_values=[4, 1])},
+    ])
+    def test_invalid_config_value_fails_before_any_study(self, tmp_path, capsys, change):
+        cfg = write_config(tmp_path, dict(TINY_CONFIG, **change))
+        out_dir = tmp_path / "o"
+        code, _, err = run(["simulate", "--config", cfg, "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert err.startswith("error: ConfigError:")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bogus": 1})

@@ -77,6 +77,11 @@ class TestReadPanelCsv:
         with pytest.raises(MissingColumn, match="'x1'"):
             read_panel_csv(path)
 
+    def test_short_row_named(self, tmp_path):
+        path = write_lines(tmp_path / "p.csv", ["unit,time,y,x1", "a,1,1,1", "a,2,2.0"])
+        with pytest.raises(MissingColumn, match="row 3 has 3 fields"):
+            read_panel_csv(path)
+
     def test_duplicate_cell_named(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", [
             "unit,time,y,x1",
@@ -192,3 +197,18 @@ class TestExperimentConfig:
     def test_nonpositive_s(self):
         with pytest.raises(ConfigError, match="s must be"):
             parse_config('{"s": 0}')
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"s": "10"}', "s must be"),
+        ('{"estimators": ["ls", "lasso"]}', "estimators"),
+        ('{"estimators": []}', "estimators"),
+        ('{"outlier_study": {"n_units": 1}}', "outlier_study.n_units"),
+        ('{"outlier_study": {"n_periods": 1}}', "outlier_study.n_periods"),
+        ('{"consistency_study": {"n_values": [50, 1]}}', "consistency_study.n_values"),
+        ('{"consistency_study": {"t_fixed": 1}}', "consistency_study.t_fixed"),
+        ('{"error_dist_study": {"pairs": [[30, 1]]}}', "error_dist_study.pairs"),
+        ('{"error_dist_study": {"pairs": [[30, 20, 4]]}}', "error_dist_study.pairs"),
+    ])
+    def test_invalid_value_rejected(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)

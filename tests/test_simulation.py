@@ -14,7 +14,6 @@ from robustpanel.simulation import (
     DgpConfig,
     block_length,
     contaminate,
-    error_dist_study,
     gen_holdout_panel,
     gen_panel,
     rmse_prediction_study,
@@ -201,15 +200,15 @@ class TestRunMc:
 
     def test_failures_excluded_and_counted(self, monkeypatch):
         calls = {"n": 0}
-        real = sim._fit_one
+        real = sim._fit
 
-        def flaky(name, cp, fit_seed):
+        def flaky(cp, name, c, seed):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NoValidTuning("synthetic failure for the test")
-            return real(name, cp, fit_seed)
+            return real(cp, name, c, seed)
 
-        monkeypatch.setattr(sim, "_fit_one", flaky)
+        monkeypatch.setattr(sim, "_fit", flaky)
         report = run_mc(DgpConfig(20, 2), None, ["ls"], 30, 3)
         assert report.n_failed == 1
         assert len(report.se_samples["ls"]) == 29
@@ -217,10 +216,10 @@ class TestRunMc:
         assert "synthetic failure" in report.failures[0][1]
 
     def test_degraded_flag(self, monkeypatch):
-        def broken(name, cp, fit_seed):
+        def broken(cp, name, c, seed):
             raise NoValidTuning("always fails")
 
-        monkeypatch.setattr(sim, "_fit_one", broken)
+        monkeypatch.setattr(sim, "_fit", broken)
         report = run_mc(DgpConfig(20, 2), None, ["tukey"], 10, 3)
         assert report.n_failed == 10
         assert report.degraded
@@ -289,18 +288,3 @@ class TestRmseStudy:
         with pytest.raises(ValueError):
             rmse_prediction_study(DgpConfig(10, 2), None, ["ls"], 2, 0, 1)
 
-
-class TestErrorDistStudy:
-    def test_structure_and_lengths(self):
-        out = error_dist_study([(20, 2), (10, 4)], ["ls"], 3, 5)
-        assert set(out.keys()) == {
-            (d, p) for d in ("normal", "t5", "chisq4", "cauchy") for p in ((20, 2), (10, 4))
-        }
-        for report in out.values():
-            assert len(report.se_samples["ls"]) + report.n_failed == 3
-
-    def test_deterministic(self):
-        a = error_dist_study([(20, 2)], ["ls"], 3, 5)
-        b = error_dist_study([(20, 2)], ["ls"], 3, 5)
-        for key in a:
-            assert np.array_equal(a[key].se_samples["ls"], b[key].se_samples["ls"])
