@@ -30,7 +30,7 @@ from .errors import (
 )
 from .losses import LossSpec, psi, psi_prime, weight
 from .panel import FitResult, _as_centered, within_ls
-from .scale import initial_scale, mad_scale
+from .scale import MAD_CONSISTENCY, initial_scale, mad_scale
 from .tuning import (
     HUBER_GRID,
     TUKEY_GRID,
@@ -41,18 +41,27 @@ from .tuning import (
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for refinement passes
 HB_SUBSAMPLES = 500  # elemental subsets drawn by high_breakdown_init
+IRLS_TOL = 1e-8  # coefficient change that ends an IRLS or ESL outer loop; see _settled
+ESL_MAX_OUTER = 3  # outer passes of fit_esl
 
 
 @dataclass(frozen=True)
 class IrlsConfig:
-    tol: float = 1e-8
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+
+
+def _settled(delta, beta):
+    """Whether a max-norm coefficient change `delta` is below IRLS_TOL.
+
+    Below 1 the tolerance is taken relative to the largest coefficient,
+    so that regressors measured in larger units, which shrink the
+    coefficients, do not end a loop after its first step.
+    """
+    return delta < IRLS_TOL * min(1.0, float(np.max(np.abs(beta))))
 
 
 def _weighted_solve(xdd, ydd, w):
@@ -71,8 +80,8 @@ def irls_fit(panel, spec, beta_init, sigma, config=None):
     """Iteratively reweighted LS at a fixed loss and fixed scale.
 
     Repeats w_it = weight(spec, (ydd - xdd beta)/sigma) followed by a
-    weighted LS solve until the max-norm coefficient change drops below
-    config.tol or config.max_iter is reached.
+    weighted LS solve until the coefficients settle (see _settled) or
+    config.max_iter is reached.
     """
     if config is None:
         config = IrlsConfig()
@@ -94,7 +103,7 @@ def irls_fit(panel, spec, beta_init, sigma, config=None):
         delta = np.max(np.abs(new_beta - beta))
         beta = new_beta
         w = weight(spec, (ydd - xdd @ beta) / sig)
-        if delta < config.tol:
+        if _settled(delta, beta):
             converged = True
             break
     return FitResult(
@@ -167,9 +176,11 @@ def high_breakdown_init(panel, seed=0):
     idx = np.argpartition(rng.random((HB_SUBSAMPLES, nt)), k - 1, axis=1)[:, :k]
     a = xdd[idx]  # (HB_SUBSAMPLES, K, K)
     b = ydd[idx]
-    dets = np.abs(np.linalg.det(a))
-    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300) ** k
-    good = dets > 1e-12 * scale
+    # |det a| > 1e-12 max|a|^K, compared in log space so that neither side
+    # overflows or underflows when the regressors change units
+    _, logdet = np.linalg.slogdet(a)
+    log_scale = k * np.log(np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))
+    good = logdet > np.log(1e-12) + log_scale
     if not good.any():
         raise DegenerateDesign(
             "all %d elemental subsets were singular" % HB_SUBSAMPLES
@@ -178,7 +189,7 @@ def high_breakdown_init(panel, seed=0):
 
     resid = ydd[None, :] - betas @ xdd.T
     med = np.median(resid, axis=1, keepdims=True)
-    mads = 1.4826 * np.median(np.abs(resid - med), axis=1)
+    mads = MAD_CONSISTENCY * np.median(np.abs(resid - med), axis=1)
     best = int(np.argmin(mads))
     beta0 = betas[best]
 
@@ -192,7 +203,7 @@ def high_breakdown_init(panel, seed=0):
     return beta0
 
 
-def fit_esl(panel, seed=0, max_outer=3, c="auto"):
+def fit_esl(panel, seed=0, c="auto"):
     """Exponential-squared fit with data-driven constant selection.
 
     The candidate grid is built once, from the MAD scale of the
@@ -202,7 +213,7 @@ def fit_esl(panel, seed=0, max_outer=3, c="auto"):
     coefficients by IRLS with the loss applied to raw residuals (the
     selected c lives on the squared raw-residual scale, so the IRLS
     standardization is fixed at 1).  The loop stops after at most
-    `max_outer` passes, or earlier once both the coefficient change and
+    ESL_MAX_OUTER passes, or earlier once both the coefficient change and
     the relative change in c are negligible.  The reported sigma_hat is
     the MAD scale at which the final selection was made.  A fixed `c`
     skips the selection step entirely.
@@ -220,7 +231,7 @@ def fit_esl(panel, seed=0, max_outer=3, c="auto"):
     outer_converged = False
     c_sel = None
     fit = None
-    for _ in range(max_outer):
+    for _ in range(ESL_MAX_OUTER):
         if c == "auto":
             state = esl_select_c(cp, beta, grid)
             c_sel = state.c_selected
@@ -233,7 +244,7 @@ def fit_esl(panel, seed=0, max_outer=3, c="auto"):
         inner_converged = fit.converged
         delta = np.max(np.abs(fit.beta - beta))
         beta = fit.beta
-        if prev_c is not None and delta < IrlsConfig.tol and abs(c_sel - prev_c) / c_sel < 0.01:
+        if prev_c is not None and _settled(delta, beta) and abs(c_sel - prev_c) / c_sel < 0.01:
             outer_converged = True
             break
         prev_c = c_sel
@@ -262,19 +273,18 @@ class SandwichCovariance:
         return np.sqrt(np.diag(self.matrix))
 
 
-def sandwich_se(panel, fit, spec, sigma=None):
+def sandwich_se(panel, fit, spec):
     """Plug-in sandwich covariance for a converged M-fit.
 
-    `sigma` is the residual standardization used in the moments; by
-    default it is fit.sigma_hat, except for exponential-squared fits
-    where the loss acts on raw residuals and sigma is fixed at 1 (the
-    reported sigma_hat is the MAD scale of record, not the IRLS scale).
-    Raises UnstableCurvature when the mean psi' is not positive, since
-    the asymptotic variance requires E[psi'] > 0.
+    The moments standardize residuals by fit.sigma_hat, except for
+    exponential-squared fits, where the loss acts on raw residuals and
+    sigma is fixed at 1 (the reported sigma_hat is the MAD scale of
+    record, not the IRLS scale).  Raises UnstableCurvature when the mean
+    psi' is not positive, since the asymptotic variance requires
+    E[psi'] > 0.
     """
     cp = _as_centered(panel)
-    if sigma is None:
-        sigma = 1.0 if fit.estimator == "esl" else fit.sigma_hat
+    sigma = 1.0 if fit.estimator == "esl" else fit.sigma_hat
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     nt = cp.y.size

@@ -113,11 +113,16 @@ def write_panel_csv(panel, path):
                 )
 
 
+def _is_whole(value, minimum):
+    """True for an int (not a bool) of at least `minimum`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def _check_sizes(section, **sizes):
     """Reject panel dimensions that cannot form a panel (N, T >= 2)."""
     for key, values in sizes.items():
         for v in values if isinstance(values, (tuple, list)) else (values,):
-            if not isinstance(v, int) or v < 2:
+            if not _is_whole(v, 2):
                 raise ConfigError("%s.%s: sizes must be whole numbers of at least 2, got %r"
                                   % (section, key, v))
 
@@ -133,7 +138,12 @@ class OutlierStudyConfig:
     n_test: int = 50
 
     def __post_init__(self):
-        _check_sizes("outlier_study", n_units=self.n_units, n_periods=self.n_periods)
+        _check_sizes("outlier_study", n_units=self.n_units, n_periods=self.n_periods,
+                     n_test=self.n_test)
+        for m in self.m_levels:
+            if not _is_whole(m, 0):
+                raise ConfigError("outlier_study.m_levels: contaminated cell counts must be "
+                                  "whole numbers of at least 0, got %r" % (m,))
         for kind in self.kinds:
             if kind not in CONTAMINATION_KINDS:
                 raise ConfigError("unknown contamination kind %r" % (kind,))
@@ -182,8 +192,11 @@ class ExperimentConfig:
         if not self.estimators or any(name not in ESTIMATOR_NAMES for name in self.estimators):
             raise ConfigError("estimators must be a nonempty list drawn from %s, got %r"
                               % (ESTIMATOR_NAMES, self.estimators))
-        if not isinstance(self.s, int) or self.s < 1:
+        if not _is_whole(self.s, 1):
             raise ConfigError("s must be a positive replication count, got %r" % (self.s,))
+        if not _is_whole(self.master_seed, 0):
+            raise ConfigError("master_seed must be a nonnegative whole number, got %r"
+                              % (self.master_seed,))
         if self.error_dist not in ERROR_DISTS:
             raise ConfigError("unknown error_dist %r" % (self.error_dist,))
         if len(self.beta) != len(self.gamma):
@@ -197,19 +210,25 @@ _SECTION_TYPES = {
 }
 
 
-def _build_section(name, cls, data):
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise ConfigError("%s must be an object, got %r" % (name, type(data).__name__))
-    allowed = {f.name for f in dataclasses.fields(cls)}
+def _build(cls, data, where):
+    """`cls` from the decoded JSON object at `where` ("config" or a section
+    name).  Unknown keys, and a scalar where a list belongs, fail with the
+    key's name."""
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
     for key in data:
-        if key not in allowed:
-            raise ConfigError("unknown key %r in %s" % (key, name))
+        if key not in fields:
+            raise ConfigError("unknown key %r in %s" % (key, where))
     kwargs = {}
     for key, value in data.items():
-        if isinstance(value, list):
+        if key in _SECTION_TYPES and value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError("%s must be an object, got %r" % (key, type(value).__name__))
+            value = _build(_SECTION_TYPES[key], value, key)
+        elif isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        elif isinstance(fields[key], tuple):
+            raise ConfigError("%s must be a list, got %r"
+                              % (key if where == "config" else where + "." + key, value))
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -222,19 +241,7 @@ def parse_config(text):
         raise ConfigError("config is not valid JSON: %s" % (err,)) from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError("unknown key %r in config" % (key,))
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(key, _SECTION_TYPES[key], value)
-        elif isinstance(value, list):
-            kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+    return _build(ExperimentConfig, data, "config")
 
 
 def serialize_config(config):

@@ -95,17 +95,13 @@ class PanelData:
 
 @dataclass(frozen=True)
 class CenteredPanel:
-    """Within-transformed panel plus the unit means that were removed."""
+    """Within-transformed panel: each unit's time means subtracted."""
 
     y: np.ndarray  # (N, T) centered
     x: np.ndarray  # (N, T, K) centered
-    y_means: np.ndarray  # (N,)
-    x_means: np.ndarray  # (N, K)
-    unit_labels: tuple[str, ...]
-    period_labels: tuple[str, ...]
 
     def __post_init__(self):
-        for name in ("y", "x", "y_means", "x_means"):
+        for name in ("y", "x"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
@@ -158,15 +154,9 @@ class FitResult:
 
 def within_transform(panel: PanelData) -> CenteredPanel:
     """Subtract per-unit time means from y and x."""
-    y_means = panel.y.mean(axis=1)
-    x_means = panel.x.mean(axis=1)
     return CenteredPanel(
-        y=panel.y - y_means[:, None],
-        x=panel.x - x_means[:, None, :],
-        y_means=y_means,
-        x_means=x_means,
-        unit_labels=panel.unit_labels,
-        period_labels=panel.period_labels,
+        y=panel.y - panel.y.mean(axis=1)[:, None],
+        x=panel.x - panel.x.mean(axis=1)[:, None, :],
     )
 
 

@@ -118,34 +118,29 @@ def gen_panel(config):
     return PanelData(y, x)
 
 
-def gen_holdout_panel(config, n_test, seed, test_effects="cell"):
+def gen_holdout_panel(config, n_test, seed):
     """Clean evaluation panel of n_test units from the same regressor and
     error laws.
 
-    test_effects "cell" draws the heterogeneity term freshly per cell as
+    The heterogeneity term is drawn freshly per cell as
     alpha_it = z_it' gamma + eta_it, where z_it is an independent draw
     from the regressor laws: held-out units are strangers whose effects
     carry the same variance as the training construction but are pure,
     unexplainable noise to the fitted model.  (Building alpha from the
     test panel's own regressors would instead reward any fit whose
     coefficients drift toward beta + gamma, inverting the comparison
-    between clean and contaminated fits.)  "unit" reuses the training
-    construction (per-unit alpha_i), which own-means prediction cancels
-    almost entirely.
+    between clean and contaminated fits; reusing the training
+    construction's per-unit alpha_i would let own-means prediction
+    cancel it almost entirely.)
     """
-    if test_effects not in ("cell", "unit"):
-        raise ValueError("test_effects must be 'cell' or 'unit'")
-    cfg = dataclasses.replace(config, n_units=n_test, seed=seed)
-    if test_effects == "unit":
-        return gen_panel(cfg)
     rng = np.random.default_rng(seed)
-    t = cfg.n_periods
-    beta = np.asarray(cfg.beta, dtype=float)
-    gamma = np.asarray(cfg.gamma, dtype=float)
+    t = config.n_periods
+    beta = np.asarray(config.beta, dtype=float)
+    gamma = np.asarray(config.gamma, dtype=float)
     x = _draw_x(rng, n_test, t, beta.size)
     z = _draw_x(rng, n_test, t, gamma.size)
     eta = rng.uniform(0.0, 12.0, (n_test, t))
-    eps = _draw_errors(rng, cfg.error_dist, (n_test, t))
+    eps = _draw_errors(rng, config.error_dist, (n_test, t))
     y = x @ beta + (z @ gamma + eta) + eps
     return PanelData(y, x)
 
@@ -201,14 +196,11 @@ class SimulationReport:
     """Replication study results for one ( dgp, scheme, estimators ) cell."""
 
     estimator_names: tuple
-    s_requested: int
     se_samples: dict  # estimator -> array of ||beta_hat - beta||^2, successes only
     mse: dict  # estimator -> mean of se_samples
     n_failed: int
     failures: tuple  # (replication index, message) pairs
     degraded: bool
-    dgp: DgpConfig
-    scheme: object = None
     rmse_samples: dict = None
     rmse: dict = None
 
@@ -219,8 +211,7 @@ def _seeds(master_seed, key, n=1):
     return [int(v) for v in state]
 
 
-def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None,
-           test_effects="cell"):
+def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
     if not estimators:
         raise ValueError("estimators must be nonempty")
     names = tuple(estimators)
@@ -235,7 +226,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None,
             panel = contaminate(panel, dataclasses.replace(scheme, seed=seeds[1]))
         cp = within_transform(panel)
         if n_test:
-            test_panel = gen_holdout_panel(dgp, n_test, seeds[3], test_effects)
+            test_panel = gen_holdout_panel(dgp, n_test, seeds[3])
         try:
             fits = {name: _fit(cp, name, "auto", seeds[2]) for name in names}
         except EstimationError as err:
@@ -251,14 +242,11 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None,
     n_failed = len(failures)
     report = SimulationReport(
         estimator_names=names,
-        s_requested=s_total,
         se_samples={name: np.asarray(v) for name, v in se.items()},
         mse={name: float(np.mean(v)) if v else float("nan") for name, v in se.items()},
         n_failed=n_failed,
         failures=tuple(failures),
         degraded=n_failed > 0.05 * s_total,
-        dgp=dgp,
-        scheme=scheme,
         rmse_samples={n_: np.asarray(v) for n_, v in rmse.items()} if n_test else None,
         rmse={n_: float(np.mean(v)) if v else float("nan") for n_, v in rmse.items()}
         if n_test
@@ -273,12 +261,10 @@ def run_mc(dgp, scheme, estimators, s_total, master_seed):
     return _study(dgp, scheme, estimators, s_total, master_seed)
 
 
-def rmse_prediction_study(dgp, scheme, estimators, s_total, n_test, master_seed,
-                          test_effects="cell"):
+def rmse_prediction_study(dgp, scheme, estimators, s_total, n_test, master_seed):
     """Prediction study: each replication also generates a clean test
     panel of n_test units and records root mean squared prediction error
     under own-means intercept recovery."""
-    if n_test < 1:
-        raise ValueError("n_test must be at least 1")
-    return _study(dgp, scheme, estimators, s_total, master_seed,
-                  n_test=n_test, test_effects=test_effects)
+    if n_test < 2:
+        raise ValueError("n_test must be at least 2, the smallest panel")
+    return _study(dgp, scheme, estimators, s_total, master_seed, n_test=n_test)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import NoValidTuning
 from .losses import LossSpec, psi, psi_prime, rho
-from .panel import CenteredPanel, PanelData, _as_centered
+from .panel import _as_centered
+from .scale import MAD_CONSISTENCY
 
 HUBER_GRID = 0.05 * np.arange(1, 61)
 TUKEY_GRID = 1.0 + 0.2 * np.arange(46)
@@ -107,16 +108,15 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
 def pseudo_outlier_set(residuals, sigma_mad):
     """Cells whose absolute residual reaches 2.5 * sigma_mad.
 
-    `residuals` is the (N, T) residual matrix; returns a frozenset of
-    (unit_index, period_index) pairs.
+    `residuals` is the (N, T) residual matrix; returns the boolean (N, T)
+    mask of flagged cells.
     """
     if not sigma_mad > 0:
         raise ValueError("sigma_mad must be positive")
     r = np.asarray(residuals, dtype=float)
     if r.ndim != 2:
         raise ValueError("residuals must be an (N, T) matrix")
-    hit = np.abs(r) >= 2.5 * sigma_mad
-    return frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(hit)))
+    return np.abs(r) >= 2.5 * sigma_mad
 
 
 def xi(c, residuals_good, m, nt):
@@ -162,6 +162,8 @@ def esl_cov(panel, beta0, c):
     unit bound (|exp(-u)(2u-1)| <= 1 for u >= 0).  Using the signed mean
     itself as the yardstick would cancel out of the ratio and a root of
     the scalar factor, which the search must skip, would go undetected.
+    Both sides are compared as logarithms, so neither overflows or
+    underflows as K grows or the regressors change units.
     """
     cp = _as_centered(panel)
     beta0 = np.asarray(beta0, dtype=float)
@@ -171,11 +173,11 @@ def esl_cov(panel, beta0, c):
 
     info = _esl_information(cp, e, c)
     xdd = cp.x.reshape(nt, k)
-    scale = ((2.0 / c) * np.trace(xdd.T @ xdd) / nt / k) ** k
-    if scale == 0.0 or abs(np.linalg.det(info)) < 1e-12 * scale:
+    base = (2.0 / c) * np.trace(xdd.T @ xdd) / nt / k
+    _, logdet = np.linalg.slogdet(info)
+    if base == 0.0 or logdet < np.log(1e-12) + k * np.log(base):
         return np.full((k, k), np.nan), False
 
-    xdd = cp.x.reshape(nt, k)
     scores = (np.exp(-e * e / c) * (2.0 * e / c))[:, None] * xdd
     centered = scores - scores.mean(axis=0)
     sigma_tilde = centered.T @ centered / nt
@@ -187,19 +189,19 @@ def esl_cov(panel, beta0, c):
 class EslTuningState:
     """Everything the exponential-squared selection step decided."""
 
-    beta0: np.ndarray
     sigma_mad: float
     m: int
-    outlier_indices: frozenset
     grid: np.ndarray
     xi_values: np.ndarray
-    detv_values: np.ndarray
+    detv_values: np.ndarray  # log det V_hat(c); nan off the feasible set
     c_selected: float
 
 
 def esl_select_c(panel, beta0, grid):
     """Pick the exponential-squared constant: smallest det(V_hat) over the
     feasible set G = {c in grid : xi(c) in (0, 1], V_hat defined}.
+    Determinants are ranked by their logarithms, which neither overflow
+    nor underflow; a non-positive det(V_hat) ranks as log 0 = -inf.
 
     Residuals are taken raw (unstandardized) at beta0; the selected c
     absorbs their scale.  When the residuals have zero median absolute
@@ -213,16 +215,13 @@ def esl_select_c(panel, beta0, grid):
     nt = flat.size
 
     med = np.median(flat)
-    sigma_mad = 1.4826 * float(np.median(np.abs(flat - med)))
+    sigma_mad = MAD_CONSISTENCY * float(np.median(np.abs(flat - med)))
     if sigma_mad > 0:
-        outliers = pseudo_outlier_set(resid, sigma_mad)
+        flagged = pseudo_outlier_set(resid, sigma_mad)
     else:
-        outliers = frozenset()
-    m = len(outliers)
-    mask = np.ones(resid.shape, dtype=bool)
-    for i, j in outliers:
-        mask[i, j] = False
-    good = resid[mask].ravel()
+        flagged = np.zeros(resid.shape, dtype=bool)
+    m = int(flagged.sum())
+    good = resid[~flagged]
 
     grid = np.asarray(grid, dtype=float)
     xi_vals = np.array([xi(float(c), good, m, nt) for c in grid])
@@ -231,7 +230,8 @@ def esl_select_c(panel, beta0, grid):
     for j in np.nonzero(feasible)[0]:
         v, defined = esl_cov(cp, beta0, float(grid[j]))
         if defined:
-            detv[j] = np.linalg.det(v)
+            sign, logdet = np.linalg.slogdet(v)
+            detv[j] = logdet if sign > 0 else -np.inf
         else:
             feasible[j] = False
     if not feasible.any():
@@ -243,10 +243,8 @@ def esl_select_c(panel, beta0, grid):
     masked = np.where(feasible, detv, np.inf)
     best = int(np.argmin(masked))  # first minimum, i.e. smallest c on ties
     return EslTuningState(
-        beta0=beta0,
         sigma_mad=sigma_mad,
         m=m,
-        outlier_indices=outliers,
         grid=grid,
         xi_values=xi_vals,
         detv_values=detv,

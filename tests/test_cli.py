@@ -276,6 +276,12 @@ class TestSimulateCommand:
         {"estimators": ["ls", "lasso"]},
         {"outlier_study": dict(TINY_CONFIG["outlier_study"], n_units=1)},
         {"consistency_study": dict(TINY_CONFIG["consistency_study"], t_values=[4, 1])},
+        {"master_seed": -1},
+        {"master_seed": 1.5},
+        {"outlier_study": dict(TINY_CONFIG["outlier_study"], n_test=0)},
+        {"outlier_study": dict(TINY_CONFIG["outlier_study"], m_levels=[2, -2])},
+        {"outlier_study": dict(TINY_CONFIG["outlier_study"], m_levels=[2.5])},
+        {"s": True},
     ])
     def test_invalid_config_value_fails_before_any_study(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, dict(TINY_CONFIG, **change))

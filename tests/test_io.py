@@ -208,6 +208,18 @@ class TestExperimentConfig:
         ('{"consistency_study": {"t_fixed": 1}}', "consistency_study.t_fixed"),
         ('{"error_dist_study": {"pairs": [[30, 1]]}}', "error_dist_study.pairs"),
         ('{"error_dist_study": {"pairs": [[30, 20, 4]]}}', "error_dist_study.pairs"),
+        ('{"s": true}', "s must be"),
+        ('{"master_seed": -1}', "master_seed"),
+        ('{"master_seed": 1.5}', "master_seed"),
+        ('{"master_seed": true}', "master_seed"),
+        ('{"outlier_study": {"n_test": 0}}', "outlier_study.n_test"),
+        ('{"outlier_study": {"n_test": 1}}', "outlier_study.n_test"),
+        ('{"outlier_study": {"n_test": 2.5}}', "outlier_study.n_test"),
+        ('{"outlier_study": {"m_levels": [2, -2]}}', "outlier_study.m_levels"),
+        ('{"outlier_study": {"m_levels": [2.5]}}', "outlier_study.m_levels"),
+        ('{"outlier_study": {"m_levels": 2}}', "outlier_study.m_levels"),
+        ('{"consistency_study": {"n_values": 50}}', "consistency_study.n_values"),
+        ('{"beta": 3}', "beta"),
     ])
     def test_invalid_value_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):

@@ -72,8 +72,10 @@ class TestWithinTransform:
         cp = within_transform(hand_panel)
         assert_allclose(cp.y, [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-15)
         assert_allclose(cp.x[:, :, 0], [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-15)
-        assert_allclose(cp.y_means, [1.0, 12.0], atol=1e-15)
-        assert_allclose(cp.x_means[:, 0], [1.0, 2.0], atol=1e-15)
+        # the removed unit means
+        assert_allclose(hand_panel.y - cp.y, [[1.0, 1.0], [12.0, 12.0]], atol=1e-15)
+        assert_allclose(hand_panel.x[:, :, 0] - cp.x[:, :, 0], [[1.0, 1.0], [2.0, 2.0]],
+                        atol=1e-15)
 
     def test_unit_sums_vanish(self, noisy_panel):
         cp = within_transform(noisy_panel)

@@ -87,23 +87,13 @@ class TestGenPanel:
 
 
 class TestGenHoldout:
-    def test_unit_mode_matches_training_dgp(self):
-        cfg = DgpConfig(100, 3, seed=5)
-        hp = gen_holdout_panel(cfg, 50, seed=77, test_effects="unit")
-        ref = gen_panel(dataclasses.replace(cfg, n_units=50, seed=77))
-        assert np.array_equal(hp.y, ref.y) and np.array_equal(hp.x, ref.x)
-
     def test_cell_mode_heterogeneity_signature(self):
         cfg = DgpConfig(100, 2, seed=5)
-        hp = gen_holdout_panel(cfg, 4000, seed=13, test_effects="cell")
+        hp = gen_holdout_panel(cfg, 4000, seed=13)
         resid = hp.y - hp.x @ np.asarray(cfg.beta)
         centered = resid - resid.mean(axis=1, keepdims=True)
         # per-cell heterogeneity + noise has variance 45, halved by centering
         assert 21.0 <= centered.var() <= 24.0
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            gen_holdout_panel(DgpConfig(10, 2), 5, seed=0, test_effects="pooled")
 
 
 class TestContaminate:
@@ -262,13 +252,6 @@ class TestRunMc:
 
 
 class TestRmseStudy:
-    def test_noiseless_rmse_zero(self):
-        report = rmse_prediction_study(
-            DgpConfig(30, 3, error_dist="none"), None, ["ls"], 1, 10, 99,
-            test_effects="unit",
-        )
-        assert report.rmse["ls"] == pytest.approx(0.0, abs=1e-10)
-
     def test_rmse_nonnegative_finite(self):
         report = rmse_prediction_study(
             DgpConfig(40, 2), ContaminationScheme("random_vertical", 8),

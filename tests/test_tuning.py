@@ -121,17 +121,17 @@ class TestSelectCGrid:
 class TestPseudoOutliers:
     def test_no_exceedance(self):
         out = pseudo_outlier_set(np.full((2, 2), 0.1), 1.0)
-        assert out == frozenset()
+        assert np.array_equal(out, np.zeros((2, 2), dtype=bool))
 
     def test_single_exceedance(self):
         resid = np.array([[0.0, 0.0], [0.0, 10.0]])
         out = pseudo_outlier_set(resid, 1.0)
-        assert out == frozenset({(1, 1)})
+        assert np.array_equal(out, [[False, False], [False, True]])
 
     def test_threshold_is_inclusive(self):
         resid = np.array([[2.5, 0.0], [0.0, -2.5]])
         out = pseudo_outlier_set(resid, 1.0)
-        assert out == frozenset({(0, 0), (1, 1)})
+        assert np.array_equal(out, [[True, False], [False, True]])
 
     def test_normal_rate_near_tail_mass(self):
         from robustpanel.scale import mad_scale
@@ -139,7 +139,7 @@ class TestPseudoOutliers:
         rng = np.random.default_rng(99)
         resid = rng.standard_normal((100, 100))
         sigma = mad_scale(resid).value
-        m = len(pseudo_outlier_set(resid, sigma))
+        m = int(pseudo_outlier_set(resid, sigma).sum())
         assert 0.008 <= m / resid.size <= 0.018
 
 
