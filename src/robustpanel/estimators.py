@@ -15,7 +15,8 @@ constant and the starting point:
 (E psi^2 / (E psi')^2) * sigma^2 * (X''X'')^{-1} form for any of them.
 
 ``fit_estimator`` and the simulation studies fit through one dispatcher,
-``_fit``, which starts every robust estimator from ``high_breakdown_init``.
+``_fit``, which draws one ``high_breakdown_init`` start per panel and
+starts every robust estimator from it.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from .errors import (
     UnstableCurvature,
 )
 from .losses import LossSpec, psi, psi_prime, weight
-from .panel import FitResult, _as_centered, within_ls
+from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, within_ls
 from .scale import MAD_CONSISTENCY, initial_scale, mad_scale
 from .tuning import (
     HUBER_GRID,
@@ -206,11 +207,11 @@ def high_breakdown_init(panel, seed=0):
 def fit_esl(panel, seed=0, c="auto"):
     """Exponential-squared fit with data-driven constant selection.
 
-    The candidate grid is built once, from the MAD scale of the
-    residuals at the high-breakdown start.  Each outer pass then
-    re-flags pseudo-outliers at the current coefficients, re-selects c
-    by det(V) minimization over that fixed grid, and updates the
-    coefficients by IRLS with the loss applied to raw residuals (the
+    Starts from high_breakdown_init(panel, seed).  The candidate grid is
+    built once, from the MAD scale of the residuals at that start.  Each
+    outer pass then re-flags pseudo-outliers at the current coefficients,
+    re-selects c by det(V) minimization over that fixed grid, and updates
+    the coefficients by IRLS with the loss applied to raw residuals (the
     selected c lives on the squared raw-residual scale, so the IRLS
     standardization is fixed at 1).  The loop stops after at most
     ESL_MAX_OUTER passes, or earlier once both the coefficient change and
@@ -218,10 +219,15 @@ def fit_esl(panel, seed=0, c="auto"):
     the MAD scale at which the final selection was made.  A fixed `c`
     skips the selection step entirely.
     """
+    cp = _as_centered(panel)
+    return _esl(cp, high_breakdown_init(cp, seed=seed), c)
+
+
+def _esl(cp, start, c):
+    """The outer loop of fit_esl, run from the high-breakdown fit `start`."""
     if c != "auto" and not float(c) > 0:
         raise ValueError("fixed c must be positive")
-    cp = _as_centered(panel)
-    beta = high_breakdown_init(cp, seed=seed)
+    beta = start
     sigma_mad = mad_scale((cp.y - cp.x @ beta).ravel()).value
     grid = default_esl_grid(sigma_mad)
 
@@ -305,22 +311,33 @@ def sandwich_se(panel, fit, spec):
     return SandwichCovariance(cov, psi_sq_mean, psi_prime_mean, float(sigma))
 
 
-def _fit(cp, name, c, seed):
-    """Fit one named estimator to a centered panel; the one name -> procedure map.
+def _fit(cp, names, c, seed):
+    """Fit each named estimator to a centered panel; the one name -> procedure map.
 
-    huber and tukey start from high_breakdown_init rather than the printed
-    LS start: under concentrated contamination the LS start leaves the
-    redescending fit in the contaminated local minimum (the outliers look
-    like the fit and the clean data like outliers).  esl draws its own
-    high-breakdown start from the same seed.
+    Returns {name: FitResult}.  Every robust estimator starts from one
+    high_breakdown_init(cp, seed), drawn at most once (never when every
+    name is ls) and shared read-only.  huber and tukey start from it rather
+    than the printed LS start: under concentrated contamination the LS
+    start leaves the redescending fit in the contaminated local minimum
+    (the outliers look like the fit and the clean data like outliers).
     """
-    if name == "ls":
-        return within_ls(cp)
-    if name in ("huber", "tukey"):
-        return fit_mestimator(cp, name, c=c, beta_init=high_breakdown_init(cp, seed=seed))
-    if name == "esl":
-        return fit_esl(cp, seed=seed, c=c)
-    raise ValueError("unknown estimator %r" % (name,))
+    for name in names:
+        if name not in ESTIMATOR_NAMES:
+            raise ValueError("unknown estimator %r" % (name,))
+    start = None
+    fits = {}
+    for name in names:
+        if name == "ls":
+            fits[name] = within_ls(cp)
+            continue
+        if start is None:
+            start = high_breakdown_init(cp, seed=seed)
+            start.flags.writeable = False
+        if name == "esl":
+            fits[name] = _esl(cp, start, c)
+        else:
+            fits[name] = fit_mestimator(cp, name, c=c, beta_init=start)
+    return fits
 
 
 def fit_estimator(panel, estimator, c="auto", seed=0):
@@ -332,7 +349,7 @@ def fit_estimator(panel, estimator, c="auto", seed=0):
     esl: exponential-squared fit with sandwich standard errors.
     """
     cp = _as_centered(panel)
-    fit = _fit(cp, estimator, c, seed)
+    fit = _fit(cp, (estimator,), c, seed)[estimator]
     if estimator == "ls":
         return fit
     cov = sandwich_se(cp, fit, LossSpec(estimator, fit.c_selected))

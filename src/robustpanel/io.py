@@ -13,6 +13,7 @@ equal config, and unknown keys fail loudly with the offending name.
 import csv
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     UnbalancedPanel,
 )
 from .panel import ESTIMATOR_NAMES, PanelData
-from .simulation import CONTAMINATION_KINDS, ERROR_DISTS
+from .simulation import CONTAMINATION_KINDS, ERROR_DISTS, block_length
 
 
 def _detect_k(header):
@@ -55,8 +56,8 @@ def read_panel_csv(path):
     cols = {name: header.index(name) for name in ("unit", "time", "y")}
     xcols = [header.index("x%d" % (j + 1)) for j in range(k)]
 
-    units, periods = [], []  # first-appearance order
-    seen = {}
+    units, periods = {}, {}  # label -> index, in first-appearance order
+    cells = {}  # (unit index, period index) -> (row number, values)
     for row_no, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -66,10 +67,11 @@ def read_panel_csv(path):
             )
         unit = row[cols["unit"]].strip()
         time = row[cols["time"]].strip()
-        if (unit, time) in seen:
+        key = (units.setdefault(unit, len(units)), periods.setdefault(time, len(periods)))
+        if key in cells:
             raise DuplicateCell(
                 "duplicate row for unit %r, time %r (rows %d and %d)"
-                % (unit, time, seen[(unit, time)][0], row_no)
+                % (unit, time, cells[key][0], row_no)
             )
         values = []
         for name, idx in [("y", cols["y"])] + [("x%d" % (j + 1), xcols[j]) for j in range(k)]:
@@ -80,22 +82,18 @@ def read_panel_csv(path):
                 raise NonNumericCell(
                     "row %d, column %s: %r is not numeric" % (row_no, name, cell)
                 ) from None
-        seen[(unit, time)] = (row_no, values)
-        if unit not in units:
-            units.append(unit)
-        if time not in periods:
-            periods.append(time)
+        cells[key] = (row_no, values)
 
     n, t = len(units), len(periods)
+    if len(cells) < n * t:
+        missing = next((unit, time) for unit, i in units.items()
+                       for time, s in periods.items() if (i, s) not in cells)
+        raise UnbalancedPanel("missing row for unit %r, time %r" % missing)
     y = np.empty((n, t))
     x = np.empty((n, t, k))
-    for i, unit in enumerate(units):
-        for s, time in enumerate(periods):
-            if (unit, time) not in seen:
-                raise UnbalancedPanel("missing row for unit %r, time %r" % (unit, time))
-            _, values = seen[(unit, time)]
-            y[i, s] = values[0]
-            x[i, s] = values[1:]
+    for (i, s), (_, values) in cells.items():
+        y[i, s] = values[0]
+        x[i, s] = values[1:]
     return PanelData(y, x, unit_labels=tuple(units), period_labels=tuple(periods))
 
 
@@ -116,6 +114,12 @@ def write_panel_csv(panel, path):
 def _is_whole(value, minimum):
     """True for an int (not a bool) of at least `minimum`."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _is_finite_real(value):
+    """True for an int or float (not a bool) inside the finite float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _check_sizes(section, **sizes):
@@ -140,13 +144,23 @@ class OutlierStudyConfig:
     def __post_init__(self):
         _check_sizes("outlier_study", n_units=self.n_units, n_periods=self.n_periods,
                      n_test=self.n_test)
+        for kind in self.kinds:
+            if kind not in CONTAMINATION_KINDS:
+                raise ConfigError("unknown contamination kind %r" % (kind,))
+        cells = self.n_units * self.n_periods
+        block = block_length(self.n_periods)
+        concentrated = any(kind.startswith("concentrated") for kind in self.kinds)
         for m in self.m_levels:
             if not _is_whole(m, 0):
                 raise ConfigError("outlier_study.m_levels: contaminated cell counts must be "
                                   "whole numbers of at least 0, got %r" % (m,))
-        for kind in self.kinds:
-            if kind not in CONTAMINATION_KINDS:
-                raise ConfigError("unknown contamination kind %r" % (kind,))
+            if m > cells:
+                raise ConfigError("outlier_study.m_levels: m = %d exceeds the %d panel cells"
+                                  % (m, cells))
+            if concentrated and m // block > self.n_units:
+                raise ConfigError("outlier_study.m_levels: m = %d needs %d contaminated units "
+                                  "in a concentrated kind but the panel has %d"
+                                  % (m, m // block, self.n_units))
 
 
 @dataclass(frozen=True)
@@ -199,6 +213,10 @@ class ExperimentConfig:
                               % (self.master_seed,))
         if self.error_dist not in ERROR_DISTS:
             raise ConfigError("unknown error_dist %r" % (self.error_dist,))
+        for key in ("beta", "gamma"):
+            for v in getattr(self, key):
+                if not _is_finite_real(v):
+                    raise ConfigError("%s entries must be finite numbers, got %r" % (key, v))
         if len(self.beta) != len(self.gamma):
             raise ConfigError("beta and gamma must have equal length")
 

@@ -228,7 +228,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
         if n_test:
             test_panel = gen_holdout_panel(dgp, n_test, seeds[3])
         try:
-            fits = {name: _fit(cp, name, "auto", seeds[2]) for name in names}
+            fits = _fit(cp, names, "auto", seeds[2])
         except EstimationError as err:
             failures.append((s, "%s: %s" % (type(err).__name__, err)))
             continue

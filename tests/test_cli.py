@@ -282,6 +282,11 @@ class TestSimulateCommand:
         {"outlier_study": dict(TINY_CONFIG["outlier_study"], m_levels=[2, -2])},
         {"outlier_study": dict(TINY_CONFIG["outlier_study"], m_levels=[2.5])},
         {"s": True},
+        {"beta": [1, "a"]},
+        {"gamma": [2.0, True]},
+        {"outlier_study": {"n_units": 10, "n_periods": 2, "m_levels": [100], "n_test": 2}},
+        {"outlier_study": {"n_units": 10, "n_periods": 4, "m_levels": [40], "n_test": 2,
+                           "kinds": ["concentrated_leverage"]}},
     ])
     def test_invalid_config_value_fails_before_any_study(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, dict(TINY_CONFIG, **change))

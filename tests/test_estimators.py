@@ -333,15 +333,16 @@ class TestFitEstimatorDispatch:
 
     @pytest.mark.parametrize("name", ["huber", "tukey", "esl"])
     def test_matches_study_harness_fit(self, name, monkeypatch):
-        # fit_estimator and the study harness share one dispatcher, so the
-        # library fit at a replication's seed is the harness's fit, bit for bit.
+        # fit_estimator and the study harness share one dispatcher, and the
+        # shared start is the one the public procedures draw, so the library
+        # fit at a replication's seed is the harness's fit, bit for bit.
         seen = []
         real = sim._fit
 
-        def recording(cp, est, c, seed):
-            fit = real(cp, est, c, seed)
-            seen.append((cp, seed, fit.beta))
-            return fit
+        def recording(cp, names, c, seed):
+            fits = real(cp, names, c, seed)
+            seen.append((cp, seed, fits[name].beta))
+            return fits
 
         monkeypatch.setattr(sim, "_fit", recording)
         sim.run_mc(sim.DgpConfig(120, 2), sim.ContaminationScheme("concentrated_leverage", 24),
@@ -349,3 +350,8 @@ class TestFitEstimatorDispatch:
         assert len(seen) == 3
         for cp, seed, beta in seen:
             assert np.array_equal(fit_estimator(cp, name, seed=seed).beta, beta)
+            if name == "esl":
+                public = fit_esl(cp, seed=seed)
+            else:
+                public = fit_mestimator(cp, name, beta_init=high_breakdown_init(cp, seed=seed))
+            assert np.array_equal(public.beta, beta)

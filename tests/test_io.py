@@ -220,6 +220,17 @@ class TestExperimentConfig:
         ('{"outlier_study": {"m_levels": 2}}', "outlier_study.m_levels"),
         ('{"consistency_study": {"n_values": 50}}', "consistency_study.n_values"),
         ('{"beta": 3}', "beta"),
+        ('{"beta": [1, "a"]}', "beta"),
+        ('{"gamma": [2.0, null]}', "gamma"),
+        ('{"beta": [true, -1.2]}', "beta"),
+        ('{"gamma": [2.0, NaN]}', "gamma"),
+        ('{"beta": [1e400, -1.2]}', "beta"),
+        pytest.param('{"beta": [1%s, -1.2]}' % ("0" * 400), "beta", id="int-beyond-float"),
+        ('{"beta": [[1], -1.2]}', "beta"),
+        ('{"outlier_study": {"n_units": 10, "n_periods": 2, "m_levels": [100], "n_test": 2}}',
+         "outlier_study.m_levels: m = 100 exceeds the 20 panel cells"),
+        ('{"outlier_study": {"n_units": 10, "n_periods": 4, "m_levels": [40]}}',
+         "outlier_study.m_levels: m = 40 needs 20 contaminated units"),
     ])
     def test_invalid_value_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import robustpanel.estimators as estimators
 import robustpanel.simulation as sim
 from robustpanel.errors import BlockPolicyError, NoValidTuning
 from robustpanel.panel import within_ls
@@ -192,11 +193,11 @@ class TestRunMc:
         calls = {"n": 0}
         real = sim._fit
 
-        def flaky(cp, name, c, seed):
+        def flaky(cp, names, c, seed):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NoValidTuning("synthetic failure for the test")
-            return real(cp, name, c, seed)
+            return real(cp, names, c, seed)
 
         monkeypatch.setattr(sim, "_fit", flaky)
         report = run_mc(DgpConfig(20, 2), None, ["ls"], 30, 3)
@@ -206,7 +207,7 @@ class TestRunMc:
         assert "synthetic failure" in report.failures[0][1]
 
     def test_degraded_flag(self, monkeypatch):
-        def broken(cp, name, c, seed):
+        def broken(cp, names, c, seed):
             raise NoValidTuning("always fails")
 
         monkeypatch.setattr(sim, "_fit", broken)
@@ -214,6 +215,24 @@ class TestRunMc:
         assert report.n_failed == 10
         assert report.degraded
         assert np.isnan(report.mse["tukey"])
+
+    @pytest.mark.parametrize("names, starts", [
+        (("ls", "huber", "tukey", "esl"), 1),
+        (("tukey",), 1),
+        (("ls",), 0),
+    ])
+    def test_one_high_breakdown_start_per_replication(self, names, starts, monkeypatch):
+        calls = {"n": 0}
+        real = estimators.high_breakdown_init
+
+        def counting(panel, seed=0):
+            calls["n"] += 1
+            return real(panel, seed=seed)
+
+        monkeypatch.setattr(estimators, "high_breakdown_init", counting)
+        report = run_mc(DgpConfig(30, 2), None, names, 3, 5)
+        assert report.n_failed == 0
+        assert calls["n"] == 3 * starts
 
     def test_mse_is_mean_of_se_samples(self):
         report = run_mc(DgpConfig(40, 2), None, ["ls", "huber"], 8, 11)
