@@ -174,7 +174,8 @@ def high_breakdown_init(panel, seed=0):
     ydd = cp.y.ravel()
 
     rng = np.random.default_rng(seed)
-    idx = np.argpartition(rng.random((HB_SUBSAMPLES, nt)), k - 1, axis=1)[:, :k]
+    # a copy, so that the (HB_SUBSAMPLES, NT) partition is freed before scoring
+    idx = np.argpartition(rng.random((HB_SUBSAMPLES, nt)), k - 1, axis=1)[:, :k].copy()
     a = xdd[idx]  # (HB_SUBSAMPLES, K, K)
     b = ydd[idx]
     # |det a| > 1e-12 max|a|^K, compared in log space so that neither side
@@ -188,9 +189,15 @@ def high_breakdown_init(panel, seed=0):
         )
     betas = np.linalg.solve(a[good], b[good][..., None])[..., 0]  # (G, K)
 
-    resid = ydd[None, :] - betas @ xdd.T
-    med = np.median(resid, axis=1, keepdims=True)
-    mads = MAD_CONSISTENCY * np.median(np.abs(resid - med), axis=1)
+    # Score every candidate by the MAD of its residuals in one (G, NT)
+    # buffer: the medians partition each row in place and |r - med| is
+    # formed over it.  A row permutation leaves the MAD unchanged.
+    resid = betas @ xdd.T
+    np.subtract(ydd, resid, out=resid)
+    med = np.median(resid, axis=1, keepdims=True, overwrite_input=True)
+    np.subtract(resid, med, out=resid)
+    np.abs(resid, out=resid)
+    mads = MAD_CONSISTENCY * np.median(resid, axis=1, overwrite_input=True)
     best = int(np.argmin(mads))
     beta0 = betas[best]
 

@@ -157,6 +157,9 @@ class OutlierStudyConfig:
             if m > cells:
                 raise ConfigError("outlier_study.m_levels: m = %d exceeds the %d panel cells"
                                   % (m, cells))
+            if concentrated and m % block:
+                raise ConfigError("outlier_study.m_levels: m = %d does not split into the "
+                                  "%d-period blocks of a concentrated kind" % (m, block))
             if concentrated and m // block > self.n_units:
                 raise ConfigError("outlier_study.m_levels: m = %d needs %d contaminated units "
                                   "in a concentrated kind but the panel has %d"
@@ -214,6 +217,8 @@ class ExperimentConfig:
         if self.error_dist not in ERROR_DISTS:
             raise ConfigError("unknown error_dist %r" % (self.error_dist,))
         for key in ("beta", "gamma"):
+            if not getattr(self, key):
+                raise ConfigError("%s must hold at least one coefficient" % (key,))
             for v in getattr(self, key):
                 if not _is_finite_real(v):
                     raise ConfigError("%s entries must be finite numbers, got %r" % (key, v))

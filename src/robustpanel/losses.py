@@ -65,69 +65,72 @@ class LossSpec:
         object.__setattr__(self, "c", c)
 
 
-def _wrap(u):
+def _apply(kernel, spec, u):
+    """`kernel` at spec's family and constant; a float for a scalar u."""
     arr = np.asarray(u, dtype=float)
-    return arr, arr.ndim == 0
+    out = kernel(spec.family, spec.c, arr)
+    return float(out[()]) if arr.ndim == 0 else out
 
 
-def _ret(out, scalar):
-    return float(out[()]) if scalar else out
+# The formulas, once each.  `c` is a float or an array that broadcasts
+# against u (a column of grid points gives one row per constant); the
+# tuning searches call these directly, the public views through _apply.
+
+
+def _rho(family, c, u):
+    if family == HUBER:
+        a = np.abs(u)
+        return np.where(a <= c, 0.5 * u * u, c * a - 0.5 * c * c)
+    if family == TUKEY:
+        v = np.minimum((u / c) ** 2, 1.0)
+        return 1.0 - (1.0 - v) ** 3
+    return 1.0 - np.exp(-u * u / c)
+
+
+def _psi(family, c, u):
+    if family == HUBER:
+        return np.clip(u, -c, c)
+    if family == TUKEY:
+        v = (u / c) ** 2
+        return np.where(v <= 1.0, u * (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
+    return u * np.exp(-u * u / c)
+
+
+def _psi_prime(family, c, u):
+    if family == HUBER:
+        return (np.abs(u) <= c).astype(float)
+    if family == TUKEY:
+        v = (u / c) ** 2
+        return np.where(v <= 1.0, (1.0 - v) * (1.0 - 5.0 * v), 0.0)
+    v = u * u / c
+    return np.exp(-v) * (1.0 - 2.0 * v)
+
+
+def _weight(family, c, u):
+    if family == HUBER:
+        return c / np.maximum(np.abs(u), c)
+    if family == TUKEY:
+        v = (u / c) ** 2
+        return np.where(v <= 1.0, (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
+    return np.exp(-u * u / c)
 
 
 def rho(spec: LossSpec, u):
     """Loss value at u. Nonnegative; bounded by 1 for tukey and esl."""
-    arr, scalar = _wrap(u)
-    c = spec.c
-    if spec.family == HUBER:
-        a = np.abs(arr)
-        out = np.where(a <= c, 0.5 * arr * arr, c * a - 0.5 * c * c)
-    elif spec.family == TUKEY:
-        v = np.minimum((arr / c) ** 2, 1.0)
-        out = 1.0 - (1.0 - v) ** 3
-    else:
-        out = 1.0 - np.exp(-arr * arr / c)
-    return _ret(out, scalar)
+    return _apply(_rho, spec, u)
 
 
 def psi(spec: LossSpec, u):
     """Estimating-equation kernel at u (odd in u)."""
-    arr, scalar = _wrap(u)
-    c = spec.c
-    if spec.family == HUBER:
-        out = np.clip(arr, -c, c)
-    elif spec.family == TUKEY:
-        v = (arr / c) ** 2
-        out = np.where(v <= 1.0, arr * (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
-    else:
-        out = arr * np.exp(-arr * arr / c)
-    return _ret(out, scalar)
+    return _apply(_psi, spec, u)
 
 
 def psi_prime(spec: LossSpec, u):
     """Derivative of psi at u. The Huber kink |u| == c is assigned the
     inner value 1."""
-    arr, scalar = _wrap(u)
-    c = spec.c
-    if spec.family == HUBER:
-        out = (np.abs(arr) <= c).astype(float)
-    elif spec.family == TUKEY:
-        v = (arr / c) ** 2
-        out = np.where(v <= 1.0, (1.0 - v) * (1.0 - 5.0 * v), 0.0)
-    else:
-        v = arr * arr / c
-        out = np.exp(-v) * (1.0 - 2.0 * v)
-    return _ret(out, scalar)
+    return _apply(_psi_prime, spec, u)
 
 
 def weight(spec: LossSpec, u):
     """IRLS weight psi(u)/u in [0, 1], with weight(0) = psi'(0) = 1."""
-    arr, scalar = _wrap(u)
-    c = spec.c
-    if spec.family == HUBER:
-        out = c / np.maximum(np.abs(arr), c)
-    elif spec.family == TUKEY:
-        v = (arr / c) ** 2
-        out = np.where(v <= 1.0, (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
-    else:
-        out = np.exp(-arr * arr / c)
-    return _ret(out, scalar)
+    return _apply(_weight, spec, u)

@@ -17,7 +17,10 @@ Two routes, matching how the estimators use them:
   pseudo-outliers and V_hat is a sandwich covariance evaluated at an
   initial high-breakdown fit.
 
-Both searches break ties toward the smallest grid point.
+Each search evaluates its whole grid in one array pass over
+(grid points x cells); ``efficiency_factor``, ``xi`` and ``esl_cov`` are
+one-point calls into the same kernels.  Both searches break ties toward
+the smallest grid point.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidTuning
-from .losses import LossSpec, psi, psi_prime, rho
+from .losses import ESL, LossSpec, _psi, _psi_prime, _rho
 from .panel import _as_centered
 from .scale import MAD_CONSISTENCY
 
@@ -45,22 +48,34 @@ def default_esl_grid(sigma_mad):
     return np.geomspace(0.1 * s2, 100.0 * s2, 50)
 
 
+def _tau_grid(e, family, grid):
+    """tau_hat(c) and whether it is defined, at every c in `grid` at once.
+
+    One (G, NT) pass: psi and psi' take the grid as a column, and each
+    row is reduced to its two moments.  When every observation lands
+    where psi vanishes (total rejection by a redescender) both moments
+    are 0 and the factor is reported as 0, undefined, rather than 0/0.
+    """
+    c = grid[:, None]
+    # float_power squares through pow(), as a scalar ** 2 does, where
+    # ** 2 on an array multiplies; the two can differ in the last bit
+    num = np.float_power(np.sum(_psi_prime(family, c, e), axis=1), 2)
+    den = e.size * np.sum(_psi(family, c, e) ** 2, axis=1)
+    defined = den != 0.0
+    tau = np.divide(num, den, out=np.zeros(grid.size), where=defined)
+    return tau, defined
+
+
 def efficiency_factor(std_residuals, loss):
     """Empirical efficiency factor tau_hat for one loss at given residuals.
 
-    Returns ``(value, defined)``.  When every observation lands where
-    psi vanishes (total rejection by a redescender) both moments are 0
-    and the factor is reported as (0.0, False) rather than 0/0.
+    Returns ``(value, defined)``; (0.0, False) under total rejection.
     """
     e = np.asarray(std_residuals, dtype=float).ravel()
-    n = e.size
-    if n == 0:
+    if e.size == 0:
         raise ValueError("no residuals supplied")
-    num = np.sum(psi_prime(loss, e)) ** 2
-    den = n * np.sum(psi(loss, e) ** 2)
-    if den == 0.0:
-        return 0.0, False
-    return float(num / den), True
+    tau, defined = _tau_grid(e, loss.family, np.array([loss.c]))
+    return float(tau[0]), bool(defined[0])
 
 
 @dataclass(frozen=True)
@@ -90,10 +105,7 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
     e = ((cp.y - cp.x @ beta_current) / sigma).ravel()
 
     grid = np.asarray(grid, dtype=float)
-    tau = np.zeros(grid.size)
-    defined = np.zeros(grid.size, dtype=bool)
-    for j, c in enumerate(grid):
-        tau[j], defined[j] = efficiency_factor(e, LossSpec(family, float(c)))
+    tau, defined = _tau_grid(e, family, grid)
     if not defined.any():
         raise NoValidTuning(
             "efficiency factor undefined at every candidate c in "
@@ -119,6 +131,16 @@ def pseudo_outlier_set(residuals, sigma_mad):
     return np.abs(r) >= 2.5 * sigma_mad
 
 
+def _xi_grid(residuals_good, m, nt, grid):
+    """xi(c) at every c in `grid`, in one (G, #retained) pass."""
+    e = np.asarray(residuals_good, dtype=float).ravel()
+    if nt <= 0:
+        raise ValueError("nt must be positive")
+    if m < 0 or m + e.size > nt:
+        raise ValueError("m and retained residuals inconsistent with nt")
+    return 2.0 * m / nt + (2.0 / nt) * np.sum(_rho(ESL, grid[:, None], e), axis=1)
+
+
 def xi(c, residuals_good, m, nt):
     """Feasibility functional: worst-case mass of the m flagged cells plus
     twice the mean exponential-squared loss over the retained residuals.
@@ -126,63 +148,77 @@ def xi(c, residuals_good, m, nt):
     xi(c) = 2 m / NT + (2 / NT) * sum_retained rho_c(e).  Since rho <= 1,
     xi <= 2(m + #retained)/NT <= 2; the feasible region asks xi in (0, 1].
     """
-    e = np.asarray(residuals_good, dtype=float).ravel()
-    if nt <= 0:
-        raise ValueError("nt must be positive")
-    if m < 0 or m + e.size > nt:
-        raise ValueError("m and retained residuals inconsistent with nt")
-    base = 2.0 * m / nt
-    if e.size == 0:
-        return float(base)
-    return float(base + (2.0 / nt) * np.sum(rho(LossSpec("esl", float(c)), e)))
+    c = LossSpec(ESL, c).c
+    return float(_xi_grid(residuals_good, m, nt, np.array([c]))[0])
 
 
-def _esl_information(cp, e, c):
-    """Second-derivative factor of the sandwich, in the literal form
+def _esl_sandwich(xdd, e, grid):
+    """The terms of V_hat(c) = I^{-1} Sigma_tilde I^{-1} at every c in
+    `grid`, from the (NT, K) centered regressors and the residuals e at
+    beta0.  With psi, psi' the exponential-squared kernels at c and
+    M = mean[x_dd x_dd'] fixed:
 
-        (2/c) * mean[ exp(-e^2/c) (2 e^2 / c - 1) ] * mean[ x_dd x_dd' ].
+        I(c)           = -(2/c) kappa(c) M,   kappa(c) = mean[psi'(e)]
+        Sigma_tilde(c) = (2/c)^2 S(c),
+        S(c)           = mean[psi^2 x_dd x_dd'] - mean[psi x_dd] mean[psi x_dd]'
 
-    Near e = 0 the bracket is negative, so this matrix is negative
-    definite there; only its inverse enters V_hat, where the signs cancel.
+    so V_hat(c) = M^{-1} S(c) M^{-1} / kappa(c)^2 and
+    log det V_hat = log det S - 2 (K log|kappa| + log det M): no per-c
+    inverse or determinant of I, and every S(c) comes from one
+    (G, NT) @ (NT, K^2) matmul.  I is negative definite near e = 0; only
+    its square enters V_hat.
+
+    I(c) counts as numerically singular when |det I| falls below
+    1e-12 ((2/c) trace(M) / K)^K, the trace scale of the information with
+    kappa replaced by its unit bound (|psi'| <= 1); the factor 2/c cancels
+    from both sides.  Using kappa itself as the yardstick would cancel out
+    of the ratio, and a root of kappa, which the search must skip, would
+    go undetected.  Both sides are compared as logarithms, so neither
+    overflows or underflows as K grows or the regressors change units.
+
+    Returns ``(kappa, M, S, log_det_v, defined)`` with S of shape
+    (G, K, K); log_det_v is log det V_hat(c), -inf where det S(c) <= 0.
     """
-    nt = e.size
-    xdd = cp.x.reshape(nt, -1)
-    u = e * e / c
-    kappa = float(np.mean(np.exp(-u) * (2.0 * u - 1.0)))
-    return (2.0 / c) * kappa * (xdd.T @ xdd) / nt
+    nt, k = xdd.shape
+    c = grid[:, None]
+    cross = xdd.T @ xdd / nt
+    kappa = np.mean(_psi_prime(ESL, c, e), axis=1)
+    p = _psi(ESL, c, e)
+    mean_scores = p @ xdd / nt
+    outer = (xdd[:, :, None] * xdd[:, None, :]).reshape(nt, k * k)
+    np.square(p, out=p)
+    s = (p @ outer / nt).reshape(-1, k, k)
+    s -= mean_scores[:, :, None] * mean_scores[:, None, :]
+
+    _, log_det_m = np.linalg.slogdet(cross)
+    trace_scale = np.trace(cross) / k
+    sign_s, log_det_s = np.linalg.slogdet(s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where kappa or M vanish
+        log_abs_kappa = np.log(np.abs(kappa))
+        defined = (trace_scale > 0.0) & (
+            k * log_abs_kappa + log_det_m >= np.log(1e-12) + k * np.log(trace_scale))
+        log_det_v = np.where(sign_s > 0, log_det_s - 2.0 * (log_det_m + k * log_abs_kappa),
+                             -np.inf)
+    return kappa, cross, s, log_det_v, defined
 
 
 def esl_cov(panel, beta0, c):
-    """Sandwich covariance V_hat(c) = I^{-1} Sigma_tilde I^{-1} at beta0.
+    """Sandwich covariance V_hat(c) = I^{-1} Sigma_tilde I^{-1} at beta0
+    (see _esl_sandwich for its terms and the singularity test).
 
-    Returns ``(matrix, defined)``.  `defined` is False when the
-    information factor is numerically singular: |det I| is compared,
-    with a 1e-12 margin, against the trace scale (trace/K)^K of the
-    information evaluated with the scalar mean replaced by its natural
-    unit bound (|exp(-u)(2u-1)| <= 1 for u >= 0).  Using the signed mean
-    itself as the yardstick would cancel out of the ratio and a root of
-    the scalar factor, which the search must skip, would go undetected.
-    Both sides are compared as logarithms, so neither overflows or
-    underflows as K grows or the regressors change units.
+    Returns ``(matrix, defined)``; `defined` is False, with a nan matrix,
+    when the information factor is numerically singular.
     """
     cp = _as_centered(panel)
     beta0 = np.asarray(beta0, dtype=float)
     k = cp.x.shape[2]
-    nt = cp.y.size
     e = (cp.y - cp.x @ beta0).ravel()
-
-    info = _esl_information(cp, e, c)
-    xdd = cp.x.reshape(nt, k)
-    base = (2.0 / c) * np.trace(xdd.T @ xdd) / nt / k
-    _, logdet = np.linalg.slogdet(info)
-    if base == 0.0 or logdet < np.log(1e-12) + k * np.log(base):
+    kappa, cross, s, _, defined = _esl_sandwich(cp.x.reshape(e.size, k), e,
+                                                np.array([float(c)]))
+    if not defined[0]:
         return np.full((k, k), np.nan), False
-
-    scores = (np.exp(-e * e / c) * (2.0 * e / c))[:, None] * xdd
-    centered = scores - scores.mean(axis=0)
-    sigma_tilde = centered.T @ centered / nt
-    inv = np.linalg.inv(info)
-    return inv @ sigma_tilde @ inv, True
+    inv = np.linalg.inv(cross)
+    return inv @ s[0] @ inv / kappa[0] ** 2, True
 
 
 @dataclass(frozen=True)
@@ -224,16 +260,10 @@ def esl_select_c(panel, beta0, grid):
     good = resid[~flagged]
 
     grid = np.asarray(grid, dtype=float)
-    xi_vals = np.array([xi(float(c), good, m, nt) for c in grid])
-    detv = np.full(grid.size, np.nan)
-    feasible = (xi_vals > 0.0) & (xi_vals <= 1.0)
-    for j in np.nonzero(feasible)[0]:
-        v, defined = esl_cov(cp, beta0, float(grid[j]))
-        if defined:
-            sign, logdet = np.linalg.slogdet(v)
-            detv[j] = logdet if sign > 0 else -np.inf
-        else:
-            feasible[j] = False
+    xi_vals = _xi_grid(good, m, nt, grid)
+    _, _, _, log_det_v, defined = _esl_sandwich(cp.x.reshape(nt, -1), flat, grid)
+    feasible = (xi_vals > 0.0) & (xi_vals <= 1.0) & defined
+    detv = np.where(feasible, log_det_v, np.nan)
     if not feasible.any():
         raise NoValidTuning(
             "no candidate c gives xi in (0, 1] with a well defined "

@@ -287,6 +287,9 @@ class TestSimulateCommand:
         {"outlier_study": {"n_units": 10, "n_periods": 2, "m_levels": [100], "n_test": 2}},
         {"outlier_study": {"n_units": 10, "n_periods": 4, "m_levels": [40], "n_test": 2,
                            "kinds": ["concentrated_leverage"]}},
+        {"outlier_study": {"n_units": 20, "n_periods": 4, "m_levels": [3], "n_test": 2,
+                           "kinds": ["random_vertical", "concentrated_vertical"]}},
+        {"beta": [], "gamma": []},
     ])
     def test_invalid_config_value_fails_before_any_study(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, dict(TINY_CONFIG, **change))

@@ -1,6 +1,8 @@
 """IRLS solver, the tuned Huber/Tukey and exponential-squared pipelines,
 the high-breakdown start, and sandwich standard errors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -177,6 +179,18 @@ class TestHighBreakdownInit:
         y = np.arange(12.0).reshape(6, 2)
         with pytest.raises(DegenerateDesign):
             high_breakdown_init(PanelData(y, x), seed=0)
+
+    def test_peak_memory_per_cell(self):
+        # The (500, NT) subset draw and the (G, NT) candidate residuals
+        # dominate; they must not be alive at the same time.
+        cp = within_transform(synth_panel(n=500, t=4, k=2, seed=8))
+        tracemalloc.start()
+        try:
+            high_breakdown_init(cp, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10_000 * cp.y.size
 
 
 class TestFitEsl:

@@ -231,6 +231,11 @@ class TestExperimentConfig:
          "outlier_study.m_levels: m = 100 exceeds the 20 panel cells"),
         ('{"outlier_study": {"n_units": 10, "n_periods": 4, "m_levels": [40]}}',
          "outlier_study.m_levels: m = 40 needs 20 contaminated units"),
+        ('{"outlier_study": {"n_units": 20, "n_periods": 4, "m_levels": [3], '
+         '"kinds": ["random_vertical", "concentrated_vertical"]}}',
+         "outlier_study.m_levels: m = 3 does not split into the 2-period blocks"),
+        ('{"beta": [], "gamma": []}', "beta must hold at least one coefficient"),
+        ('{"beta": [2.4], "gamma": []}', "gamma must hold at least one coefficient"),
     ])
     def test_invalid_value_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):

@@ -178,10 +178,12 @@ class TestEslCov:
         v, defined = esl_cov(cp, beta0, 2.0)
         assert defined
         assert_allclose(v, 0.0, atol=1e-15)
-        # the information factor is literally (2/c) * (-1) * mean(xdd^2)
-        from robustpanel.tuning import _esl_information
+        # the information factor -(2/c) kappa M is literally (2/c) * (-1) * mean(xdd^2)
+        from robustpanel.tuning import _esl_sandwich
 
-        info = _esl_information(cp, cp.y.ravel() - cp.x.reshape(-1, 1) @ beta0, 2.0)
+        xdd = cp.x.reshape(-1, 1)
+        kappa, cross, _, _, _ = _esl_sandwich(xdd, cp.y.ravel() - xdd @ beta0, np.array([2.0]))
+        info = -(2.0 / 2.0) * kappa[0] * cross
         assert_allclose(info, -(2.0 / 2.0) * np.mean(xc**2) * np.ones((1, 1)), rtol=1e-12)
 
     def test_scalar_factor_root_flagged(self):
@@ -297,6 +299,72 @@ class TestEslSelectC:
         assert s1.c_selected == s2.c_selected
         assert np.array_equal(s1.xi_values, s2.xi_values)
         assert np.array_equal(s1.detv_values, s2.detv_values, equal_nan=True)
+
+
+class TestGridKernels:
+    """Each search evaluates its whole grid in one pass, and the one-point
+    functions are calls into the same kernels: tau_hat and xi agree
+    exactly, log det V_hat (ranked through log det S and the scalar
+    information) with slogdet of esl_cov's matrix to rounding."""
+
+    @pytest.mark.parametrize("family,grid", [("huber", HUBER_GRID), ("tukey", TUKEY_GRID)])
+    def test_tau_curve_is_efficiency_factor_pointwise(self, family, grid):
+        rng = np.random.default_rng(31)
+        v = 1.5 + 3.0 * np.abs(rng.standard_normal(60))  # every |e| >= 1.5
+        v[:6] = 40.0
+        p = panel_with_residuals(np.stack([v, -v], axis=1))
+        beta, sigma = np.zeros(1), 1.0
+        curve = select_c_grid(p, family, beta, sigma, grid)
+        cp = within_transform(p)
+        e = ((cp.y - cp.x @ beta) / sigma).ravel()
+        for j, c in enumerate(grid):
+            tau, defined = efficiency_factor(e, LossSpec(family, c))
+            assert curve.tau_hat[j] == tau and curve.defined[j] == defined
+        if family == "tukey":  # the smallest constants reject every cell
+            assert not curve.defined[0] and curve.defined[-1]
+
+    def test_esl_curves_are_xi_and_esl_cov_pointwise(self):
+        rng = np.random.default_rng(42)
+        n, t, k = 30, 4, 2
+        x = rng.standard_normal((n, t, k))
+        beta = np.array([2.4, -1.2])
+        y = x @ beta + rng.uniform(0, 12, (n, 1)) + rng.standard_normal((n, t))
+        y.ravel()[rng.choice(n * t, 12, replace=False)] = rng.uniform(20, 80, 12)
+        cp = centered_from(y, x)
+        beta0 = beta + 0.05
+        resid = cp.y - cp.x @ beta0
+        grid = np.geomspace(0.01, 1000.0, 40)
+        state = esl_select_c(cp, beta0, grid)
+        good = resid[~pseudo_outlier_set(resid, state.sigma_mad)]
+        feasible = (state.xi_values > 0) & (state.xi_values <= 1)
+        assert 0 < feasible.sum() < grid.size
+        for j, c in enumerate(grid):
+            assert state.xi_values[j] == xi(c, good, state.m, resid.size)
+            v, defined = esl_cov(cp, beta0, c)
+            if feasible[j] and defined:
+                sign, logdet = np.linalg.slogdet(v)
+                assert sign > 0
+                assert_allclose(state.detv_values[j], logdet, rtol=1e-10)
+            else:
+                assert np.isnan(state.detv_values[j])
+
+    def test_undefined_covariance_and_infeasible_points(self):
+        a = 0.7
+        x = np.random.default_rng(4).standard_normal((6, 2, 2))
+        cp = centered_from(np.tile([a, -a], (6, 1)) + 3.0, x)
+        # |e| = a everywhere: xi(c) = 2(1 - exp(-a^2/c)) > 1 at c = 0.2 a^2,
+        # and psi'(a) = 0 at c = 2 a^2, so the information vanishes there
+        grid = a * a * np.array([0.2, 2.0, 3.0, 5.0])
+        state = esl_select_c(cp, np.zeros(2), grid)
+        assert state.m == 0
+        assert state.xi_values[0] > 1 and np.isnan(state.detv_values[0])
+        assert 0 < state.xi_values[1] <= 1 and np.isnan(state.detv_values[1])
+        assert not esl_cov(cp, np.zeros(2), grid[1])[1]
+        for j in (2, 3):
+            v, defined = esl_cov(cp, np.zeros(2), grid[j])
+            assert defined
+            assert_allclose(state.detv_values[j], np.linalg.slogdet(v)[1], rtol=1e-10)
+        assert state.c_selected == grid[np.nanargmin(state.detv_values)]
 
 
 def test_default_esl_grid_scales_with_sigma():
