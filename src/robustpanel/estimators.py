@@ -42,6 +42,8 @@ from .tuning import (
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for refinement passes
 HB_SUBSAMPLES = 500  # elemental subsets drawn by high_breakdown_init
+HB_SCORE_CELLS = 2000  # above this many cells, candidates are ranked on a subsample this size
+HB_RESCORE = 10  # best subsample candidates that are scored again on the full sample
 IRLS_TOL = 1e-8  # coefficient change that ends an IRLS or ESL outer loop; see _settled
 ESL_MAX_OUTER = 3  # outer passes of fit_esl
 
@@ -155,15 +157,49 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
     return irls_fit(cp, LossSpec(family, c_use), beta0, sigma)
 
 
+def _elemental_subsets(rng, nt, k):
+    """HB_SUBSAMPLES rows of k distinct cell indices in [0, nt), by Floyd's
+    algorithm: column j draws from [0, nt - k + j] and takes nt - k + j
+    itself when the draw repeats an earlier column of its row.  Each row is
+    a uniformly random k-subset, and no (HB_SUBSAMPLES, nt) array is built.
+    """
+    idx = np.empty((HB_SUBSAMPLES, k), dtype=np.intp)
+    for j in range(k):
+        top = nt - k + j
+        draw = rng.integers(0, top + 1, size=HB_SUBSAMPLES)
+        repeat = (idx[:, :j] == draw[:, None]).any(axis=1)
+        idx[:, j] = np.where(repeat, top, draw)
+    return idx
+
+
+def _mad_rows(betas, xdd, ydd):
+    """MAD scale of the residuals y - x beta for each row of `betas`.
+
+    One (rows, cells) buffer: the medians partition each row in place and
+    |r - med| is formed over it.  A row permutation leaves the MAD unchanged.
+    """
+    resid = betas @ xdd.T
+    np.subtract(ydd, resid, out=resid)
+    med = np.median(resid, axis=1, keepdims=True, overwrite_input=True)
+    np.subtract(resid, med, out=resid)
+    np.abs(resid, out=resid)
+    return MAD_CONSISTENCY * np.median(resid, axis=1, overwrite_input=True)
+
+
 def high_breakdown_init(panel, seed=0):
     """High-breakdown starting vector from an elemental-subset search.
 
     Draws HB_SUBSAMPLES random K-point subsets of the centered
-    observations, solves each exactly, scores every candidate by the
-    MAD scale of its full-sample residuals, keeps the best, and refines
-    it with a single bounded-weight (Tukey, c=4.685) reweighted solve.
-    Singular subsets are skipped; if every subset is singular the panel
-    cannot support even an elemental fit and DegenerateDesign is raised.
+    observations (see _elemental_subsets), solves each exactly and keeps
+    the candidate whose residuals have the smallest MAD scale.  Up to
+    HB_SCORE_CELLS cells every candidate is scored on the full sample.  On
+    a larger panel every candidate is ranked on one random HB_SCORE_CELLS
+    subsample and only the best HB_RESCORE are scored on the full sample,
+    as in FAST-LTS and fast-S, so time and memory stay linear in the cells.
+    The winner is refined with a single bounded-weight (Tukey, c=4.685)
+    reweighted solve.  Singular subsets are skipped; if every subset is
+    singular the panel cannot support even an elemental fit and
+    DegenerateDesign is raised.
     """
     cp = _as_centered(panel)
     nt = cp.y.size
@@ -174,8 +210,7 @@ def high_breakdown_init(panel, seed=0):
     ydd = cp.y.ravel()
 
     rng = np.random.default_rng(seed)
-    # a copy, so that the (HB_SUBSAMPLES, NT) partition is freed before scoring
-    idx = np.argpartition(rng.random((HB_SUBSAMPLES, nt)), k - 1, axis=1)[:, :k].copy()
+    idx = _elemental_subsets(rng, nt, k)
     a = xdd[idx]  # (HB_SUBSAMPLES, K, K)
     b = ydd[idx]
     # |det a| > 1e-12 max|a|^K, compared in log space so that neither side
@@ -189,15 +224,11 @@ def high_breakdown_init(panel, seed=0):
         )
     betas = np.linalg.solve(a[good], b[good][..., None])[..., 0]  # (G, K)
 
-    # Score every candidate by the MAD of its residuals in one (G, NT)
-    # buffer: the medians partition each row in place and |r - med| is
-    # formed over it.  A row permutation leaves the MAD unchanged.
-    resid = betas @ xdd.T
-    np.subtract(ydd, resid, out=resid)
-    med = np.median(resid, axis=1, keepdims=True, overwrite_input=True)
-    np.subtract(resid, med, out=resid)
-    np.abs(resid, out=resid)
-    mads = MAD_CONSISTENCY * np.median(resid, axis=1, overwrite_input=True)
+    if nt > HB_SCORE_CELLS:
+        sub = rng.choice(nt, HB_SCORE_CELLS, replace=False)
+        ranked = np.argsort(_mad_rows(betas, xdd[sub], ydd[sub]), kind="stable")
+        betas = betas[ranked[:HB_RESCORE]]
+    mads = _mad_rows(betas, xdd, ydd)
     best = int(np.argmin(mads))
     beta0 = betas[best]
 

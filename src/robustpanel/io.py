@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,63 +39,97 @@ def _detect_k(header):
 
 
 def read_panel_csv(path):
-    """Read a balanced panel from ``unit,time,y,x1..xK`` CSV."""
+    """Read a balanced panel from ``unit,time,y,x1..xK`` CSV.
+
+    Rows are parsed as they are read into flat arrays of label indices and
+    values, so memory grows with the numbers, not with the text.  Faults
+    are reported in file order: the first short row, repeated
+    (unit, time) pair or non-numeric cell, then a missing pair.
+    """
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _parse_panel(csv.reader(fh), path)
     except OSError as err:
         raise DataError("cannot read %s: %s" % (path, err)) from None
-    if not rows:
+
+
+def _parse_panel(reader, path):
+    header = next(reader, None)
+    if header is None:
         raise MissingColumn("%s is empty; expected header unit,time,y,x1..xK" % (path,))
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in header]
     for required in ("unit", "time", "y"):
         if required not in header:
             raise MissingColumn("missing required column %r" % (required,))
     k = _detect_k(header)
     if k == 0:
         raise MissingColumn("missing required column 'x1' (need at least one regressor)")
-    cols = {name: header.index(name) for name in ("unit", "time", "y")}
-    xcols = [header.index("x%d" % (j + 1)) for j in range(k)]
+    names = ["unit", "time", "y"] + ["x%d" % (j + 1) for j in range(k)]
+    for name in names:
+        if header.count(name) > 1:
+            raise DataError("column %r appears %d times in the header"
+                            % (name, header.count(name)))
+    unit_col, time_col = header.index("unit"), header.index("time")
+    value_cols = [header.index(name) for name in names[2:]]
 
     units, periods = {}, {}  # label -> index, in first-appearance order
-    cells = {}  # (unit index, period index) -> (row number, values)
-    for row_no, row in enumerate(rows[1:], start=2):
+    unit_idx, period_idx, row_nos = array("q"), array("q"), array("q")
+    values = array("d")  # y, x1..xK of each row in turn
+
+    def cell_keys():
+        return np.frombuffer(unit_idx, dtype=np.int64) * len(periods) + np.frombuffer(
+            period_idx, dtype=np.int64)
+
+    def duplicate_error():
+        """DuplicateCell for the earliest repeat of a (unit, time) pair read
+        so far, in file order, or None."""
+        keys = cell_keys()
+        order = np.argsort(keys, kind="stable")  # equal keys stay in file order
+        ranked = keys[order]
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if repeats.size == 0:
+            return None
+        repeat = int(repeats.min())
+        first = int(order[np.searchsorted(ranked, keys[repeat])])
+        return DuplicateCell("duplicate row for unit %r, time %r (rows %d and %d)"
+                             % (list(units)[unit_idx[repeat]],
+                                list(periods)[period_idx[repeat]],
+                                row_nos[first], row_nos[repeat]))
+
+    for row_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) < len(header):
-            raise MissingColumn(
+            raise duplicate_error() or MissingColumn(
                 "row %d has %d fields but the header has %d" % (row_no, len(row), len(header))
             )
-        unit = row[cols["unit"]].strip()
-        time = row[cols["time"]].strip()
-        key = (units.setdefault(unit, len(units)), periods.setdefault(time, len(periods)))
-        if key in cells:
-            raise DuplicateCell(
-                "duplicate row for unit %r, time %r (rows %d and %d)"
-                % (unit, time, cells[key][0], row_no)
-            )
-        values = []
-        for name, idx in [("y", cols["y"])] + [("x%d" % (j + 1), xcols[j]) for j in range(k)]:
-            cell = row[idx].strip()
+        unit_idx.append(units.setdefault(row[unit_col].strip(), len(units)))
+        period_idx.append(periods.setdefault(row[time_col].strip(), len(periods)))
+        row_nos.append(row_no)
+        for name, j in zip(names[2:], value_cols):
+            cell = row[j].strip()
             try:
                 values.append(float(cell))
             except ValueError:
-                raise NonNumericCell(
+                raise duplicate_error() or NonNumericCell(
                     "row %d, column %s: %r is not numeric" % (row_no, name, cell)
                 ) from None
-        cells[key] = (row_no, values)
 
     n, t = len(units), len(periods)
-    if len(cells) < n * t:
-        missing = next((unit, time) for unit, i in units.items()
-                       for time, s in periods.items() if (i, s) not in cells)
-        raise UnbalancedPanel("missing row for unit %r, time %r" % missing)
-    y = np.empty((n, t))
-    x = np.empty((n, t, k))
-    for (i, s), (_, values) in cells.items():
-        y[i, s] = values[0]
-        x[i, s] = values[1:]
-    return PanelData(y, x, unit_labels=tuple(units), period_labels=tuple(periods))
+    error = duplicate_error()
+    if error is not None:
+        raise error
+    cells = cell_keys()
+    if cells.size < n * t:
+        present = np.zeros(n * t, dtype=bool)
+        present[cells] = True
+        i, s = divmod(int(np.argmin(present)), t)
+        raise UnbalancedPanel("missing row for unit %r, time %r"
+                              % (list(units)[i], list(periods)[s]))
+    flat = np.empty((n * t, k + 1))
+    flat[cells] = np.frombuffer(values).reshape(-1, k + 1)
+    return PanelData(flat[:, 0].reshape(n, t), flat[:, 1:].reshape(n, t, k),
+                     unit_labels=tuple(units), period_labels=tuple(periods))
 
 
 def write_panel_csv(panel, path):

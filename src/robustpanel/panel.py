@@ -153,11 +153,25 @@ class FitResult:
 
 
 def within_transform(panel: PanelData) -> CenteredPanel:
-    """Subtract per-unit time means from y and x."""
-    return CenteredPanel(
-        y=panel.y - panel.y.mean(axis=1)[:, None],
-        x=panel.x - panel.x.mean(axis=1)[:, None, :],
-    )
+    """Subtract per-unit time means from y and x.
+
+    Raises DegeneratePanel, naming the column, when the sum of squares of a
+    centered column is not finite: every fit squares these values, and
+    past about 1e154 they overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = panel.y - panel.y.mean(axis=1)[:, None]
+        x = panel.x - panel.x.mean(axis=1)[:, None, :]
+        # squares are >= 0, so the total is finite exactly when every column's is
+        if not np.isfinite(y.ravel() @ y.ravel() + x.ravel() @ x.ravel()):
+            sums = np.append(y.ravel() @ y.ravel(), np.einsum("ntk,ntk->k", x, x))
+            j = int(np.argmin(np.isfinite(sums)))
+            name = f"x{j}" if j else "y"
+            raise DegeneratePanel(
+                f"centered {name} has a non-finite sum of squares; "
+                f"rescale the column (its values are too large to square)"
+            )
+    return CenteredPanel(y=y, x=x)
 
 
 def _as_centered(panel) -> CenteredPanel:

@@ -18,9 +18,10 @@ Two routes, matching how the estimators use them:
   initial high-breakdown fit.
 
 Each search evaluates its whole grid in one array pass over
-(grid points x cells); ``efficiency_factor``, ``xi`` and ``esl_cov`` are
-one-point calls into the same kernels.  Both searches break ties toward
-the smallest grid point.
+(grid points x cells), walked in row blocks of at most GRID_BLOCK_CELLS
+cells so that its temporaries stay bounded on a large panel;
+``efficiency_factor``, ``xi`` and ``esl_cov`` are one-point calls into the
+same kernels.  Both searches break ties toward the smallest grid point.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .scale import MAD_CONSISTENCY
 
 HUBER_GRID = 0.05 * np.arange(1, 61)
 TUKEY_GRID = 1.0 + 0.2 * np.arange(46)
+GRID_BLOCK_CELLS = 2**17  # cells per row block of a grid kernel; one block on a study panel
 
 
 def default_esl_grid(sigma_mad):
@@ -48,19 +50,31 @@ def default_esl_grid(sigma_mad):
     return np.geomspace(0.1 * s2, 100.0 * s2, 50)
 
 
+def _row_blocks(g, nt):
+    """Slices of consecutive rows of a (g, nt) grid array, each of at most
+    GRID_BLOCK_CELLS cells but never less than one row."""
+    rows = max(1, GRID_BLOCK_CELLS // max(nt, 1))
+    return [slice(i, min(i + rows, g)) for i in range(0, g, rows)]
+
+
 def _tau_grid(e, family, grid):
     """tau_hat(c) and whether it is defined, at every c in `grid` at once.
 
-    One (G, NT) pass: psi and psi' take the grid as a column, and each
-    row is reduced to its two moments.  When every observation lands
-    where psi vanishes (total rejection by a redescender) both moments
-    are 0 and the factor is reported as 0, undefined, rather than 0/0.
+    One pass over (G, NT) in row blocks (see _row_blocks): psi and psi'
+    take the block's grid points as a column, and each row is reduced to
+    its two moments.  A row's sums do not depend on the block it lands in.
+    When every observation lands where psi vanishes (total rejection by a
+    redescender) both moments are 0 and the factor is reported as 0,
+    undefined, rather than 0/0.
     """
-    c = grid[:, None]
-    # float_power squares through pow(), as a scalar ** 2 does, where
-    # ** 2 on an array multiplies; the two can differ in the last bit
-    num = np.float_power(np.sum(_psi_prime(family, c, e), axis=1), 2)
-    den = e.size * np.sum(_psi(family, c, e) ** 2, axis=1)
+    num = np.empty(grid.size)
+    den = np.empty(grid.size)
+    for rows in _row_blocks(grid.size, e.size):
+        c = grid[rows, None]
+        # float_power squares through pow(), as a scalar ** 2 does, where
+        # ** 2 on an array multiplies; the two can differ in the last bit
+        num[rows] = np.float_power(np.sum(_psi_prime(family, c, e), axis=1), 2)
+        den[rows] = e.size * np.sum(_psi(family, c, e) ** 2, axis=1)
     defined = den != 0.0
     tau = np.divide(num, den, out=np.zeros(grid.size), where=defined)
     return tau, defined
@@ -132,13 +146,16 @@ def pseudo_outlier_set(residuals, sigma_mad):
 
 
 def _xi_grid(residuals_good, m, nt, grid):
-    """xi(c) at every c in `grid`, in one (G, #retained) pass."""
+    """xi(c) at every c in `grid`, in one (G, #retained) pass in row blocks."""
     e = np.asarray(residuals_good, dtype=float).ravel()
     if nt <= 0:
         raise ValueError("nt must be positive")
     if m < 0 or m + e.size > nt:
         raise ValueError("m and retained residuals inconsistent with nt")
-    return 2.0 * m / nt + (2.0 / nt) * np.sum(_rho(ESL, grid[:, None], e), axis=1)
+    loss = np.empty(grid.size)
+    for rows in _row_blocks(grid.size, e.size):
+        loss[rows] = np.sum(_rho(ESL, grid[rows, None], e), axis=1)
+    return 2.0 * m / nt + (2.0 / nt) * loss
 
 
 def xi(c, residuals_good, m, nt):
@@ -164,9 +181,9 @@ def _esl_sandwich(xdd, e, grid):
 
     so V_hat(c) = M^{-1} S(c) M^{-1} / kappa(c)^2 and
     log det V_hat = log det S - 2 (K log|kappa| + log det M): no per-c
-    inverse or determinant of I, and every S(c) comes from one
-    (G, NT) @ (NT, K^2) matmul.  I is negative definite near e = 0; only
-    its square enters V_hat.
+    inverse or determinant of I, and the S(c) of a row block of the grid
+    (see _row_blocks) come from one (rows, NT) @ (NT, K^2) matmul.  I is
+    negative definite near e = 0; only its square enters V_hat.
 
     I(c) counts as numerically singular when |det I| falls below
     1e-12 ((2/c) trace(M) / K)^K, the trace scale of the information with
@@ -180,14 +197,19 @@ def _esl_sandwich(xdd, e, grid):
     (G, K, K); log_det_v is log det V_hat(c), -inf where det S(c) <= 0.
     """
     nt, k = xdd.shape
-    c = grid[:, None]
     cross = xdd.T @ xdd / nt
-    kappa = np.mean(_psi_prime(ESL, c, e), axis=1)
-    p = _psi(ESL, c, e)
-    mean_scores = p @ xdd / nt
     outer = (xdd[:, :, None] * xdd[:, None, :]).reshape(nt, k * k)
-    np.square(p, out=p)
-    s = (p @ outer / nt).reshape(-1, k, k)
+    kappa = np.empty(grid.size)
+    mean_scores = np.empty((grid.size, k))
+    s = np.empty((grid.size, k * k))
+    for rows in _row_blocks(grid.size, nt):
+        c = grid[rows, None]
+        kappa[rows] = np.mean(_psi_prime(ESL, c, e), axis=1)
+        p = _psi(ESL, c, e)
+        mean_scores[rows] = p @ xdd / nt
+        np.square(p, out=p)
+        s[rows] = p @ outer / nt
+    s = s.reshape(-1, k, k)
     s -= mean_scores[:, :, None] * mean_scores[:, None, :]
 
     _, log_det_m = np.linalg.slogdet(cross)

@@ -6,6 +6,7 @@ import pytest
 
 from robustpanel import cli
 from robustpanel.io import write_panel_csv
+from robustpanel.panel import PanelData
 from robustpanel.simulation import ContaminationScheme, DgpConfig, contaminate, gen_panel
 
 from conftest import synth_panel
@@ -165,6 +166,40 @@ class TestFitCommand:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("case,estimator,code", [
+        ("overflow", "ls", 2),
+        ("overflow", "huber", 2),
+        ("overflow", "tukey", 2),
+        ("overflow", "esl", 2),
+        ("bom_header", "tukey", 0),
+        ("duplicated_header", "ls", 2),
+    ])
+    def test_input_faults_exit_with_one_error_line(self, tmp_path, capsys, case, estimator,
+                                                   code):
+        path = tmp_path / "panel.csv"
+        if case == "overflow":  # centered x1 squares past the float range
+            p = synth_panel(n=30, t=4, k=1, seed=5)
+            write_panel_csv(PanelData(p.y, 1e200 * p.x), str(path))
+        else:
+            write_panel_csv(synth_panel(n=30, t=4, seed=5), str(path))
+            text = path.read_text(encoding="utf-8")
+            if case == "bom_header":  # Excel's "CSV UTF-8" export
+                text = "\ufeff" + text
+            else:
+                text = "\n".join(line + "," + line.split(",")[3] for line in text.splitlines())
+            path.write_text(text, encoding="utf-8")
+        code_seen, _, err = run(
+            ["fit", "--input", str(path), "--estimator", estimator,
+             "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code_seen == code
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "x1" in err  # the column at fault is named
+        else:
+            assert err == ""
 
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, err = run([], capsys)

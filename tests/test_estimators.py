@@ -15,7 +15,10 @@ from robustpanel.errors import (
     UnstableCurvature,
 )
 from robustpanel.estimators import (
+    HB_SCORE_CELLS,
+    HB_SUBSAMPLES,
     IrlsConfig,
+    _elemental_subsets,
     fit_esl,
     fit_estimator,
     fit_mestimator,
@@ -180,17 +183,47 @@ class TestHighBreakdownInit:
         with pytest.raises(DegenerateDesign):
             high_breakdown_init(PanelData(y, x), seed=0)
 
-    def test_peak_memory_per_cell(self):
-        # The (500, NT) subset draw and the (G, NT) candidate residuals
-        # dominate; they must not be alive at the same time.
-        cp = within_transform(synth_panel(n=500, t=4, k=2, seed=8))
+    def test_forty_percent_vertical_outliers_on_a_subsample(self):
+        # NT > HB_SCORE_CELLS: candidates are ranked on a subsample and
+        # only the best few are scored on the full panel
+        p = synth_panel(n=1100, t=2, k=2, seed=4)
+        assert p.y.size > HB_SCORE_CELLS
+        y = p.y.copy()
+        rng = np.random.default_rng(102)
+        units = rng.choice(1100, 440, replace=False)
+        y[units, rng.integers(0, 2, 440)] += 1000.0
+        pc = PanelData(y, p.x)
+        truth = np.array([2.4, -1.2])
+        assert np.max(np.abs(high_breakdown_init(pc, seed=9) - truth)) < 1.0
+        assert np.max(np.abs(within_ls(pc).beta - truth)) > 10.0
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_subsets_are_distinct_and_in_range(self, k):
+        nt = k + 1
+        idx = _elemental_subsets(np.random.default_rng(3), nt, k)
+        assert idx.shape == (HB_SUBSAMPLES, k)
+        assert idx.min() >= 0 and idx.max() < nt
+        assert all(len(set(row)) == k for row in idx.tolist())
+        assert np.array_equal(idx, _elemental_subsets(np.random.default_rng(3), nt, k))
+
+    @staticmethod
+    def peak_bytes_per_cell(n):
+        cp = within_transform(synth_panel(n=n, t=4, k=2, seed=8))
         tracemalloc.start()
         try:
             high_breakdown_init(cp, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / cp.y.size
         finally:
             tracemalloc.stop()
-        assert peak <= 10_000 * cp.y.size
+
+    def test_peak_memory_per_cell(self):
+        # Up to HB_SCORE_CELLS cells the (G, NT) candidate residuals dominate.
+        assert self.peak_bytes_per_cell(500) <= 5_000
+
+    def test_peak_memory_per_cell_above_the_subsample_size(self):
+        # Above it only a fixed-size subsample and HB_RESCORE full-sample
+        # rows of residuals are held.
+        assert self.peak_bytes_per_cell(5_000) <= 1_000
 
 
 class TestFitEsl:

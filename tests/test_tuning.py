@@ -1,6 +1,8 @@
 """Tuning-constant selection: efficiency factor grid search and the
 exponential-squared pseudo-outlier / xi / det(V) procedure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +20,10 @@ from robustpanel.tuning import (
     pseudo_outlier_set,
     select_c_grid,
     xi,
+    _row_blocks,
 )
+
+from conftest import synth_panel
 
 
 def panel_with_residuals(resid):
@@ -365,6 +370,44 @@ class TestGridKernels:
             assert defined
             assert_allclose(state.detv_values[j], np.linalg.slogdet(v)[1], rtol=1e-10)
         assert state.c_selected == grid[np.nanargmin(state.detv_values)]
+
+    def test_row_blocks_match_one_point_calls(self):
+        # Enough cells that every grid is walked in at least three row
+        # blocks.  tau_hat and xi reduce each row on its own, so they are
+        # bit-equal to the one-point calls; log det V_hat goes through a
+        # BLAS matmul whose last bits depend on the number of rows in it.
+        cp = within_transform(synth_panel(n=2000, t=4, k=2, seed=3))
+        nt = cp.y.size
+        grid = default_esl_grid(1.0)
+        for g in (HUBER_GRID, TUKEY_GRID, grid):
+            assert len(_row_blocks(g.size, nt)) >= 3
+        beta0 = np.array([2.45, -1.15])
+        resid = cp.y - cp.x @ beta0
+        for family, fgrid in (("huber", HUBER_GRID), ("tukey", TUKEY_GRID)):
+            curve = select_c_grid(cp, family, beta0, 1.0, fgrid)
+            for j, c in enumerate(fgrid):
+                assert (curve.tau_hat[j], curve.defined[j]) == efficiency_factor(
+                    resid, LossSpec(family, c))
+        state = esl_select_c(cp, beta0, grid)
+        good = resid[~pseudo_outlier_set(resid, state.sigma_mad)]
+        assert np.isfinite(state.detv_values).sum() > 10
+        for j, c in enumerate(grid):
+            assert state.xi_values[j] == xi(c, good, state.m, nt)
+            if np.isfinite(state.detv_values[j]):
+                v, defined = esl_cov(cp, beta0, c)
+                assert defined
+                assert_allclose(state.detv_values[j], np.linalg.slogdet(v)[1], rtol=1e-10)
+
+    def test_esl_select_c_peak_memory_per_cell(self):
+        cp = within_transform(synth_panel(n=5000, t=4, k=2, seed=8))
+        beta0 = np.array([2.4, -1.2])
+        tracemalloc.start()
+        try:
+            esl_select_c(cp, beta0, default_esl_grid(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * cp.y.size
 
 
 def test_default_esl_grid_scales_with_sigma():
