@@ -3,146 +3,41 @@
 Within-group least squares plus Huber, Tukey bisquare, and exponential
 squared loss M-estimators with data-driven tuning-constant selection, a
 contamination-aware Monte Carlo harness, and CSV/CLI plumbing.
+
+The names below are the documented entry points.  Kernels, result types
+and the finer error classes are imported from their own modules
+(``robustpanel.tuning``, ``robustpanel.errors``, ...).
 """
 
-from .errors import (
-    BlockPolicyError,
-    ConfigError,
-    DataError,
-    DegenerateDesign,
-    DegeneratePanel,
-    DuplicateCell,
-    EstimationError,
-    MissingColumn,
-    NonNumericCell,
-    NoValidTuning,
-    RobustPanelError,
-    SingularDesign,
-    SingularWeightedDesign,
-    UnbalancedPanel,
-    UnstableCurvature,
-    ZeroScale,
-)
-from .estimators import (
-    IrlsConfig,
-    SandwichCovariance,
-    fit_esl,
-    fit_estimator,
-    fit_mestimator,
-    high_breakdown_init,
-    irls_fit,
-    sandwich_se,
-)
-from .io import (
-    ConsistencyStudyConfig,
-    ErrorDistStudyConfig,
-    ExperimentConfig,
-    OutlierStudyConfig,
-    parse_config,
-    read_panel_csv,
-    serialize_config,
-    write_panel_csv,
-)
-from .losses import LossSpec, psi, psi_prime, rho, weight
-from .panel import (
-    CenteredPanel,
-    FitResult,
-    PanelData,
-    fixed_effects,
-    predict,
-    within_ls,
-    within_transform,
-)
-from .scale import ScaleEstimate, initial_scale, mad_scale
+from .errors import DataError, EstimationError, RobustPanelError
+from .estimators import fit_esl, fit_estimator, fit_mestimator, high_breakdown_init
+from .io import ExperimentConfig, parse_config, read_panel_csv, write_panel_csv
+from .panel import PanelData, within_ls
 from .simulation import (
     ContaminationScheme,
     DgpConfig,
-    SimulationReport,
-    contaminate,
-    gen_holdout_panel,
-    gen_panel,
     rmse_prediction_study,
+    run_experiment,
     run_mc,
-)
-from .tuning import (
-    EfficiencyCurve,
-    EslTuningState,
-    HUBER_GRID,
-    TUKEY_GRID,
-    default_esl_grid,
-    efficiency_factor,
-    esl_cov,
-    esl_select_c,
-    pseudo_outlier_set,
-    select_c_grid,
-    xi,
 )
 
 __all__ = [
-    "BlockPolicyError",
-    "CenteredPanel",
-    "ConfigError",
-    "ConsistencyStudyConfig",
     "ContaminationScheme",
     "DataError",
-    "DegenerateDesign",
-    "DegeneratePanel",
     "DgpConfig",
-    "DuplicateCell",
-    "EfficiencyCurve",
-    "ErrorDistStudyConfig",
-    "EslTuningState",
     "EstimationError",
     "ExperimentConfig",
-    "FitResult",
-    "HUBER_GRID",
-    "IrlsConfig",
-    "LossSpec",
-    "MissingColumn",
-    "NonNumericCell",
-    "NoValidTuning",
-    "OutlierStudyConfig",
     "PanelData",
     "RobustPanelError",
-    "SandwichCovariance",
-    "ScaleEstimate",
-    "SimulationReport",
-    "SingularDesign",
-    "SingularWeightedDesign",
-    "TUKEY_GRID",
-    "UnbalancedPanel",
-    "UnstableCurvature",
-    "ZeroScale",
-    "contaminate",
-    "default_esl_grid",
-    "efficiency_factor",
-    "esl_cov",
-    "esl_select_c",
     "fit_esl",
     "fit_estimator",
     "fit_mestimator",
-    "fixed_effects",
-    "gen_holdout_panel",
-    "gen_panel",
     "high_breakdown_init",
-    "initial_scale",
-    "irls_fit",
-    "mad_scale",
     "parse_config",
-    "predict",
-    "pseudo_outlier_set",
-    "psi",
-    "psi_prime",
     "read_panel_csv",
-    "rho",
     "rmse_prediction_study",
+    "run_experiment",
     "run_mc",
-    "sandwich_se",
-    "select_c_grid",
-    "serialize_config",
-    "weight",
     "within_ls",
-    "within_transform",
     "write_panel_csv",
-    "xi",
 ]

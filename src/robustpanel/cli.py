@@ -6,12 +6,13 @@ one `error: ...` line to stderr so scripts can parse failures.
 """
 
 import argparse
+import contextlib
 import csv
 import math
 import os
 import sys
 
-from .errors import DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError
 from .estimators import fit_estimator
 from .io import (
     fit_report_json,
@@ -20,13 +21,7 @@ from .io import (
     write_weights_csv,
 )
 from .panel import ESTIMATOR_NAMES
-from .simulation import (
-    ContaminationScheme,
-    DgpConfig,
-    _seeds,
-    rmse_prediction_study,
-    run_mc,
-)
+from .simulation import run_experiment
 
 
 class UsageError(Exception):
@@ -58,11 +53,14 @@ def _build_parser():
     return parser
 
 
-def _write_table(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+@contextlib.contextmanager
+def _writing():
+    """Report a failed output write as a usage error: the caller named an
+    output path that cannot be written."""
+    try:
+        yield
+    except OSError as err:
+        raise UsageError("cannot write output: %s" % (err,)) from None
 
 
 def _fmt(value):
@@ -80,92 +78,53 @@ def _run_fit(args):
             raise UsageError("--c must be a positive number or 'auto', got %r" % (args.c,))
     panel = read_panel_csv(args.input)
     fit = fit_estimator(panel, args.estimator, c=c, seed=args.seed)
-    with open(args.out, "w") as fh:
-        fh.write(fit_report_json(fit))
     stem, _ = os.path.splitext(args.out)
-    write_weights_csv(panel, fit, stem + "_weights.csv")
+    with _writing():
+        with open(args.out, "w") as fh:
+            fh.write(fit_report_json(fit))
+        write_weights_csv(panel, fit, stem + "_weights.csv")
     return 0
-
-
-def _dgp(config, n, t, error_dist=None):
-    return DgpConfig(n_units=n, n_periods=t, beta=config.beta, gamma=config.gamma,
-                     error_dist=error_dist or config.error_dist)
-
-
-def _outlier_tables(config, out_dir):
-    study = config.outlier_study
-    dgp = _dgp(config, study.n_units, study.n_periods)
-    columns = []
-    mse_rows = {name: [] for name in config.estimators}
-    rmse_rows = {name: [] for name in config.estimators}
-    for ki, kind in enumerate(study.kinds):
-        for mi, m in enumerate(study.m_levels):
-            columns.append("%s_m%d" % (kind, m))
-            report = rmse_prediction_study(
-                dgp,
-                ContaminationScheme(kind=kind, m=m),
-                config.estimators,
-                config.s,
-                study.n_test,
-                _seeds(config.master_seed, (1, ki, mi))[0],
-            )
-            for name in config.estimators:
-                mse_rows[name].append(report.mse[name])
-                rmse_rows[name].append(report.rmse[name])
-    header = ["estimator"] + columns
-    _write_table(
-        os.path.join(out_dir, "mse_table.csv"), header,
-        [[name] + [_fmt(v) for v in mse_rows[name]] for name in config.estimators],
-    )
-    _write_table(
-        os.path.join(out_dir, "rmse_table.csv"), header,
-        [[name] + [_fmt(v) for v in rmse_rows[name]] for name in config.estimators],
-    )
-
-
-def _consistency_table(config, out_dir):
-    study = config.consistency_study
-    rows = []
-    for axis, points in (("n", [(n, study.t_fixed) for n in study.n_values]),
-                         ("t", [(study.n_fixed, t) for t in study.t_values])):
-        for pi, (n, t) in enumerate(points):
-            report = run_mc(_dgp(config, n, t), None, config.estimators, config.s,
-                            _seeds(config.master_seed, (2, 0 if axis == "n" else 1, pi))[0])
-            for name in config.estimators:
-                rows.append([axis, n, t, name, _fmt(report.mse[name])])
-    _write_table(os.path.join(out_dir, "consistency_curves.csv"),
-                 ["axis", "n", "t", "estimator", "mse"], rows)
-
-
-def _se_samples_table(config, out_dir):
-    study = config.error_dist_study
-    base_seed = _seeds(config.master_seed, (3,))[0]
-    rows = []
-    for di, dist in enumerate(("normal", "t5", "chisq4", "cauchy")):
-        for pi, (n, t) in enumerate(study.pairs):
-            report = run_mc(_dgp(config, n, t, dist), None, config.estimators, config.s,
-                            _seeds(base_seed, (di, pi))[0])
-            for name in config.estimators:
-                for rep, se in enumerate(report.se_samples[name]):
-                    rows.append([dist, n, t, name, rep, _fmt(se)])
-    _write_table(os.path.join(out_dir, "se_samples.csv"),
-                 ["error_dist", "n", "t", "estimator", "rep", "se"], rows)
 
 
 def _run_simulate(args):
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise DataError("cannot read config %s: %s" % (args.config, err)) from None
+    except UnicodeDecodeError as err:
+        raise ConfigError("config %s is not UTF-8 text: cannot decode byte 0x%02x"
+                          % (args.config, err.object[err.start])) from None
     config = parse_config(text)
-    os.makedirs(args.out_dir, exist_ok=True)
+    names = config.estimators
+    tables = {}  # file name -> header and rows, in writing order
     if config.outlier_study is not None:
-        _outlier_tables(config, args.out_dir)
+        tables["mse_table.csv"] = [["estimator"]] + [[name] for name in names]
+        tables["rmse_table.csv"] = [["estimator"]] + [[name] for name in names]
     if config.consistency_study is not None:
-        _consistency_table(config, args.out_dir)
+        tables["consistency_curves.csv"] = [["axis", "n", "t", "estimator", "mse"]]
     if config.error_dist_study is not None:
-        _se_samples_table(config, args.out_dir)
+        tables["se_samples.csv"] = [["error_dist", "n", "t", "estimator", "rep", "se"]]
+    with _writing():
+        os.makedirs(args.out_dir, exist_ok=True)
+    for section, key, report in run_experiment(config):
+        if section == "outlier_study":
+            for table, values in ((tables["mse_table.csv"], report.mse),
+                                  (tables["rmse_table.csv"], report.rmse)):
+                table[0].append("%s_m%d" % key)
+                for row, name in zip(table[1:], names):
+                    row.append(_fmt(values[name]))
+        elif section == "consistency_study":
+            tables["consistency_curves.csv"] += [
+                [*key, name, _fmt(report.mse[name])] for name in names]
+        else:
+            tables["se_samples.csv"] += [
+                [*key, name, rep, _fmt(se)]
+                for name in names for rep, se in enumerate(report.se_samples[name])]
+    for file_name, rows in tables.items():
+        path = os.path.join(args.out_dir, file_name)
+        with _writing(), open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     return 0
 
 

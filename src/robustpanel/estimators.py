@@ -308,9 +308,6 @@ class SandwichCovariance:
     """Asymptotic covariance (E psi^2 / (E psi')^2) sigma^2 (X''X'')^{-1}."""
 
     matrix: np.ndarray
-    psi_sq_mean: float
-    psi_prime_mean: float
-    sigma: float
 
     @property
     def std_errors(self):
@@ -346,7 +343,7 @@ def sandwich_se(panel, fit, spec):
     cross = xdd.T @ xdd
     cov = (psi_sq_mean / psi_prime_mean**2) * sigma**2 * np.linalg.inv(cross)
     cov = 0.5 * (cov + cov.T)
-    return SandwichCovariance(cov, psi_sq_mean, psi_prime_mean, float(sigma))
+    return SandwichCovariance(cov)
 
 
 def _fit(cp, names, c, seed):

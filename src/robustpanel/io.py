@@ -44,13 +44,17 @@ def read_panel_csv(path):
     Rows are parsed as they are read into flat arrays of label indices and
     values, so memory grows with the numbers, not with the text.  Faults
     are reported in file order: the first short row, repeated
-    (unit, time) pair or non-numeric cell, then a missing pair.
+    (unit, time) pair or non-numeric cell, then a missing pair.  The file
+    is UTF-8, with or without a byte-order mark.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return _parse_panel(csv.reader(fh), path)
     except OSError as err:
         raise DataError("cannot read %s: %s" % (path, err)) from None
+    except UnicodeDecodeError as err:
+        raise DataError("%s is not UTF-8 text: cannot decode byte 0x%02x"
+                        % (path, err.object[err.start])) from None
 
 
 def _parse_panel(reader, path):

@@ -28,10 +28,9 @@ MAD_CONSISTENCY = 1.4826
 
 @dataclass(frozen=True)
 class ScaleEstimate:
-    """A positive scale value plus the method tag that produced it."""
+    """A positive scale value."""
 
     value: float
-    method: str
 
 
 def _as_vector(residuals) -> np.ndarray:
@@ -51,7 +50,7 @@ def initial_scale(residuals) -> ScaleEstimate:
         raise ZeroScale(
             "median absolute residual is zero: more than half of the residuals vanish"
         )
-    return ScaleEstimate(value, "median_abs")
+    return ScaleEstimate(value)
 
 
 def mad_scale(residuals) -> ScaleEstimate:
@@ -63,4 +62,4 @@ def mad_scale(residuals) -> ScaleEstimate:
         raise ZeroScale(
             "median absolute deviation is zero: more than half of the residuals coincide"
         )
-    return ScaleEstimate(value, "mad")
+    return ScaleEstimate(value)

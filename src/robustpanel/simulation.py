@@ -24,7 +24,9 @@ centered data and leave nothing for the estimators to disagree about.
 
 Every derived seed comes from ``_seeds``: replication s of a study uses
 SeedSequence(master_seed, spawn_key=(s,)), so replication s is the same
-no matter how many replications surround it.
+no matter how many replications surround it.  ``run_experiment`` is the
+one study driver: it runs every cell of an experiment config and derives
+each cell's seed from the config's master seed.
 """
 
 import dataclasses
@@ -195,7 +197,6 @@ def contaminate(panel, scheme):
 class SimulationReport:
     """Replication study results for one ( dgp, scheme, estimators ) cell."""
 
-    estimator_names: tuple
     se_samples: dict  # estimator -> array of ||beta_hat - beta||^2, successes only
     mse: dict  # estimator -> mean of se_samples
     n_failed: int
@@ -241,7 +242,6 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
                 )
     n_failed = len(failures)
     report = SimulationReport(
-        estimator_names=names,
         se_samples={name: np.asarray(v) for name, v in se.items()},
         mse={name: float(np.mean(v)) if v else float("nan") for name, v in se.items()},
         n_failed=n_failed,
@@ -268,3 +268,49 @@ def rmse_prediction_study(dgp, scheme, estimators, s_total, n_test, master_seed)
     if n_test < 2:
         raise ValueError("n_test must be at least 2, the smallest panel")
     return _study(dgp, scheme, estimators, s_total, master_seed, n_test=n_test)
+
+
+def run_experiment(config):
+    """Run every study cell of an experiment config (``io.ExperimentConfig``).
+
+    Yields (section, key, SimulationReport) in table order, section by
+    section:
+
+      "outlier_study"      key (kind, m), kinds outer and m levels inner
+      "consistency_study"  key (axis, n, t), the n axis then the t axis
+      "error_dist_study"   key (error_dist, n, t), laws outer and pairs inner
+
+    Cell seeds: (1, kind index, m index) and (2, axis index, point index)
+    under the master seed; the error-law cells use (law index, pair index)
+    under the seed of (3,).
+    """
+    names, s_total, master = config.estimators, config.s, config.master_seed
+
+    def dgp(n, t, error_dist):
+        return DgpConfig(n_units=n, n_periods=t, beta=config.beta, gamma=config.gamma,
+                         error_dist=error_dist)
+
+    study = config.outlier_study
+    if study is not None:
+        train = dgp(study.n_units, study.n_periods, config.error_dist)
+        for ki, kind in enumerate(study.kinds):
+            for mi, m in enumerate(study.m_levels):
+                yield "outlier_study", (kind, m), rmse_prediction_study(
+                    train, ContaminationScheme(kind=kind, m=m), names, s_total,
+                    study.n_test, _seeds(master, (1, ki, mi))[0])
+    study = config.consistency_study
+    if study is not None:
+        axes = (("n", [(n, study.t_fixed) for n in study.n_values]),
+                ("t", [(study.n_fixed, t) for t in study.t_values]))
+        for ai, (axis, points) in enumerate(axes):
+            for pi, (n, t) in enumerate(points):
+                yield "consistency_study", (axis, n, t), run_mc(
+                    dgp(n, t, config.error_dist), None, names, s_total,
+                    _seeds(master, (2, ai, pi))[0])
+    study = config.error_dist_study
+    if study is not None:
+        base = _seeds(master, (3,))[0]
+        for di, dist in enumerate(ERROR_DISTS[:-1]):  # every law but the "none" hook
+            for pi, (n, t) in enumerate(study.pairs):
+                yield "error_dist_study", (dist, n, t), run_mc(
+                    dgp(n, t, dist), None, names, s_total, _seeds(base, (di, pi))[0])

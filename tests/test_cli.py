@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -174,6 +175,7 @@ class TestFitCommand:
         ("overflow", "esl", 2),
         ("bom_header", "tukey", 0),
         ("duplicated_header", "ls", 2),
+        ("latin1_label", "ls", 2),
     ])
     def test_input_faults_exit_with_one_error_line(self, tmp_path, capsys, case, estimator,
                                                    code):
@@ -186,9 +188,12 @@ class TestFitCommand:
             text = path.read_text(encoding="utf-8")
             if case == "bom_header":  # Excel's "CSV UTF-8" export
                 text = "\ufeff" + text
+            elif case == "latin1_label":  # a Latin-1 export: byte 0xE9 in a unit label
+                label = text.splitlines()[1].split(",")[0]
+                text = text.replace("\n%s," % label, "\n%s\xe9," % label)
             else:
                 text = "\n".join(line + "," + line.split(",")[3] for line in text.splitlines())
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(text.encode("latin-1" if case == "latin1_label" else "utf-8"))
         code_seen, _, err = run(
             ["fit", "--input", str(path), "--estimator", estimator,
              "--out", str(tmp_path / "r.json")],
@@ -197,9 +202,20 @@ class TestFitCommand:
         assert code_seen == code
         if code:
             assert err.startswith("error:") and err.count("\n") == 1
-            assert "x1" in err  # the column at fault is named
+            # the column at fault is named, or the file that is not UTF-8
+            assert ("panel.csv is not UTF-8" if case == "latin1_label" else "x1") in err
         else:
             assert err == ""
+
+    def test_unwritable_report_is_usage_error(self, panel_csv, tmp_path, capsys):
+        code, _, err = run(
+            ["fit", "--input", panel_csv, "--estimator", "ls",
+             "--out", str(tmp_path / "missing_dir" / "r.json")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert "missing_dir" in err
 
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, err = run([], capsys)
@@ -277,6 +293,35 @@ class TestSimulateCommand:
         names = sorted(os.listdir(out_dir))
         assert names == ["mse_table.csv", "rmse_table.csv"]
 
+    def test_tables_match_pinned_digests(self, tmp_path, capsys):
+        # SHA-256 of the tables as first written on x86_64 with numpy 2.4;
+        # any change to cell order, seeds or number formatting fails here.
+        # A change that moves study numbers on purpose re-pins them.
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        out_dir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out-dir", str(out_dir)], capsys)[0] == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out_dir.iterdir()}
+        assert digests == {
+            "mse_table.csv":
+                "4badb733fd0e999d3fc644520733c79c03dfd3e6ca1ee0a25130e9220a0144d4",
+            "rmse_table.csv":
+                "8b2af2f1792b5122587224ea2db00c925c4424a41e9487984d5638ec50ac2086",
+            "consistency_curves.csv":
+                "da8b7cc6d993e679d453d239a3d670b188204be963752d0ec1621847296d4f05",
+            "se_samples.csv":
+                "0583b01bef210d915db85065b37ba8888b7e5309dd2032fdcf6af6609dcc71f3",
+        }
+
+    def test_out_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run(["simulate", "--config", cfg, "--out-dir", str(taken)], capsys)
+        assert code == 1
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert "taken" in err
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG)
         dirs = [str(tmp_path / "run1"), str(tmp_path / "run2")]
@@ -325,9 +370,14 @@ class TestSimulateCommand:
         {"outlier_study": {"n_units": 20, "n_periods": 4, "m_levels": [3], "n_test": 2,
                            "kinds": ["random_vertical", "concentrated_vertical"]}},
         {"beta": [], "gamma": []},
+        pytest.param(b'{"estimators": ["ls"], "error_dist": "caf\xe9"}', id="latin1_file"),
     ])
     def test_invalid_config_value_fails_before_any_study(self, tmp_path, capsys, change):
-        cfg = write_config(tmp_path, dict(TINY_CONFIG, **change))
+        if isinstance(change, bytes):  # the config file's raw bytes
+            (tmp_path / "config.json").write_bytes(change)
+            cfg = str(tmp_path / "config.json")
+        else:
+            cfg = write_config(tmp_path, dict(TINY_CONFIG, **change))
         out_dir = tmp_path / "o"
         code, _, err = run(["simulate", "--config", cfg, "--out-dir", str(out_dir)], capsys)
         assert code == 2

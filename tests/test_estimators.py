@@ -333,7 +333,7 @@ class TestSandwich:
         cov = sandwich_se(p, fit, LossSpec("huber", fit.c_selected))
         assert_allclose(cov.matrix, cov.matrix.T, atol=1e-10)
         assert np.all(np.diag(cov.matrix) >= 0)
-        assert cov.psi_sq_mean >= 0
+        assert np.all(np.linalg.eigvalsh(cov.matrix) >= 0)
 
 
 class TestBoundedInfluence:

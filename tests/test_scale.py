@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 
 from robustpanel.errors import ZeroScale
-from robustpanel.scale import initial_scale, mad_scale
+from robustpanel.scale import MAD_CONSISTENCY, MEDIAN_ABS_CONSISTENCY, initial_scale, mad_scale
 
 
 def test_initial_scale_hand_value():
     # |e| = (1, 0, 1), median 1, divided by 0.6745
     est = initial_scale([-1.0, 0.0, 1.0])
     assert est.value == pytest.approx(1.4825797, abs=1e-7)
-    assert est.method == "median_abs"
+    # uncentered: on (1, 2, 3) the median |e| is 2, the MAD only 1
+    assert initial_scale([1.0, 2.0, 3.0]).value == 2.0 / MEDIAN_ABS_CONSISTENCY
 
 
 def test_mad_scale_hand_value():
     # median 0, |deviations| = (2, 1, 0, 1, 2), MAD 1
     est = mad_scale([-2.0, -1.0, 0.0, 1.0, 2.0])
     assert est.value == pytest.approx(1.4826, abs=1e-12)
-    assert est.method == "mad"
+    # centered at the median: on (1, 2, 3) the MAD is 1, the median |e| 2
+    assert mad_scale([1.0, 2.0, 3.0]).value == MAD_CONSISTENCY * 1.0
 
 
 def test_mad_scale_shift_invariant_initial_scale_is_not():

@@ -1,5 +1,6 @@
 """Data generation, contamination schemes, and the replication studies."""
 
+import builtins
 import dataclasses
 
 import numpy as np
@@ -9,6 +10,12 @@ from numpy.testing import assert_allclose
 import robustpanel.estimators as estimators
 import robustpanel.simulation as sim
 from robustpanel.errors import BlockPolicyError, NoValidTuning
+from robustpanel.io import (
+    ConsistencyStudyConfig,
+    ErrorDistStudyConfig,
+    ExperimentConfig,
+    OutlierStudyConfig,
+)
 from robustpanel.panel import within_ls
 from robustpanel.simulation import (
     ContaminationScheme,
@@ -236,7 +243,8 @@ class TestRunMc:
 
     def test_mse_is_mean_of_se_samples(self):
         report = run_mc(DgpConfig(40, 2), None, ["ls", "huber"], 8, 11)
-        for name in report.estimator_names:
+        assert set(report.mse) == {"ls", "huber"}
+        for name in ("ls", "huber"):
             assert report.mse[name] == pytest.approx(report.se_samples[name].mean())
 
     def test_contaminated_mse_ordering_smoke(self):
@@ -276,7 +284,8 @@ class TestRmseStudy:
             DgpConfig(40, 2), ContaminationScheme("random_vertical", 8),
             ["ls", "huber"], 6, 20, 13,
         )
-        for name in report.estimator_names:
+        assert set(report.rmse) == {"ls", "huber"}
+        for name in ("ls", "huber"):
             vals = report.rmse_samples[name]
             assert len(vals) == 6
             assert np.all(vals >= 0) and np.all(np.isfinite(vals))
@@ -290,3 +299,45 @@ class TestRmseStudy:
         with pytest.raises(ValueError):
             rmse_prediction_study(DgpConfig(10, 2), None, ["ls"], 2, 0, 1)
 
+
+
+class TestRunExperiment:
+    CONFIG = ExperimentConfig(
+        estimators=("ls",), s=2, master_seed=3,
+        outlier_study=OutlierStudyConfig(n_units=10, n_periods=2, m_levels=(0, 2),
+                                         kinds=("random_vertical", "random_leverage"),
+                                         n_test=2),
+        consistency_study=ConsistencyStudyConfig(n_values=(10, 12), t_fixed=2,
+                                                 t_values=(3,), n_fixed=10),
+        error_dist_study=ErrorDistStudyConfig(pairs=((10, 2), (12, 3))),
+    )
+
+    def test_cells_in_table_order_without_files(self, monkeypatch):
+        def no_files(*args, **kwargs):
+            raise AssertionError("run_experiment opened a file")
+
+        monkeypatch.setattr(builtins, "open", no_files)
+        cells = [(section, key) for section, key, _ in sim.run_experiment(self.CONFIG)]
+        assert cells == (
+            [("outlier_study", (kind, m)) for kind in ("random_vertical", "random_leverage")
+             for m in (0, 2)]
+            + [("consistency_study", key) for key in (("n", 10, 2), ("n", 12, 2), ("t", 10, 3))]
+            + [("error_dist_study", (dist, n, t)) for dist in ("normal", "t5", "chisq4", "cauchy")
+               for n, t in ((10, 2), (12, 3))]
+        )
+
+    def test_cell_seeds_follow_the_master_seed(self):
+        def seed(entropy, key):  # the first word of SeedSequence(entropy, spawn_key=key)
+            return int(np.random.SeedSequence(entropy, spawn_key=key).generate_state(1)[0])
+
+        reports = {key: report for _, key, report in sim.run_experiment(self.CONFIG)}
+        master = self.CONFIG.master_seed
+        outlier = rmse_prediction_study(
+            DgpConfig(10, 2), ContaminationScheme("random_vertical", 2), ["ls"], 2, 2,
+            seed(master, (1, 0, 1)))
+        curve = run_mc(DgpConfig(10, 3), None, ["ls"], 2, seed(master, (2, 1, 0)))
+        law = run_mc(DgpConfig(12, 3, error_dist="chisq4"), None, ["ls"], 2,
+                     seed(seed(master, (3,)), (2, 1)))
+        assert reports["random_vertical", 2].rmse == outlier.rmse
+        assert reports["t", 10, 3].mse == curve.mse
+        assert reports["chisq4", 12, 3].mse == law.mse
