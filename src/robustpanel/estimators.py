@@ -31,7 +31,7 @@ from .errors import (
 )
 from .losses import LossSpec, psi, psi_prime, weight
 from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, within_ls
-from .scale import MAD_CONSISTENCY, initial_scale, mad_scale
+from .scale import _mad, initial_scale, mad_scale
 from .tuning import (
     HUBER_GRID,
     TUKEY_GRID,
@@ -175,15 +175,12 @@ def _elemental_subsets(rng, nt, k):
 def _mad_rows(betas, xdd, ydd):
     """MAD scale of the residuals y - x beta for each row of `betas`.
 
-    One (rows, cells) buffer: the medians partition each row in place and
-    |r - med| is formed over it.  A row permutation leaves the MAD unchanged.
+    All rows are scored in one (rows, cells) residual buffer, which _mad
+    overwrites.
     """
     resid = betas @ xdd.T
     np.subtract(ydd, resid, out=resid)
-    med = np.median(resid, axis=1, keepdims=True, overwrite_input=True)
-    np.subtract(resid, med, out=resid)
-    np.abs(resid, out=resid)
-    return MAD_CONSISTENCY * np.median(resid, axis=1, overwrite_input=True)
+    return _mad(resid)
 
 
 def high_breakdown_init(panel, seed=0):

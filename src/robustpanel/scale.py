@@ -12,6 +12,10 @@ Two median-based estimators are used by the fitting pipelines:
 
 Both raise ``ZeroScale`` when the estimate collapses to zero, which happens
 exactly when more than half of the (centered, for mad) residuals coincide.
+
+Every median in the package comes from one kernel, ``_median``, and every
+MAD from ``_mad`` on top of it; both work along the last axis, so the
+high-breakdown start scores all of its candidate fits in one call.
 """
 
 from __future__ import annotations
@@ -33,6 +37,37 @@ class ScaleEstimate:
     value: float
 
 
+def _median(a):
+    """Median along the last axis of the float array `a`, which it partitions
+    in place.
+
+    Bit for bit numpy.median along the last axis, NaN rows included, but for
+    the sign of a zero median when 0.0 and -0.0 tie in the middle: which of
+    the tied values lands there depends on the partition points.  One
+    partition at h = n // 2 leaves the h smallest values in a[..., :h], so
+    the lower middle value of an even length is their maximum.  NaN sorts
+    last, into a[..., h:], whose maximum is NaN exactly when the row holds
+    one.  numpy.median partitions at the last position too, as its NaN
+    check, and that multi-point partition costs several times this one.
+    """
+    h = a.shape[-1] // 2
+    a.partition(h, axis=-1)
+    med = a[..., h]
+    if a.shape[-1] % 2 == 0:
+        med = (a[..., :h].max(axis=-1) + med) / 2
+    top = a[..., h:].max(axis=-1)
+    return np.where(np.isnan(top), top, med)
+
+
+def _mad(e):
+    """1.4826 times median |e - median(e)| along the last axis of the float
+    array `e`, which it overwrites."""
+    med = _median(e)
+    np.subtract(e, med[..., None], out=e)
+    np.abs(e, out=e)
+    return MAD_CONSISTENCY * _median(e)
+
+
 def _as_vector(residuals) -> np.ndarray:
     e = np.asarray(residuals, dtype=float).ravel()
     if e.size == 0:
@@ -45,7 +80,7 @@ def _as_vector(residuals) -> np.ndarray:
 def initial_scale(residuals) -> ScaleEstimate:
     """Median of |residuals| divided by 0.6745."""
     e = _as_vector(residuals)
-    value = float(np.median(np.abs(e))) / MEDIAN_ABS_CONSISTENCY
+    value = float(_median(np.abs(e))) / MEDIAN_ABS_CONSISTENCY
     if value == 0.0:
         raise ZeroScale(
             "median absolute residual is zero: more than half of the residuals vanish"
@@ -55,9 +90,7 @@ def initial_scale(residuals) -> ScaleEstimate:
 
 def mad_scale(residuals) -> ScaleEstimate:
     """1.4826 times the median absolute deviation from the median."""
-    e = _as_vector(residuals)
-    med = float(np.median(e))
-    value = MAD_CONSISTENCY * float(np.median(np.abs(e - med)))
+    value = float(_mad(_as_vector(residuals).copy()))
     if value == 0.0:
         raise ZeroScale(
             "median absolute deviation is zero: more than half of the residuals coincide"

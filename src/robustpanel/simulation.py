@@ -199,6 +199,7 @@ class SimulationReport:
 
     se_samples: dict  # estimator -> array of ||beta_hat - beta||^2, successes only
     mse: dict  # estimator -> mean of se_samples
+    n_nonconverged: dict  # estimator -> successes whose fit reported converged=False
     n_failed: int
     failures: tuple  # (replication index, message) pairs
     degraded: bool
@@ -218,6 +219,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
     names = tuple(estimators)
     beta_true = np.asarray(dgp.beta, dtype=float)
     se = {name: [] for name in names}
+    nonconverged = dict.fromkeys(names, 0)
     rmse = {name: [] for name in names} if n_test else None
     failures = []
     for s in range(s_total):
@@ -235,6 +237,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
             continue
         for name in names:
             se[name].append(float(np.sum((fits[name].beta - beta_true) ** 2)))
+            nonconverged[name] += not fits[name].converged
             if n_test:
                 yhat = predict(test_panel, fits[name].beta)
                 rmse[name].append(
@@ -244,6 +247,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
     report = SimulationReport(
         se_samples={name: np.asarray(v) for name, v in se.items()},
         mse={name: float(np.mean(v)) if v else float("nan") for name, v in se.items()},
+        n_nonconverged=nonconverged,
         n_failed=n_failed,
         failures=tuple(failures),
         degraded=n_failed > 0.05 * s_total,

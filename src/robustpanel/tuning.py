@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NoValidTuning
 from .losses import ESL, LossSpec, _psi, _psi_prime, _rho
 from .panel import _as_centered
-from .scale import MAD_CONSISTENCY
+from .scale import _mad
 
 HUBER_GRID = 0.05 * np.arange(1, 61)
 TUKEY_GRID = 1.0 + 0.2 * np.arange(46)
@@ -272,8 +272,7 @@ def esl_select_c(panel, beta0, grid):
     flat = resid.ravel()
     nt = flat.size
 
-    med = np.median(flat)
-    sigma_mad = MAD_CONSISTENCY * float(np.median(np.abs(flat - med)))
+    sigma_mad = float(_mad(flat.copy()))
     if sigma_mad > 0:
         flagged = pseudo_outlier_set(resid, sigma_mad)
     else:

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from robustpanel.errors import ZeroScale
-from robustpanel.scale import MAD_CONSISTENCY, MEDIAN_ABS_CONSISTENCY, initial_scale, mad_scale
+from robustpanel.scale import (
+    MAD_CONSISTENCY,
+    MEDIAN_ABS_CONSISTENCY,
+    _median,
+    initial_scale,
+    mad_scale,
+)
 
 
 def test_initial_scale_hand_value():
@@ -70,3 +79,39 @@ def test_empty_input_rejected():
         initial_scale([])
     with pytest.raises(ValueError):
         mad_scale([])
+
+
+# Few distinct values make heavy ties; the infinities and NaN also come from
+# the general float strategy, but rarely.
+CELLS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+    st.floats(width=64),
+)
+
+
+def assert_same_median(a):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a huge middle pair
+        want = np.asarray(np.median(a, axis=-1))
+        got = np.asarray(_median(a.copy()))
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # Which of several tied zeros lands in the middle depends on the partition
+    # points, so each median may pick -0.0 or 0.0; adding 0.0 maps -0.0 to 0.0
+    # and leaves every other value's bits alone.  No scale sees the sign: each
+    # takes |.| of the median or of deviations from it.
+    assert (got[~nan] + 0.0).tobytes() == (want[~nan] + 0.0).tobytes()
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=60),
+                  elements=CELLS))
+@settings(max_examples=100, deadline=None)
+def test_median_kernel_matches_numpy(a):
+    assert_same_median(a)
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.just(1), st.integers(2001, 2400)),
+                  elements=CELLS))
+@settings(max_examples=20, deadline=None)
+def test_median_kernel_matches_numpy_on_a_long_row(a):
+    assert_same_median(a)

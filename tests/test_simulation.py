@@ -16,7 +16,7 @@ from robustpanel.io import (
     ExperimentConfig,
     OutlierStudyConfig,
 )
-from robustpanel.panel import within_ls
+from robustpanel.panel import within_ls, within_transform
 from robustpanel.simulation import (
     ContaminationScheme,
     DgpConfig,
@@ -246,6 +246,23 @@ class TestRunMc:
         assert set(report.mse) == {"ls", "huber"}
         for name in ("ls", "huber"):
             assert report.mse[name] == pytest.approx(report.se_samples[name].mean())
+
+    def test_nonconverged_fits_counted_per_estimator(self):
+        names = ("ls", "huber", "tukey", "esl")
+        dgp = DgpConfig(120, 2)
+        scheme = ContaminationScheme("concentrated_leverage", 24)
+        report = run_mc(dgp, scheme, names, 12, 315)
+        want = dict.fromkeys(names, 0)
+        for s in range(12):
+            seeds = sim._seeds(315, (s,), 4)
+            panel = contaminate(gen_panel(dataclasses.replace(dgp, seed=seeds[0])),
+                                dataclasses.replace(scheme, seed=seeds[1]))
+            fits = sim._fit(within_transform(panel), names, "auto", seeds[2])
+            for name in names:
+                want[name] += not fits[name].converged
+        assert report.n_failed == 0
+        assert report.n_nonconverged == want
+        assert want["huber"] > 0  # the count is not trivially zero here
 
     def test_contaminated_mse_ordering_smoke(self):
         # Concentrated leverage is the hardest cell: half-block outliers with
