@@ -76,6 +76,8 @@ def _run_fit(args):
             c = math.nan
         if not 0 < c < math.inf:
             raise UsageError("--c must be a positive number or 'auto', got %r" % (args.c,))
+    if args.seed < 0:
+        raise UsageError("--seed must be a non-negative integer, got %d" % args.seed)
     panel = read_panel_csv(args.input)
     fit = fit_estimator(panel, args.estimator, c=c, seed=args.seed)
     stem, _ = os.path.splitext(args.out)

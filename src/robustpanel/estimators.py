@@ -24,21 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesign,
-    SingularWeightedDesign,
-    UnstableCurvature,
-)
+from .errors import DegenerateDesign, SingularWeightedDesign, UnstableCurvature
 from .losses import LossSpec, psi, psi_prime, weight
-from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, within_ls
+from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, _in_float_range, within_ls
 from .scale import _mad, initial_scale, mad_scale
-from .tuning import (
-    HUBER_GRID,
-    TUKEY_GRID,
-    default_esl_grid,
-    esl_select_c,
-    select_c_grid,
-)
+from .tuning import HUBER_GRID, TUKEY_GRID, default_esl_grid, esl_select_c, select_c_grid
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for refinement passes
 HB_SUBSAMPLES = 500  # elemental subsets drawn by high_breakdown_init
@@ -79,44 +69,37 @@ def _weighted_solve(xdd, ydd, w):
     return sol
 
 
-def irls_fit(panel, spec, beta_init, sigma, config=None):
+def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     """Iteratively reweighted LS at a fixed loss and fixed scale.
 
-    Repeats w_it = weight(spec, (ydd - xdd beta)/sigma) followed by a
-    weighted LS solve until the coefficients settle (see _settled) or
+    Repeats w_it = weight(spec, (y_it - x_it' beta) / sigma) followed by
+    a weighted LS solve until the coefficients settle (see _settled) or
     config.max_iter is reached.
     """
-    if config is None:
-        config = IrlsConfig()
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     cp = _as_centered(panel)
-    nt = cp.y.size
-    k = cp.x.shape[2]
-    xdd = cp.x.reshape(nt, k)
-    ydd = cp.y.ravel()
-
-    beta = np.asarray(beta_init, dtype=float).copy()
+    beta = np.asarray(beta_init, dtype=float)
     sig = float(sigma)
-    converged = False
-    iterations = 0
-    w = weight(spec, (ydd - xdd @ beta) / sig)
-    for iterations in range(1, config.max_iter + 1):
-        new_beta = _weighted_solve(xdd, ydd, w)
-        delta = np.max(np.abs(new_beta - beta))
-        beta = new_beta
-        w = weight(spec, (ydd - xdd @ beta) / sig)
-        if _settled(delta, beta):
-            converged = True
-            break
+    # a residual past the float range once standardized is +-inf, where
+    # every weight takes its limit
+    with np.errstate(over="ignore"):
+        w = weight(spec, (cp.y - cp.x @ beta) / sig)
+        for iterations in range(1, config.max_iter + 1):
+            new_beta = _weighted_solve(cp.x, cp.y, w)
+            delta = np.max(np.abs(new_beta - beta))
+            beta = new_beta
+            w = weight(spec, (cp.y - cp.x @ beta) / sig)
+            if _settled(delta, beta):
+                break
     return FitResult(
         estimator=spec.family,
         beta=beta,
         sigma_hat=sig,
         iterations=iterations,
-        converged=converged,
+        converged=bool(_settled(delta, beta)),
         c_selected=spec.c,
-        weights=w.reshape(cp.y.shape),
+        weights=w.reshape(cp.shape),
     )
 
 
@@ -139,22 +122,16 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
         beta0 = within_ls(cp).beta
     else:
         beta0 = np.asarray(beta_init, dtype=float)
-        if beta0.shape != (cp.x.shape[2],):
+        if beta0.shape != (cp.x.shape[1],):
             raise ValueError(
                 "beta_init must have length %d, got shape %r"
-                % (cp.x.shape[2], beta0.shape)
+                % (cp.x.shape[1], beta0.shape)
             )
-    resid = (cp.y - cp.x @ beta0).ravel()
-    sigma = initial_scale(resid).value
+    sigma = initial_scale(cp.y - cp.x @ beta0).value
     if c == "auto":
         grid = HUBER_GRID if family == "huber" else TUKEY_GRID
-        curve = select_c_grid(cp, family, beta0, sigma, grid)
-        c_use = curve.c_star
-    else:
-        c_use = float(c)
-        if not c_use > 0:
-            raise ValueError("fixed c must be positive")
-    return irls_fit(cp, LossSpec(family, c_use), beta0, sigma)
+        c = select_c_grid(cp, family, beta0, sigma, grid).c_star
+    return irls_fit(cp, LossSpec(family, c), beta0, sigma)  # LossSpec checks a fixed c
 
 
 def _elemental_subsets(rng, nt, k):
@@ -173,14 +150,14 @@ def _elemental_subsets(rng, nt, k):
 
 
 def _mad_rows(betas, xdd, ydd):
-    """MAD scale of the residuals y - x beta for each row of `betas`.
-
-    All rows are scored in one (rows, cells) residual buffer, which _mad
-    overwrites.
-    """
-    resid = betas @ xdd.T
-    np.subtract(ydd, resid, out=resid)
-    return _mad(resid)
+    """MAD scale of the residuals y - x beta for each row of `betas`, scored
+    in one (rows, cells) buffer that _mad overwrites; +inf where they leave
+    the float range, so that such a row never ranks first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = betas @ xdd.T
+        np.subtract(ydd, resid, out=resid)
+        mads = _mad(resid)
+    return np.where(np.isfinite(mads), mads, np.inf)
 
 
 def high_breakdown_init(panel, seed=0):
@@ -199,47 +176,45 @@ def high_breakdown_init(panel, seed=0):
     DegenerateDesign is raised.
     """
     cp = _as_centered(panel)
-    nt = cp.y.size
-    k = cp.x.shape[2]
+    nt, k = cp.x.shape
     if nt < k + 1:
         raise DegenerateDesign("need at least K+1 observations, have %d" % nt)
-    xdd = cp.x.reshape(nt, k)
-    ydd = cp.y.ravel()
 
     rng = np.random.default_rng(seed)
     idx = _elemental_subsets(rng, nt, k)
-    a = xdd[idx]  # (HB_SUBSAMPLES, K, K)
-    b = ydd[idx]
+    a = cp.x[idx]  # (HB_SUBSAMPLES, K, K)
+    b = cp.y[idx]
     # |det a| > 1e-12 max|a|^K, compared in log space so that neither side
     # overflows or underflows when the regressors change units
     _, logdet = np.linalg.slogdet(a)
     log_scale = k * np.log(np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))
     good = logdet > np.log(1e-12) + log_scale
     if not good.any():
-        raise DegenerateDesign(
-            "all %d elemental subsets were singular" % HB_SUBSAMPLES
-        )
+        raise DegenerateDesign("all %d elemental subsets were singular" % HB_SUBSAMPLES)
     betas = np.linalg.solve(a[good], b[good][..., None])[..., 0]  # (G, K)
 
     if nt > HB_SCORE_CELLS:
         sub = rng.choice(nt, HB_SCORE_CELLS, replace=False)
-        ranked = np.argsort(_mad_rows(betas, xdd[sub], ydd[sub]), kind="stable")
+        ranked = np.argsort(_mad_rows(betas, cp.x[sub], cp.y[sub]), kind="stable")
         betas = betas[ranked[:HB_RESCORE]]
-    mads = _mad_rows(betas, xdd, ydd)
+    mads = _mad_rows(betas, cp.x, cp.y)
     best = int(np.argmin(mads))
+    if mads[best] == np.inf:
+        raise DegenerateDesign("every elemental fit has residuals past the float range")
     beta0 = betas[best]
 
     sigma = float(mads[best])
     if sigma > 0:
-        w = weight(LossSpec("tukey", TUKEY_REFERENCE_C), (ydd - xdd @ beta0) / sigma)
+        with np.errstate(over="ignore"):  # +-inf residuals get weight 0, as in irls_fit
+            w = weight(LossSpec("tukey", TUKEY_REFERENCE_C), (cp.y - cp.x @ beta0) / sigma)
         try:
-            beta0 = _weighted_solve(xdd, ydd, w)
+            beta0 = _weighted_solve(cp.x, cp.y, w)
         except SingularWeightedDesign:
             pass  # keep the unrefined elemental winner
     return beta0
 
 
-def fit_esl(panel, seed=0, c="auto"):
+def fit_esl(panel, seed=0):
     """Exponential-squared fit with data-driven constant selection.
 
     Starts from high_breakdown_init(panel, seed).  The candidate grid is
@@ -251,35 +226,28 @@ def fit_esl(panel, seed=0, c="auto"):
     standardization is fixed at 1).  The loop stops after at most
     ESL_MAX_OUTER passes, or earlier once both the coefficient change and
     the relative change in c are negligible.  The reported sigma_hat is
-    the MAD scale at which the final selection was made.  A fixed `c`
-    skips the selection step entirely.
+    the MAD scale at which the final selection was made.
     """
     cp = _as_centered(panel)
-    return _esl(cp, high_breakdown_init(cp, seed=seed), c)
+    return _esl(cp, high_breakdown_init(cp, seed=seed), "auto")
 
 
 def _esl(cp, start, c):
-    """The outer loop of fit_esl, run from the high-breakdown fit `start`."""
-    if c != "auto" and not float(c) > 0:
-        raise ValueError("fixed c must be positive")
+    """The outer loop of fit_esl, run from the high-breakdown fit `start`;
+    a fixed `c` (from fit_estimator) skips the selection step entirely."""
     beta = start
-    sigma_mad = mad_scale((cp.y - cp.x @ beta).ravel()).value
-    grid = default_esl_grid(sigma_mad)
-
+    if c == "auto":
+        grid = default_esl_grid(mad_scale(cp.y - cp.x @ beta).value)
     prev_c = None
     total_iters = 0
-    inner_converged = False
     outer_converged = False
-    c_sel = None
-    fit = None
     for _ in range(ESL_MAX_OUTER):
         if c == "auto":
             state = esl_select_c(cp, beta, grid)
-            c_sel = state.c_selected
-            sigma_mad = state.sigma_mad
+            c_sel, sigma_mad = state.c_selected, state.sigma_mad
         else:
-            c_sel = float(c)
-            sigma_mad = mad_scale((cp.y - cp.x @ beta).ravel()).value
+            c_sel = float(c)  # LossSpec rejects one that is not positive
+            sigma_mad = mad_scale(cp.y - cp.x @ beta).value
         fit = irls_fit(cp, LossSpec("esl", c_sel), beta, 1.0)
         total_iters += fit.iterations
         inner_converged = fit.converged
@@ -325,10 +293,8 @@ def sandwich_se(panel, fit, spec):
     sigma = 1.0 if fit.estimator == "esl" else fit.sigma_hat
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    nt = cp.y.size
-    k = cp.x.shape[2]
-    xdd = cp.x.reshape(nt, k)
-    e = (cp.y - cp.x @ fit.beta).ravel() / sigma
+    with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in irls_fit
+        e = (cp.y - cp.x @ fit.beta) / sigma
 
     psi_sq_mean = float(np.mean(psi(spec, e) ** 2))
     psi_prime_mean = float(np.mean(psi_prime(spec, e)))
@@ -337,10 +303,12 @@ def sandwich_se(panel, fit, spec):
             "mean psi' = %g is not positive; the curvature condition "
             "E[psi'] > 0 fails at this fit" % psi_prime_mean
         )
-    cross = xdd.T @ xdd
-    cov = (psi_sq_mean / psi_prime_mean**2) * sigma**2 * np.linalg.inv(cross)
-    cov = 0.5 * (cov + cov.T)
-    return SandwichCovariance(cov)
+
+    def cov():
+        m = psi_sq_mean / psi_prime_mean**2 * sigma**2 * np.linalg.inv(cp.x.T @ cp.x)
+        return 0.5 * (m + m.T)
+
+    return SandwichCovariance(_in_float_range(cov, "sandwich covariances"))
 
 
 def _fit(cp, names, c, seed):

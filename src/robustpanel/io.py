@@ -31,13 +31,6 @@ from .panel import ESTIMATOR_NAMES, PanelData
 from .simulation import CONTAMINATION_KINDS, ERROR_DISTS, block_length
 
 
-def _detect_k(header):
-    k = 0
-    while "x%d" % (k + 1) in header:
-        k += 1
-    return k
-
-
 def read_panel_csv(path):
     """Read a balanced panel from ``unit,time,y,x1..xK`` CSV.
 
@@ -65,7 +58,9 @@ def _parse_panel(reader, path):
     for required in ("unit", "time", "y"):
         if required not in header:
             raise MissingColumn("missing required column %r" % (required,))
-    k = _detect_k(header)
+    k = 0  # regressors x1..xK, K the first gap
+    while "x%d" % (k + 1) in header:
+        k += 1
     if k == 0:
         raise MissingColumn("missing required column 'x1' (need at least one regressor)")
     names = ["unit", "time", "y"] + ["x%d" % (j + 1) for j in range(k)]
@@ -329,8 +324,7 @@ def fit_report_json(fit):
 
 def write_weights_csv(panel, fit, path):
     """Per-observation weights of a fit; LS is unweighted, so all ones."""
-    n, t = panel.y.shape
-    w = fit.weights if fit.weights is not None else np.ones((n, t))
+    w = fit.weights if fit.weights is not None else np.ones(panel.y.shape)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["unit", "time", "weight"])

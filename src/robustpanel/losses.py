@@ -75,6 +75,24 @@ def _apply(kernel, spec, u):
 # The formulas, once each.  `c` is a float or an array that broadcasts
 # against u (a column of grid points gives one row per constant); the
 # tuning searches call these directly, the public views through _apply.
+# The redescenders work from |u| clamped where every view has reached its
+# limit, so no residual (even an infinite one) or constant overflows.  The
+# clamp is set by the largest c, one pass over u: (u / c)^2 is exact to
+# |u| = 2 max(c) and >= 4 beyond, where tukey is flat (|u| / c is |u / c| bit
+# for bit); u^2 / c is exact to |u| = 28 sqrt(max(c)) and >= 784 beyond, where
+# exp(-u^2 / c) is 0.  Each returns the clamped |u| and that square.
+
+
+def _tukey_v(c, u):
+    top = c.max() if isinstance(c, np.ndarray) else c
+    a = np.minimum(np.abs(u), top + top)
+    return a, (a / c) ** 2
+
+
+def _esl_v(c, u):
+    top = c.max() if isinstance(c, np.ndarray) else c
+    a = np.minimum(np.abs(u), 28.0 * np.sqrt(top))
+    return a, a * a / c
 
 
 def _rho(family, c, u):
@@ -82,27 +100,28 @@ def _rho(family, c, u):
         a = np.abs(u)
         return np.where(a <= c, 0.5 * u * u, c * a - 0.5 * c * c)
     if family == TUKEY:
-        v = np.minimum((u / c) ** 2, 1.0)
+        v = np.minimum(_tukey_v(c, u)[1], 1.0)
         return 1.0 - (1.0 - v) ** 3
-    return 1.0 - np.exp(-u * u / c)
+    return 1.0 - np.exp(-_esl_v(c, u)[1])
 
 
 def _psi(family, c, u):
     if family == HUBER:
         return np.clip(u, -c, c)
     if family == TUKEY:
-        v = (u / c) ** 2
-        return np.where(v <= 1.0, u * (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
-    return u * np.exp(-u * u / c)
+        a, v = _tukey_v(c, u)
+        return np.where(v <= 1.0, np.copysign(a, u) * (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
+    a, v = _esl_v(c, u)
+    return np.copysign(a, u) * np.exp(-v)
 
 
 def _psi_prime(family, c, u):
     if family == HUBER:
         return (np.abs(u) <= c).astype(float)
     if family == TUKEY:
-        v = (u / c) ** 2
+        v = _tukey_v(c, u)[1]
         return np.where(v <= 1.0, (1.0 - v) * (1.0 - 5.0 * v), 0.0)
-    v = u * u / c
+    v = _esl_v(c, u)[1]
     return np.exp(-v) * (1.0 - 2.0 * v)
 
 
@@ -110,9 +129,9 @@ def _weight(family, c, u):
     if family == HUBER:
         return c / np.maximum(np.abs(u), c)
     if family == TUKEY:
-        v = (u / c) ** 2
+        v = _tukey_v(c, u)[1]
         return np.where(v <= 1.0, (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
-    return np.exp(-u * u / c)
+    return np.exp(-_esl_v(c, u)[1])
 
 
 def rho(spec: LossSpec, u):

@@ -16,8 +16,8 @@ from .errors import DegeneratePanel, SingularDesign
 ESTIMATOR_NAMES = ("ls", "huber", "tukey", "esl")
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype, order="C")
+def _frozen_array(a) -> np.ndarray:
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -95,26 +95,21 @@ class PanelData:
 
 @dataclass(frozen=True)
 class CenteredPanel:
-    """Within-transformed panel: each unit's time means subtracted."""
+    """Within-transformed panel, stacked as the regression design.
 
-    y: np.ndarray  # (N, T) centered
-    x: np.ndarray  # (N, T, K) centered
+    ``y`` is the (NT,) centered response and ``x`` the (NT, K) centered
+    design, unit-major: cell i * T + s is unit i in period s.  ``shape`` is
+    the panel's (N, T), which only the degrees of freedom of within LS and
+    the (N, T) weights of a fit need.
+    """
+
+    y: np.ndarray
+    x: np.ndarray
+    shape: tuple
 
     def __post_init__(self):
         for name in ("y", "x"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    @property
-    def n_units(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def n_periods(self) -> int:
-        return self.y.shape[1]
-
-    @property
-    def n_regressors(self) -> int:
-        return self.x.shape[2]
 
 
 @dataclass(frozen=True)
@@ -153,36 +148,34 @@ class FitResult:
 
 
 def within_transform(panel: PanelData) -> CenteredPanel:
-    """Subtract per-unit time means from y and x.
+    """Subtract per-unit time means from y and x, stacked unit-major.
 
     Raises DegeneratePanel, naming the column, when the sum of squares of a
-    centered column is not finite: every fit squares these values, and
-    past about 1e154 they overflow.
+    centered column is not finite, or, for a regressor that is not all
+    zero, below the normal float range: every fit squares these values,
+    and past about 1e154 they overflow, below about 1e-154 they underflow.
     """
+    n, t, k = panel.x.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        y = panel.y - panel.y.mean(axis=1)[:, None]
-        x = panel.x - panel.x.mean(axis=1)[:, None, :]
-        # squares are >= 0, so the total is finite exactly when every column's is
-        if not np.isfinite(y.ravel() @ y.ravel() + x.ravel() @ x.ravel()):
-            sums = np.append(y.ravel() @ y.ravel(), np.einsum("ntk,ntk->k", x, x))
-            j = int(np.argmin(np.isfinite(sums)))
-            name = f"x{j}" if j else "y"
-            raise DegeneratePanel(
-                f"centered {name} has a non-finite sum of squares; "
-                f"rescale the column (its values are too large to square)"
-            )
-    return CenteredPanel(y=y, x=x)
+        y = (panel.y - panel.y.mean(axis=1)[:, None]).reshape(n * t)
+        x = (panel.x - panel.x.mean(axis=1)[:, None, :]).reshape(n * t, k)
+        sums = np.append(y @ y, np.einsum("ik,ik->k", x, x))
+    too_small = np.append(False, (sums[1:] < np.finfo(float).tiny) & x.any(axis=0))
+    bad = ~np.isfinite(sums) | too_small
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise DegeneratePanel(
+            f"centered {f'x{j}' if j else 'y'} has a sum of squares outside the float range; "
+            f"rescale the column (its values are too {'small' if too_small[j] else 'large'} "
+            f"to square)"
+        )
+    return CenteredPanel(y=y, x=x, shape=(n, t))
 
 
 def _as_centered(panel) -> CenteredPanel:
     if isinstance(panel, CenteredPanel):
         return panel
     return within_transform(panel)
-
-
-def _stacked(cp: CenteredPanel):
-    n, t, k = cp.x.shape
-    return cp.x.reshape(n * t, k), cp.y.ravel()
 
 
 def _solve_ls(xmat: np.ndarray, yvec: np.ndarray) -> np.ndarray:
@@ -201,6 +194,20 @@ def _solve_ls(xmat: np.ndarray, yvec: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _in_float_range(compute, what: str) -> np.ndarray:
+    """compute(), a term built on (X'X)^{-1}, or SingularDesign when X'X (which
+    squares X's condition number) is singular in floats or a value overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            values = compute()
+        except (np.linalg.LinAlgError, ArithmeticError):  # the latter from float ** 2 or /
+            values = np.nan
+    if not np.all(np.isfinite(values)):
+        raise SingularDesign(f"{what} of the centered design leave the float range; "
+                             f"rescale the regressors or drop a collinear one")
+    return values
+
+
 def within_ls(panel: PanelData | CenteredPanel) -> FitResult:
     """Within-group least squares: beta = (sum xdd xdd')^-1 (sum xdd ydd).
 
@@ -209,18 +216,17 @@ def within_ls(panel: PanelData | CenteredPanel) -> FitResult:
     sigma_hat * sqrt(diag((sum xdd xdd')^-1)).
     """
     cp = _as_centered(panel)
-    n, t, k = cp.x.shape
-    xmat, yvec = _stacked(cp)
-    beta = _solve_ls(xmat, yvec)
-    resid = yvec - xmat @ beta
+    (n, t), k = cp.shape, cp.x.shape[1]
+    beta = _solve_ls(cp.x, cp.y)
+    resid = cp.y - cp.x @ beta
     dof = n * t - n - k
     if dof <= 0:
         raise DegeneratePanel(
             f"no residual degrees of freedom: NT - N - K = {dof} (N={n}, T={t}, K={k})"
         )
     sigma = float(np.sqrt(resid @ resid / dof))
-    xtx_inv = np.linalg.inv(xmat.T @ xmat)
-    se = sigma * np.sqrt(np.diag(xtx_inv))
+    se = _in_float_range(lambda: sigma * np.sqrt(np.diag(np.linalg.inv(cp.x.T @ cp.x))),
+                         "standard errors")
     return FitResult(
         estimator="ls",
         beta=beta,

@@ -115,8 +115,9 @@ def gen_panel(config):
     x = _draw_x(rng, n, t, beta.size)
     eta = rng.uniform(0.0, 12.0, n)
     eps = _draw_errors(rng, config.error_dist, (n, t))
-    alpha = (x @ gamma).sum(axis=1) / math.sqrt(t) + eta
-    y = x @ beta + alpha[:, None] + eps
+    with np.errstate(over="ignore", invalid="ignore"):  # PanelData names a non-finite y
+        alpha = (x @ gamma).sum(axis=1) / math.sqrt(t) + eta
+        y = x @ beta + alpha[:, None] + eps
     return PanelData(y, x)
 
 
@@ -143,7 +144,8 @@ def gen_holdout_panel(config, n_test, seed):
     z = _draw_x(rng, n_test, t, gamma.size)
     eta = rng.uniform(0.0, 12.0, (n_test, t))
     eps = _draw_errors(rng, config.error_dist, (n_test, t))
-    y = x @ beta + (z @ gamma + eta) + eps
+    with np.errstate(over="ignore", invalid="ignore"):  # PanelData names a non-finite y
+        y = x @ beta + (z @ gamma + eta) + eps
     return PanelData(y, x)
 
 
@@ -193,18 +195,35 @@ def contaminate(panel, scheme):
     return PanelData(y, x, unit_labels=panel.unit_labels, period_labels=panel.period_labels)
 
 
+def _means(samples):
+    return {name: float(np.mean(v)) if v.size else float("nan") for name, v in samples.items()}
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """Replication study results for one ( dgp, scheme, estimators ) cell."""
 
     se_samples: dict  # estimator -> array of ||beta_hat - beta||^2, successes only
-    mse: dict  # estimator -> mean of se_samples
     n_nonconverged: dict  # estimator -> successes whose fit reported converged=False
-    n_failed: int
     failures: tuple  # (replication index, message) pairs
-    degraded: bool
     rmse_samples: dict = None
-    rmse: dict = None
+
+    @property
+    def mse(self):  # estimator -> mean of se_samples, nan when every replication failed
+        return _means(self.se_samples)
+
+    @property
+    def rmse(self):  # estimator -> mean of rmse_samples; None without a prediction study
+        return None if self.rmse_samples is None else _means(self.rmse_samples)
+
+    @property
+    def n_failed(self):
+        return len(self.failures)
+
+    @property
+    def degraded(self):  # more than 5% of the replications failed
+        successes = len(next(iter(self.se_samples.values())))  # one sample per estimator each
+        return self.n_failed > 0.05 * (self.n_failed + successes)
 
 
 def _seeds(master_seed, key, n=1):
@@ -236,27 +255,20 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
             failures.append((s, "%s: %s" % (type(err).__name__, err)))
             continue
         for name in names:
-            se[name].append(float(np.sum((fits[name].beta - beta_true) ** 2)))
             nonconverged[name] += not fits[name].converged
-            if n_test:
-                yhat = predict(test_panel, fits[name].beta)
-                rmse[name].append(
-                    float(np.sqrt(np.sum((test_panel.y - yhat) ** 2) / test_panel.y.size))
-                )
-    n_failed = len(failures)
-    report = SimulationReport(
+            with np.errstate(over="ignore"):  # an error past the float range is inf
+                se[name].append(float(np.sum((fits[name].beta - beta_true) ** 2)))
+                if n_test:
+                    yhat = predict(test_panel, fits[name].beta)
+                    rmse[name].append(
+                        float(np.sqrt(np.sum((test_panel.y - yhat) ** 2) / test_panel.y.size))
+                    )
+    return SimulationReport(
         se_samples={name: np.asarray(v) for name, v in se.items()},
-        mse={name: float(np.mean(v)) if v else float("nan") for name, v in se.items()},
         n_nonconverged=nonconverged,
-        n_failed=n_failed,
         failures=tuple(failures),
-        degraded=n_failed > 0.05 * s_total,
-        rmse_samples={n_: np.asarray(v) for n_, v in rmse.items()} if n_test else None,
-        rmse={n_: float(np.mean(v)) if v else float("nan") for n_, v in rmse.items()}
-        if n_test
-        else None,
+        rmse_samples={name: np.asarray(v) for name, v in rmse.items()} if n_test else None,
     )
-    return report
 
 
 def run_mc(dgp, scheme, estimators, s_total, master_seed):

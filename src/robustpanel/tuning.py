@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoValidTuning
+from .errors import NoValidTuning, ZeroScale
 from .losses import ESL, LossSpec, _psi, _psi_prime, _rho
 from .panel import _as_centered
 from .scale import _mad
@@ -42,11 +42,16 @@ def default_esl_grid(sigma_mad):
     """50 log-spaced candidates spanning [0.1, 100] times sigma_mad^2.
 
     The constant enters the exponential-squared loss as exp(-e^2 / c), so
-    candidates must live on the squared scale of the residuals.
+    candidates must live on the squared scale of the residuals.  Raises
+    ZeroScale when the smallest candidate underflows to zero.
     """
     if not sigma_mad > 0:
         raise ValueError("sigma_mad must be positive")
     s2 = float(sigma_mad) ** 2
+    if not 0.1 * s2 > 0.0:
+        raise ZeroScale(
+            "MAD scale %g of the residuals is too small to square; rescale y" % sigma_mad
+        )
     return np.geomspace(0.1 * s2, 100.0 * s2, 50)
 
 
@@ -115,8 +120,8 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     cp = _as_centered(panel)
-    beta_current = np.asarray(beta_current, dtype=float)
-    e = ((cp.y - cp.x @ beta_current) / sigma).ravel()
+    with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in irls_fit
+        e = (cp.y - cp.x @ np.asarray(beta_current, dtype=float)) / sigma
 
     grid = np.asarray(grid, dtype=float)
     tau, defined = _tau_grid(e, family, grid)
@@ -132,17 +137,11 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
 
 
 def pseudo_outlier_set(residuals, sigma_mad):
-    """Cells whose absolute residual reaches 2.5 * sigma_mad.
-
-    `residuals` is the (N, T) residual matrix; returns the boolean (N, T)
-    mask of flagged cells.
-    """
+    """Cells whose absolute residual reaches 2.5 * sigma_mad: a boolean
+    mask of the shape of `residuals`."""
     if not sigma_mad > 0:
         raise ValueError("sigma_mad must be positive")
-    r = np.asarray(residuals, dtype=float)
-    if r.ndim != 2:
-        raise ValueError("residuals must be an (N, T) matrix")
-    return np.abs(r) >= 2.5 * sigma_mad
+    return np.abs(np.asarray(residuals, dtype=float)) >= 2.5 * sigma_mad
 
 
 def _xi_grid(residuals_good, m, nt, grid):
@@ -202,22 +201,27 @@ def _esl_sandwich(xdd, e, grid):
     kappa = np.empty(grid.size)
     mean_scores = np.empty((grid.size, k))
     s = np.empty((grid.size, k * k))
-    for rows in _row_blocks(grid.size, nt):
-        c = grid[rows, None]
-        kappa[rows] = np.mean(_psi_prime(ESL, c, e), axis=1)
-        p = _psi(ESL, c, e)
-        mean_scores[rows] = p @ xdd / nt
-        np.square(p, out=p)
-        s[rows] = p @ outer / nt
-    s = s.reshape(-1, k, k)
-    s -= mean_scores[:, :, None] * mean_scores[:, None, :]
+    # psi^2 x x' can pass the float range where x x' does not; such an S(c)
+    # leaves the float range and its c counts as undefined
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(grid.size, nt):
+            c = grid[rows, None]
+            kappa[rows] = np.mean(_psi_prime(ESL, c, e), axis=1)
+            p = _psi(ESL, c, e)
+            mean_scores[rows] = p @ xdd / nt
+            np.square(p, out=p)
+            s[rows] = p @ outer / nt
+        s = s.reshape(-1, k, k)
+        s -= mean_scores[:, :, None] * mean_scores[:, None, :]
+    in_range = np.isfinite(s).all(axis=(1, 2))
+    s[~in_range] = 0.0  # keeps slogdet quiet; those c are undefined anyway
 
     _, log_det_m = np.linalg.slogdet(cross)
     trace_scale = np.trace(cross) / k
     sign_s, log_det_s = np.linalg.slogdet(s)
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where kappa or M vanish
         log_abs_kappa = np.log(np.abs(kappa))
-        defined = (trace_scale > 0.0) & (
+        defined = in_range & (trace_scale > 0.0) & (
             k * log_abs_kappa + log_det_m >= np.log(1e-12) + k * np.log(trace_scale))
         log_det_v = np.where(sign_s > 0, log_det_s - 2.0 * (log_det_m + k * log_abs_kappa),
                              -np.inf)
@@ -233,12 +237,10 @@ def esl_cov(panel, beta0, c):
     """
     cp = _as_centered(panel)
     beta0 = np.asarray(beta0, dtype=float)
-    k = cp.x.shape[2]
-    e = (cp.y - cp.x @ beta0).ravel()
-    kappa, cross, s, _, defined = _esl_sandwich(cp.x.reshape(e.size, k), e,
+    kappa, cross, s, _, defined = _esl_sandwich(cp.x, cp.y - cp.x @ beta0,
                                                 np.array([float(c)]))
     if not defined[0]:
-        return np.full((k, k), np.nan), False
+        return np.full(cross.shape, np.nan), False
     inv = np.linalg.inv(cross)
     return inv @ s[0] @ inv / kappa[0] ** 2, True
 
@@ -269,20 +271,16 @@ def esl_select_c(panel, beta0, grid):
     cp = _as_centered(panel)
     beta0 = np.asarray(beta0, dtype=float)
     resid = cp.y - cp.x @ beta0
-    flat = resid.ravel()
-    nt = flat.size
+    nt = resid.size
 
-    sigma_mad = float(_mad(flat.copy()))
-    if sigma_mad > 0:
-        flagged = pseudo_outlier_set(resid, sigma_mad)
-    else:
-        flagged = np.zeros(resid.shape, dtype=bool)
+    sigma_mad = float(_mad(resid.copy()))
+    flagged = pseudo_outlier_set(resid, sigma_mad) if sigma_mad > 0 else np.zeros(nt, bool)
     m = int(flagged.sum())
     good = resid[~flagged]
 
     grid = np.asarray(grid, dtype=float)
     xi_vals = _xi_grid(good, m, nt, grid)
-    _, _, _, log_det_v, defined = _esl_sandwich(cp.x.reshape(nt, -1), flat, grid)
+    _, _, _, log_det_v, defined = _esl_sandwich(cp.x, resid, grid)
     feasible = (xi_vals > 0.0) & (xi_vals <= 1.0) & defined
     detv = np.where(feasible, log_det_v, np.nan)
     if not feasible.any():

@@ -1,16 +1,39 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from robustpanel import cli
 from robustpanel.io import write_panel_csv
-from robustpanel.panel import PanelData
-from robustpanel.simulation import ContaminationScheme, DgpConfig, contaminate, gen_panel
+from robustpanel.panel import ESTIMATOR_NAMES, PanelData
+from robustpanel.simulation import (
+    CONTAMINATION_KINDS,
+    ContaminationScheme,
+    DgpConfig,
+    contaminate,
+    gen_panel,
+)
 
 from conftest import synth_panel
+
+# A numpy warning printed by the CLI breaks its one-line stderr contract;
+# pytest's own warning capture would otherwise keep it out of capsys.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+OK_CSV = "unit,time,y,x1\na,1,1,1\na,2,2,3\nb,1,3,2\nb,2,5,7\n"
+# MAD scale about 5e-301: its square underflows to 0
+TINY_CSV = ("unit,time,y,x1\na,1,1e-300,1\na,2,-1e-300,3\nb,1,3e-300,2\nb,2,5e-300,7\n"
+            "c,1,1e-300,0\nc,2,2e-300,1\n")
+# residuals near 1e150: tukey's psi' multiplied two factors near 1e300
+HUGE_Y_CSV = ("unit,time,y,x1\na,1,1e150,1\na,2,-1e150,3\nb,1,3,2\nb,2,5,7\n"
+              "c,1,1,0\nc,2,2,1\n")
 
 
 @pytest.fixture
@@ -110,6 +133,17 @@ class TestFitCommand:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ok.csv"
+        path.write_text(OK_CSV)
+        code, _, err = run(
+            ["fit", "--input", str(path), "--estimator", "tukey", "--seed", "-1",
+             "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: --seed") and err.count("\n") == 1
+
     def test_non_numeric_c_is_usage_error(self, panel_csv, tmp_path, capsys):
         code, _, err = run(
             ["fit", "--input", panel_csv, "--estimator", "huber",
@@ -176,6 +210,7 @@ class TestFitCommand:
         ("bom_header", "tukey", 0),
         ("duplicated_header", "ls", 2),
         ("latin1_label", "ls", 2),
+        ("tiny_scale", "esl", 3),
     ])
     def test_input_faults_exit_with_one_error_line(self, tmp_path, capsys, case, estimator,
                                                    code):
@@ -183,6 +218,8 @@ class TestFitCommand:
         if case == "overflow":  # centered x1 squares past the float range
             p = synth_panel(n=30, t=4, k=1, seed=5)
             write_panel_csv(PanelData(p.y, 1e200 * p.x), str(path))
+        elif case == "tiny_scale":
+            path.write_text(TINY_CSV)
         else:
             write_panel_csv(synth_panel(n=30, t=4, seed=5), str(path))
             text = path.read_text(encoding="utf-8")
@@ -202,8 +239,9 @@ class TestFitCommand:
         assert code_seen == code
         if code:
             assert err.startswith("error:") and err.count("\n") == 1
-            # the column at fault is named, or the file that is not UTF-8
-            assert ("panel.csv is not UTF-8" if case == "latin1_label" else "x1") in err
+            # the column at fault is named, the file that is not UTF-8, or the scale
+            assert {"latin1_label": "panel.csv is not UTF-8",
+                    "tiny_scale": "ZeroScale"}.get(case, "x1") in err
         else:
             assert err == ""
 
@@ -412,3 +450,148 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+# The CLI contract over arbitrary input: exit code 0, 1, 2 or 3, and stderr
+# empty or exactly one `error:` line.  "{csv}", "{config}", "{out}" and
+# "{dir}" in an argument list stand for paths in a fresh directory.
+
+NUMBERS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda magnitude, negative: -magnitude if negative else magnitude,
+              st.floats(1e-300, 1e300), st.booleans()),
+)
+# one power of ten per CSV column, so that a column can sit anywhere in
+# 1e-300..1e300 and still pass the within transform
+SCALES = st.one_of(st.just(1.0), st.integers(-300, 300).map(lambda e: float("1e%d" % e)))
+# mostly valid, so that most configs reach a study
+SIZES = st.sampled_from([2, 3, 4] * 8 + [0, 1, -2, 2.5, "3", True, None])
+
+
+@st.composite
+def csv_texts(draw):
+    n, t, k = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    rows = [["unit", "time", "y"] + ["x%d" % (j + 1) for j in range(k)]]
+    scales = [draw(SCALES) for _ in range(k + 1)]
+    rows += [["u%d" % i, str(s)] + [repr(draw(st.integers(-9, 9)) * v) for v in scales]
+             for i in range(n) for s in range(t)]
+    fault = draw(st.sampled_from([None] * 4 + ["outlier", "outlier", "cell", "drop", "repeat"]))
+    j = draw(st.integers(1, len(rows) - 1))
+    if fault == "outlier":
+        rows[j][draw(st.integers(2, k + 2))] = repr(draw(NUMBERS))
+    elif fault == "cell":
+        rows[j][draw(st.integers(2, k + 2))] = draw(st.sampled_from(["", "nan", "inf", "x"]))
+    elif fault == "drop":
+        del rows[j]
+    elif fault == "repeat":
+        rows.append(rows[j])
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def configs(draw):
+    k = draw(st.integers(1, 2))
+    coefficients = st.lists(st.one_of(st.integers(-3, 3), NUMBERS), min_size=k, max_size=k)
+    config = {
+        "estimators": draw(st.lists(st.sampled_from(ESTIMATOR_NAMES), min_size=1, max_size=2,
+                                    unique=True)),
+        "s": draw(st.sampled_from([1, 2] * 4 + [0, 1.5, "1"])),
+        "master_seed": draw(st.one_of(st.integers(0, 2**70), st.integers(0, 2**70),
+                                      st.just(-1), NUMBERS)),
+        "beta": draw(coefficients),
+        "gamma": draw(coefficients),
+    }
+    section = draw(st.sampled_from(["outlier_study", "consistency_study", "error_dist_study"]))
+    if section == "outlier_study":
+        config[section] = {
+            "n_units": draw(SIZES), "n_periods": draw(SIZES), "n_test": draw(SIZES),
+            "kinds": draw(st.lists(st.sampled_from(CONTAMINATION_KINDS), min_size=1,
+                                   max_size=2, unique=True)),
+            "m_levels": draw(st.lists(st.integers(-1, 6), min_size=1, max_size=2)),
+        }
+    elif section == "consistency_study":
+        config[section] = {"n_values": [draw(SIZES)], "t_fixed": draw(SIZES),
+                           "t_values": [draw(SIZES)], "n_fixed": draw(SIZES)}
+    else:
+        config[section] = {"pairs": [[draw(SIZES), draw(SIZES)]]}
+    return json.dumps(config)
+
+
+@st.composite
+def fit_argvs(draw):
+    argv = ["fit", "--input", "{csv}", "--out", "{out}",
+            "--estimator", draw(st.sampled_from(ESTIMATOR_NAMES * 3 + ("lasso",)))]
+    if draw(st.sampled_from([False, False, True])):
+        argv += ["--c", draw(st.one_of(st.just("auto"), NUMBERS.map(repr), st.just("lots")))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-3, 2**70)))]
+    return argv
+
+
+SIMULATE = ["simulate", "--config", "{config}", "--out-dir", "{dir}"]
+ARGVS = st.one_of(
+    fit_argvs(),
+    st.just(SIMULATE),
+    st.lists(st.sampled_from(["fit", "simulate", "--input", "{csv}", "--config", "{config}",
+                              "--out", "{out}", "--out-dir", "{dir}", "--estimator", "esl",
+                              "--c", "--seed", "-1", "--help", "--bogus"]), max_size=8),
+)
+
+
+# every cell 0 but y of (u0, 2) and x1 of (u1, 2)
+ONE_CELL_CSV = ("unit,time,y,x1\nu0,0,0,0\nu0,1,0,0\nu0,2,%r,0\n"
+                "u1,0,0,0\nu1,1,0,0\nu1,2,0,%r\n")
+
+
+def fit_case(csv_text, *options):
+    return {"argv": ["fit", "--input", "{csv}", "--out", "{out}", *options],
+            "csv_text": csv_text, "config_text": "{}"}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=ARGVS, csv_text=csv_texts(), config_text=configs())
+@example(**fit_case(OK_CSV, "--estimator", "tukey", "--seed", "-1"))
+@example(**fit_case(TINY_CSV, "--estimator", "esl"))
+@example(**fit_case(HUGE_Y_CSV, "--estimator", "tukey"))
+@example(**fit_case(OK_CSV, "--estimator", "tukey", "--c", "1e-300"))
+@example(**fit_case(OK_CSV, "--estimator", "esl", "--c", "1e-320"))
+# found by this test: a regressor whose squares underflow, and one so small
+# next to y that the covariance overflows
+@example(**fit_case(ONE_CELL_CSV % (0.0, 1e-162), "--estimator", "ls"))
+@example(**fit_case(ONE_CELL_CSV % (0.0, 1e-155), "--estimator", "ls"))
+@example(**fit_case(ONE_CELL_CSV % (1000.0, 1e-153), "--estimator", "huber"))
+# one outlier about 1e310 MAD scales away: its standardized residual overflows
+@example(**fit_case(TINY_CSV.replace("2e-300", "2e10") + "d,1,1e-300,5\nd,2,3e-300,1\n",
+                    "--estimator", "tukey"))
+# elemental fits of about 1e308 whose residuals overflow
+@example(**fit_case("unit,time,y,x1\nu0,0,0,0\nu0,1,0,0\nu0,2,0,1\nu1,0,0,6.2e-265\n"
+                    "u1,1,0,0\nu1,2,1e44,0\n", "--estimator", "huber"))
+# psi^2 x x' overflows in the esl covariance although x x' does not
+@example(**fit_case("unit,time,y,x1\nu0,0,0,0\nu0,1,0,0\nu0,2,0,-1e153\n"
+                    "u1,0,20,0\nu1,1,0,0\nu1,2,-10,2e153\n", "--estimator", "esl"))
+# found by this test: squared errors, and the generated y, past the float range
+@example(argv=SIMULATE, csv_text=OK_CSV, config_text=json.dumps(dict(
+    TINY_CONFIG, beta=[1.3407807929942597e154], gamma=[0.0])))
+@example(argv=SIMULATE, csv_text=OK_CSV, config_text=json.dumps(dict(
+    TINY_CONFIG, beta=[0.0], gamma=[9.950460369874228e153])))
+@example(argv=SIMULATE, csv_text=OK_CSV, config_text=json.dumps(dict(
+    TINY_CONFIG, beta=[1e308], gamma=[1e308])))
+def test_any_input_keeps_the_exit_contract(argv, csv_text, config_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name.strip("{}"))
+                 for name in ("{csv}", "{config}", "{out}", "{dir}")}
+        with open(paths["{csv}"], "w") as fh:
+            fh.write(csv_text)
+        with open(paths["{config}"], "w") as fh:
+            fh.write(config_text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = cli.main([paths.get(a, a) for a in argv])
+            except SystemExit as done:  # --help prints usage and exits 0
+                code = done.code
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

@@ -285,7 +285,7 @@ class TestFitEsl:
 
     def test_fixed_c_skips_selection(self):
         p = synth_panel(n=30, t=3, k=2, seed=35)
-        fit = fit_esl(p, seed=1, c=25.0)
+        fit = fit_estimator(p, "esl", c=25.0, seed=1)
         assert fit.c_selected == 25.0
         assert fit.converged
 

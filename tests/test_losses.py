@@ -133,6 +133,43 @@ def test_pointwise_properties(u, c, family):
         assert r <= 1.0
 
 
+def closed_forms(family, c, u):
+    """rho, psi, psi', weight of a redescender as first written, squaring u
+    without a clamp, so they overflow far out."""
+    u = np.asarray(u)
+    if family == "tukey":
+        v = (u / c) ** 2
+        inside = v <= 1.0
+        return (1.0 - (1.0 - np.minimum(v, 1.0)) ** 3,
+                np.where(inside, u * (1.0 - np.minimum(v, 1.0)) ** 2, 0.0),
+                np.where(inside, (1.0 - v) * (1.0 - 5.0 * v), 0.0),
+                np.where(inside, (1.0 - np.minimum(v, 1.0)) ** 2, 0.0))
+    v = u * u / c
+    return 1.0 - np.exp(-v), u * np.exp(-v), np.exp(-v) * (1.0 - 2.0 * v), np.exp(-v)
+
+
+MAGNITUDES = st.builds(lambda m, negative: -m if negative else m,
+                       st.floats(1e-300, 1e300), st.booleans())
+
+
+@given(u=st.one_of(st.sampled_from([0.0, np.inf, -np.inf]), MAGNITUDES),
+       c=st.floats(1e-300, 1e300),
+       family=st.sampled_from(["tukey", "esl"]))
+@settings(max_examples=300, deadline=None)
+def test_redescenders_reach_their_limits_without_overflow(u, c, family):
+    spec = LossSpec(family, c)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        views = (rho(spec, u), psi(spec, u), psi_prime(spec, u), weight(spec, u))
+    assert np.all(np.isfinite(views))
+    if abs(u) > (c if family == "tukey" else 28.0 * np.sqrt(c)):
+        assert views == (1.0, 0.0, 0.0, 0.0)
+    with np.errstate(all="ignore"):
+        reference = closed_forms(family, c, u)
+    for view, ref in zip(views, reference):
+        if np.isfinite(ref):  # bit for bit wherever the unclamped form is finite
+            assert np.float64(view).tobytes() == np.float64(ref).tobytes()
+
+
 @given(c=st.floats(0.05, 200.0, allow_nan=False))
 @settings(max_examples=100, deadline=None)
 def test_huber_rho_monotone_in_abs_u(c):

@@ -65,28 +65,41 @@ class TestWithinTransform:
         y = np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])
         x = np.ones((2, 3, 1))
         cp = within_transform(PanelData(y, x))
-        assert_allclose(cp.y[0], 0.0, atol=1e-15)
-        assert_allclose(cp.y[1], [-1.0, 0.0, 1.0], atol=1e-15)
+        yc = cp.y.reshape(cp.shape)
+        assert_allclose(yc[0], 0.0, atol=1e-15)
+        assert_allclose(yc[1], [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_hand_example(self, hand_panel):
         cp = within_transform(hand_panel)
-        assert_allclose(cp.y, [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-15)
-        assert_allclose(cp.x[:, :, 0], [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-15)
+        assert cp.shape == (2, 2) and cp.y.shape == (4,) and cp.x.shape == (4, 1)
+        yc, xc = cp.y.reshape(cp.shape), cp.x.reshape(cp.shape + (1,))
+        assert_allclose(yc, [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-15)
+        assert_allclose(xc[:, :, 0], [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-15)
         # the removed unit means
-        assert_allclose(hand_panel.y - cp.y, [[1.0, 1.0], [12.0, 12.0]], atol=1e-15)
-        assert_allclose(hand_panel.x[:, :, 0] - cp.x[:, :, 0], [[1.0, 1.0], [2.0, 2.0]],
+        assert_allclose(hand_panel.y - yc, [[1.0, 1.0], [12.0, 12.0]], atol=1e-15)
+        assert_allclose(hand_panel.x[:, :, 0] - xc[:, :, 0], [[1.0, 1.0], [2.0, 2.0]],
                         atol=1e-15)
 
     def test_unit_sums_vanish(self, noisy_panel):
         cp = within_transform(noisy_panel)
-        assert np.abs(cp.y.sum(axis=1)).max() < 1e-10
-        assert np.abs(cp.x.sum(axis=1)).max() < 1e-10
+        assert np.abs(cp.y.reshape(cp.shape).sum(axis=1)).max() < 1e-10
+        assert np.abs(cp.x.reshape(cp.shape + (-1,)).sum(axis=1)).max() < 1e-10
 
     def test_idempotent(self, noisy_panel):
         cp = within_transform(noisy_panel)
-        cp2 = within_transform(PanelData(cp.y, cp.x))
+        cp2 = within_transform(PanelData(cp.y.reshape(cp.shape),
+                                         cp.x.reshape(cp.shape + (-1,))))
         assert_allclose(cp2.y, cp.y, atol=1e-12)
         assert_allclose(cp2.x, cp.x, atol=1e-12)
+
+    def test_regressor_too_small_to_square_rejected(self):
+        y = np.arange(6.0).reshape(3, 2)
+        x = np.zeros((3, 2, 1))
+        x[2, 1, 0] = 1e-160  # its centered square, 5e-321, is below the normal range
+        with pytest.raises(DegeneratePanel, match="x1 .*too small to square"):
+            within_transform(PanelData(y, x))
+        x[2, 1, 0] = 0.0  # an all-zero column is left to the rank check of the fits
+        assert within_transform(PanelData(y, x)).x.shape == (6, 1)
 
     def test_per_unit_shift_invariance(self, noisy_panel):
         shift = np.linspace(-40.0, 60.0, noisy_panel.n_units)
@@ -156,7 +169,8 @@ class TestWithinLs:
     def test_std_errors_classical_form(self, noisy_panel):
         fit = within_ls(noisy_panel)
         cp = within_transform(noisy_panel)
-        xtx = np.einsum("itk,itl->kl", cp.x, cp.x)
+        xc = cp.x.reshape(cp.shape + (-1,))
+        xtx = np.einsum("itk,itl->kl", xc, xc)
         expected = fit.sigma_hat * np.sqrt(np.diag(np.linalg.inv(xtx)))
         assert_allclose(fit.std_errors, expected, rtol=1e-10)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from robustpanel.errors import NoValidTuning
+from robustpanel.errors import NoValidTuning, ZeroScale
 from robustpanel.losses import LossSpec, psi, psi_prime, weight
 from robustpanel.panel import PanelData, within_transform
 from robustpanel.tuning import (
@@ -416,3 +416,9 @@ def test_default_esl_grid_scales_with_sigma():
     assert len(g1) == 50
     assert g1[0] == pytest.approx(0.1) and g1[-1] == pytest.approx(100.0)
     assert_allclose(g2, 9.0 * g1, rtol=1e-12)
+
+
+def test_default_esl_grid_rejects_a_scale_that_squares_to_zero():
+    # sigma_mad > 0, but sigma_mad^2 = 1e-340 underflows
+    with pytest.raises(ZeroScale):
+        default_esl_grid(1e-170)
