@@ -14,9 +14,10 @@ constant and the starting point:
 ``sandwich_se`` provides asymptotic standard errors of the familiar
 (E psi^2 / (E psi')^2) * sigma^2 * (X''X'')^{-1} form for any of them.
 
-``fit_estimator`` and the simulation studies fit through one dispatcher,
-``_fit``, which draws one ``high_breakdown_init`` start per panel and
-starts every robust estimator from it.
+``fit_esl``, ``fit_estimator`` and the simulation studies fit through one
+dispatcher, ``_fit``, which draws one ``high_breakdown_init`` start per
+panel and starts every robust estimator from it.  ``irls_fit`` is the one
+reweighting step: every fit and the start's polish run through it.
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, _in_float_range, wi
 from .scale import _mad, initial_scale, mad_scale
 from .tuning import HUBER_GRID, TUKEY_GRID, default_esl_grid, esl_select_c, select_c_grid
 
-TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for refinement passes
+TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for the start's polish
 HB_SUBSAMPLES = 500  # elemental subsets drawn by high_breakdown_init
 HB_SCORE_CELLS = 2000  # above this many cells, candidates are ranked on a subsample this size
 HB_RESCORE = 10  # best subsample candidates that are scored again on the full sample
@@ -170,9 +171,10 @@ def high_breakdown_init(panel, seed=0):
     a larger panel every candidate is ranked on one random HB_SCORE_CELLS
     subsample and only the best HB_RESCORE are scored on the full sample,
     as in FAST-LTS and fast-S, so time and memory stay linear in the cells.
-    The winner is refined with a single bounded-weight (Tukey, c=4.685)
-    reweighted solve.  Singular subsets are skipped; if every subset is
-    singular the panel cannot support even an elemental fit and
+    The winner is polished by one irls_fit iteration of Tukey's loss
+    (c = 4.685) at its MAD scale, unless that scale is 0 or the weights
+    leave the design singular.  Singular subsets are skipped; if every
+    subset is singular the panel cannot support even an elemental fit and
     DegenerateDesign is raised.
     """
     cp = _as_centered(panel)
@@ -205,10 +207,9 @@ def high_breakdown_init(panel, seed=0):
 
     sigma = float(mads[best])
     if sigma > 0:
-        with np.errstate(over="ignore"):  # +-inf residuals get weight 0, as in irls_fit
-            w = weight(LossSpec("tukey", TUKEY_REFERENCE_C), (cp.y - cp.x @ beta0) / sigma)
         try:
-            beta0 = _weighted_solve(cp.x, cp.y, w)
+            beta0 = irls_fit(cp, LossSpec("tukey", TUKEY_REFERENCE_C), beta0, sigma,
+                             IrlsConfig(max_iter=1)).beta
         except SingularWeightedDesign:
             pass  # keep the unrefined elemental winner
     return beta0
@@ -228,13 +229,12 @@ def fit_esl(panel, seed=0):
     the relative change in c are negligible.  The reported sigma_hat is
     the MAD scale at which the final selection was made.
     """
-    cp = _as_centered(panel)
-    return _esl(cp, high_breakdown_init(cp, seed=seed), "auto")
+    return _fit(_as_centered(panel), ("esl",), "auto", seed)["esl"]
 
 
 def _esl(cp, start, c):
-    """The outer loop of fit_esl, run from the high-breakdown fit `start`;
-    a fixed `c` (from fit_estimator) skips the selection step entirely."""
+    """The outer loop of fit_esl, run by _fit from the high-breakdown fit
+    `start`; a fixed `c` (from fit_estimator) skips the selection step."""
     beta = start
     if c == "auto":
         grid = default_esl_grid(mad_scale(cp.y - cp.x @ beta).value)

@@ -28,7 +28,7 @@ from .errors import (
     UnbalancedPanel,
 )
 from .panel import ESTIMATOR_NAMES, PanelData
-from .simulation import CONTAMINATION_KINDS, ERROR_DISTS, block_length
+from .simulation import CONTAMINATION_KINDS, ERROR_DISTS, _is_whole, check_contamination
 
 
 def read_panel_csv(path):
@@ -145,11 +145,6 @@ def write_panel_csv(panel, path):
                 )
 
 
-def _is_whole(value, minimum):
-    """True for an int (not a bool) of at least `minimum`."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
 def _is_finite_real(value):
     """True for an int or float (not a bool) inside the finite float range."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -181,23 +176,15 @@ class OutlierStudyConfig:
         for kind in self.kinds:
             if kind not in CONTAMINATION_KINDS:
                 raise ConfigError("unknown contamination kind %r" % (kind,))
-        cells = self.n_units * self.n_periods
-        block = block_length(self.n_periods)
-        concentrated = any(kind.startswith("concentrated") for kind in self.kinds)
         for m in self.m_levels:
             if not _is_whole(m, 0):
                 raise ConfigError("outlier_study.m_levels: contaminated cell counts must be "
                                   "whole numbers of at least 0, got %r" % (m,))
-            if m > cells:
-                raise ConfigError("outlier_study.m_levels: m = %d exceeds the %d panel cells"
-                                  % (m, cells))
-            if concentrated and m % block:
-                raise ConfigError("outlier_study.m_levels: m = %d does not split into the "
-                                  "%d-period blocks of a concentrated kind" % (m, block))
-            if concentrated and m // block > self.n_units:
-                raise ConfigError("outlier_study.m_levels: m = %d needs %d contaminated units "
-                                  "in a concentrated kind but the panel has %d"
-                                  % (m, m // block, self.n_units))
+            for kind in self.kinds:
+                try:
+                    check_contamination(kind, m, self.n_units, self.n_periods)
+                except (ValueError, DataError) as err:
+                    raise ConfigError("outlier_study.m_levels: %s" % (err,)) from None
 
 
 @dataclass(frozen=True)

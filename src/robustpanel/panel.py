@@ -100,16 +100,13 @@ class CenteredPanel:
     ``y`` is the (NT,) centered response and ``x`` the (NT, K) centered
     design, unit-major: cell i * T + s is unit i in period s.  ``shape`` is
     the panel's (N, T), which only the degrees of freedom of within LS and
-    the (N, T) weights of a fit need.
+    the (N, T) weights of a fit need.  within_transform is its only
+    builder and hands it read-only arrays, which are held without a copy.
     """
 
     y: np.ndarray
     x: np.ndarray
     shape: tuple
-
-    def __post_init__(self):
-        for name in ("y", "x"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ class FitResult:
 
 
 def within_transform(panel: PanelData) -> CenteredPanel:
-    """Subtract per-unit time means from y and x, stacked unit-major.
+    """Subtract per-unit time means from y and x, stacked unit-major, read-only.
 
     Raises DegeneratePanel, naming the column, when the sum of squares of a
     centered column is not finite, or, for a regressor that is not all
@@ -169,6 +166,8 @@ def within_transform(panel: PanelData) -> CenteredPanel:
             f"rescale the column (its values are too {'small' if too_small[j] else 'large'} "
             f"to square)"
         )
+    y.flags.writeable = False
+    x.flags.writeable = False
     return CenteredPanel(y=y, x=x, shape=(n, t))
 
 

@@ -48,6 +48,12 @@ CONTAMINATION_KINDS = (
 )
 
 
+def _is_whole(value, minimum):
+    """True for a Python or NumPy integer (not a bool) of at least `minimum`."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     n_units: int
@@ -58,8 +64,8 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_units < 2 or self.n_periods < 2:
-            raise ValueError("need at least 2 units and 2 periods")
+        if not (_is_whole(self.n_units, 2) and _is_whole(self.n_periods, 2)):
+            raise ValueError("need at least 2 units and 2 periods, as whole numbers")
         if len(self.beta) != len(self.gamma):
             raise ValueError(
                 "beta and gamma must have equal length, got %d and %d"
@@ -80,8 +86,8 @@ class ContaminationScheme:
     def __post_init__(self):
         if self.kind not in CONTAMINATION_KINDS:
             raise ValueError("kind must be one of %s" % (CONTAMINATION_KINDS,))
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
+        if not _is_whole(self.m, 0):
+            raise ValueError("m must be a nonnegative whole number, got %r" % (self.m,))
 
 
 def _draw_errors(rng, dist, shape):
@@ -154,15 +160,32 @@ def block_length(t):
     return (t + 1) // 2
 
 
+def check_contamination(kind, m, n_units, n_periods):
+    """Raise unless m cells of `kind` fit an (N, T) panel: m <= NT and, for a
+    concentrated kind, whole blocks of block_length(T) periods in at most N
+    units.  A BlockPolicyError names the nearest valid m; the rest are
+    ValueErrors."""
+    if m > n_units * n_periods:
+        raise ValueError("m = %d exceeds the %d panel cells" % (m, n_units * n_periods))
+    b = block_length(n_periods)
+    if kind.startswith("concentrated") and m % b:
+        lower = m - m % b
+        nearest = lower if 2 * (m % b) <= b and lower > 0 else lower + b
+        raise BlockPolicyError("m = %d does not split into blocks of %d periods; "
+                               "nearest valid m is %d" % (m, b, nearest))
+    if kind.startswith("concentrated") and m // b > n_units:
+        raise ValueError("m = %d needs %d contaminated units but the panel has %d"
+                         % (m, m // b, n_units))
+
+
 def contaminate(panel, scheme):
     """Apply one contamination scheme; untouched cells stay bitwise equal."""
+    n, t = panel.n_units, panel.n_periods
+    check_contamination(scheme.kind, scheme.m, n, t)
     if scheme.m == 0:
         return panel
-    n, t = panel.n_units, panel.n_periods
     k = panel.n_regressors
     nt = n * t
-    if scheme.m > nt:
-        raise ValueError("m = %d exceeds the %d panel cells" % (scheme.m, nt))
     rng = np.random.default_rng(scheme.seed)
     y = panel.y.copy()
     x = panel.x.copy()
@@ -174,20 +197,7 @@ def contaminate(panel, scheme):
             x.reshape(nt, k)[cells] = rng.normal(8.0, 2.0, (scheme.m, k))
     else:
         b = block_length(t)
-        if scheme.m % b != 0:
-            lower = (scheme.m // b) * b
-            upper = lower + b
-            nearest = lower if (scheme.m - lower) <= (upper - scheme.m) and lower > 0 else upper
-            raise BlockPolicyError(
-                "m = %d does not split into blocks of %d periods; "
-                "nearest valid m is %d" % (scheme.m, b, nearest)
-            )
         n_blocks = scheme.m // b
-        if n_blocks > n:
-            raise ValueError(
-                "m = %d needs %d contaminated units but the panel has %d"
-                % (scheme.m, n_blocks, n)
-            )
         units = rng.choice(n, n_blocks, replace=False)
         y[units, :b] = rng.uniform(79.0, 80.0, (n_blocks, b))
         if scheme.kind == "concentrated_leverage":
@@ -206,7 +216,7 @@ class SimulationReport:
     se_samples: dict  # estimator -> array of ||beta_hat - beta||^2, successes only
     n_nonconverged: dict  # estimator -> successes whose fit reported converged=False
     failures: tuple  # (replication index, message) pairs
-    rmse_samples: dict = None
+    rmse_samples: dict  # estimator -> array of prediction RMSEs; None without a prediction study
 
     @property
     def mse(self):  # estimator -> mean of se_samples, nan when every replication failed
@@ -235,6 +245,8 @@ def _seeds(master_seed, key, n=1):
 def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
     if not estimators:
         raise ValueError("estimators must be nonempty")
+    if not _is_whole(s_total, 0):
+        raise ValueError("s_total must be a nonnegative whole number, got %r" % (s_total,))
     names = tuple(estimators)
     beta_true = np.asarray(dgp.beta, dtype=float)
     se = {name: [] for name in names}
@@ -281,8 +293,8 @@ def rmse_prediction_study(dgp, scheme, estimators, s_total, n_test, master_seed)
     """Prediction study: each replication also generates a clean test
     panel of n_test units and records root mean squared prediction error
     under own-means intercept recovery."""
-    if n_test < 2:
-        raise ValueError("n_test must be at least 2, the smallest panel")
+    if not _is_whole(n_test, 2):
+        raise ValueError("n_test must be a whole number of at least 2, got %r" % (n_test,))
     return _study(dgp, scheme, estimators, s_total, master_seed, n_test=n_test)
 
 

@@ -99,9 +99,8 @@ def efficiency_factor(std_residuals, loss):
 
 @dataclass(frozen=True)
 class EfficiencyCurve:
-    """Grid search record for the Huber/Tukey tuning constant."""
+    """Grid search record for the Huber/Tukey tuning constant, per grid point."""
 
-    grid: np.ndarray
     tau_hat: np.ndarray
     defined: np.ndarray
     c_star: float
@@ -133,7 +132,7 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
         )
     masked = np.where(defined, tau, -np.inf)
     best = int(np.argmax(masked))  # argmax returns the first, i.e. smallest c
-    return EfficiencyCurve(grid, tau, defined, float(grid[best]), float(tau[best]))
+    return EfficiencyCurve(tau, defined, float(grid[best]), float(tau[best]))
 
 
 def pseudo_outlier_set(residuals, sigma_mad):
@@ -247,11 +246,10 @@ def esl_cov(panel, beta0, c):
 
 @dataclass(frozen=True)
 class EslTuningState:
-    """Everything the exponential-squared selection step decided."""
+    """Everything the exponential-squared selection step decided, per grid point."""
 
     sigma_mad: float
     m: int
-    grid: np.ndarray
     xi_values: np.ndarray
     detv_values: np.ndarray  # log det V_hat(c); nan off the feasible set
     c_selected: float
@@ -294,7 +292,6 @@ def esl_select_c(panel, beta0, grid):
     return EslTuningState(
         sigma_mad=sigma_mad,
         m=m,
-        grid=grid,
         xi_values=xi_vals,
         detv_values=detv,
         c_selected=float(grid[best]),

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import synth_panel
+import robustpanel.estimators as estimators
 import robustpanel.simulation as sim
 from robustpanel.errors import (
     DegenerateDesign,
@@ -183,6 +184,28 @@ class TestHighBreakdownInit:
         y = np.arange(12.0).reshape(6, 2)
         with pytest.raises(DegenerateDesign):
             high_breakdown_init(PanelData(y, x), seed=0)
+
+    def test_zero_mad_skips_the_polish(self):
+        # y = 2x exactly: every elemental fit is 2 with zero residuals, so
+        # the winner's MAD is 0 and the polish, which needs a positive
+        # scale, is skipped
+        x = np.array([[0.0, 2.0], [1.0, 3.0], [5.0, 1.0], [4.0, 7.0]])
+        start = high_breakdown_init(PanelData(2.0 * x, x[:, :, None]), seed=0)
+        assert np.array_equal(start, [2.0])
+
+    def test_singular_polish_keeps_the_elemental_winner(self, monkeypatch):
+        p = synth_panel(n=30, t=3, k=2, seed=27)
+        polished = high_breakdown_init(p, seed=5)
+
+        def singular(xdd, ydd, w):
+            raise SingularWeightedDesign("rank 0 < 2")
+
+        monkeypatch.setattr(estimators, "_weighted_solve", singular)
+        winner = high_breakdown_init(p, seed=5)
+        assert not np.array_equal(winner, polished)
+        # an elemental fit passes exactly through K = 2 cells
+        cp = within_transform(p)
+        assert np.sum(np.abs(cp.y - cp.x @ winner) < 1e-9) >= 2
 
     def test_forty_percent_vertical_outliers_on_a_subsample(self):
         # NT > HB_SCORE_CELLS: candidates are ranked on a subsample and

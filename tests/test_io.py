@@ -233,7 +233,8 @@ class TestExperimentConfig:
          "outlier_study.m_levels: m = 40 needs 20 contaminated units"),
         ('{"outlier_study": {"n_units": 20, "n_periods": 4, "m_levels": [3], '
          '"kinds": ["random_vertical", "concentrated_vertical"]}}',
-         "outlier_study.m_levels: m = 3 does not split into the 2-period blocks"),
+         "outlier_study.m_levels: m = 3 does not split into blocks of 2 periods; "
+         "nearest valid m is 2"),
         ('{"beta": [], "gamma": []}', "beta must hold at least one coefficient"),
         ('{"beta": [2.4], "gamma": []}', "gamma must hold at least one coefficient"),
     ])

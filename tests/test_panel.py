@@ -1,5 +1,7 @@
 """Panel container, within transform, within LS, fixed effects, prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -100,6 +102,24 @@ class TestWithinTransform:
             within_transform(PanelData(y, x))
         x[2, 1, 0] = 0.0  # an all-zero column is left to the rank check of the fits
         assert within_transform(PanelData(y, x)).x.shape == (6, 1)
+
+    def test_arrays_are_read_only(self, noisy_panel):
+        cp = within_transform(noisy_panel)
+        assert not cp.y.flags.writeable and not cp.x.flags.writeable
+        with pytest.raises(ValueError):
+            cp.y[0] = 1.0
+
+    def test_peak_memory_is_one_design(self):
+        # 200k cells at K = 2: the centered arrays are built once and held
+        # by the CenteredPanel without a second copy
+        panel = synth_panel(n=50_000, t=4, k=2, seed=8)
+        tracemalloc.start()
+        try:
+            cp = within_transform(panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (cp.y.nbytes + cp.x.nbytes)
 
     def test_per_unit_shift_invariance(self, noisy_panel):
         shift = np.linspace(-40.0, 60.0, noisy_panel.n_units)

@@ -85,9 +85,17 @@ class TestGenPanel:
         b = gen_panel(DgpConfig(20, 3, seed=11))
         assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize("n, t", [(1, 3), (2.5, 3), (10, 3.0), (True, 3)])
+    def test_sizes_must_be_whole_and_at_least_two(self, n, t):
+        # a float or bool size failed inside numpy with a TypeError
         with pytest.raises(ValueError):
-            DgpConfig(1, 3)
+            gen_panel(DgpConfig(n, t))
+
+    def test_numpy_integer_sizes_accepted(self):
+        dgp = DgpConfig(np.int64(10), np.int32(3), seed=1)
+        assert np.array_equal(gen_panel(dgp).y, gen_panel(DgpConfig(10, 3, seed=1)).y)
+
+    def test_config_validation(self):
         with pytest.raises(ValueError):
             DgpConfig(10, 2, beta=(1.0,), gamma=(1.0, 2.0))
         with pytest.raises(ValueError):
@@ -167,6 +175,11 @@ class TestContaminate:
             contaminate(p, ContaminationScheme("concentrated_vertical", 11, seed=0))
         with pytest.raises(ValueError):
             ContaminationScheme("vertical", 5, seed=0)
+        for m in (2.5, True, -1):
+            with pytest.raises(ValueError):
+                contaminate(p, ContaminationScheme("random_vertical", m, seed=0))
+        out = contaminate(p, ContaminationScheme("random_vertical", np.int64(2), seed=0))
+        assert (out.y != p.y).sum() == 2
 
     def test_labels_preserved(self):
         p = gen_panel(DgpConfig(10, 2, seed=29))
@@ -189,6 +202,11 @@ class TestRunMc:
         for name in ("ls", "huber"):
             assert np.array_equal(a.se_samples[name], b.se_samples[name])
         assert a.mse == b.mse
+
+    @pytest.mark.parametrize("s_total", [2.5, -1, True])
+    def test_validates_s_total(self, s_total):
+        with pytest.raises(ValueError):
+            run_mc(DgpConfig(10, 3), None, ["ls"], s_total, 1)
 
     def test_replication_prefix_invariant_to_s(self):
         dgp = DgpConfig(30, 2)
@@ -313,8 +331,11 @@ class TestRmseStudy:
         assert 4.4 <= report.rmse["ls"] <= 5.1
 
     def test_validates_n_test(self):
-        with pytest.raises(ValueError):
-            rmse_prediction_study(DgpConfig(10, 2), None, ["ls"], 2, 0, 1)
+        for n_test in (0, 2.5):
+            with pytest.raises(ValueError):
+                rmse_prediction_study(DgpConfig(10, 2), None, ["ls"], 2, n_test, 1)
+        report = rmse_prediction_study(DgpConfig(10, 2), None, ["ls"], 2, np.int64(2), 1)
+        assert report.rmse_samples["ls"].size == 2
 
 
 
