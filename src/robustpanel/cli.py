@@ -142,17 +142,10 @@ def main(argv=None):
     except UsageError as err:
         print("error: %s" % (err,), file=sys.stderr)
         return 1
-    except DataError as err:
+    except (DataError, EstimationError) as err:
         print("error: %s: %s" % (type(err).__name__, err), file=sys.stderr)
-        return 2
-    except EstimationError as err:
-        print("error: %s: %s" % (type(err).__name__, err), file=sys.stderr)
-        return 3
-
-
-def entry():
-    sys.exit(main())
+        return 2 if isinstance(err, DataError) else 3
 
 
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

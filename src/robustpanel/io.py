@@ -2,8 +2,9 @@
 
 The on-disk panel schema is a flat CSV with header ``unit,time,y,x1..xK``
 (K detected from the header).  Units and periods keep their order of
-first appearance; nothing is sorted behind the caller's back.  Floats
-are written with ``repr`` so a write/read round trip is exact.
+first appearance; nothing is sorted behind the caller's back.  One row
+writer serves the panel and weights files, floats written with ``repr``
+so a write/read round trip is exact.
 
 Experiment configurations are JSON documents mirroring the simulation
 module's dataclasses; ``parse_config(serialize_config(cfg))`` returns an
@@ -12,7 +13,9 @@ equal config, and unknown keys fail loudly with the offending name.
 
 import csv
 import dataclasses
+import itertools
 import json
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -35,10 +38,11 @@ def read_panel_csv(path):
     """Read a balanced panel from ``unit,time,y,x1..xK`` CSV.
 
     Rows are parsed as they are read into flat arrays of label indices and
-    values, so memory grows with the numbers, not with the text.  Faults
-    are reported in file order: the first short row, repeated
-    (unit, time) pair or non-numeric cell, then a missing pair.  The file
-    is UTF-8, with or without a byte-order mark.
+    values, so memory grows with the numbers, not with the text.  Reading
+    stops at the first short row or non-numeric cell; a repeated
+    (unit, time) pair among the rows read is reported before that fault,
+    and a missing pair after it.  The file is UTF-8, with or without a
+    byte-order mark.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -74,34 +78,15 @@ def _parse_panel(reader, path):
     units, periods = {}, {}  # label -> index, in first-appearance order
     unit_idx, period_idx, row_nos = array("q"), array("q"), array("q")
     values = array("d")  # y, x1..xK of each row in turn
-
-    def cell_keys():
-        return np.frombuffer(unit_idx, dtype=np.int64) * len(periods) + np.frombuffer(
-            period_idx, dtype=np.int64)
-
-    def duplicate_error():
-        """DuplicateCell for the earliest repeat of a (unit, time) pair read
-        so far, in file order, or None."""
-        keys = cell_keys()
-        order = np.argsort(keys, kind="stable")  # equal keys stay in file order
-        ranked = keys[order]
-        repeats = order[1:][ranked[1:] == ranked[:-1]]
-        if repeats.size == 0:
-            return None
-        repeat = int(repeats.min())
-        first = int(order[np.searchsorted(ranked, keys[repeat])])
-        return DuplicateCell("duplicate row for unit %r, time %r (rows %d and %d)"
-                             % (list(units)[unit_idx[repeat]],
-                                list(periods)[period_idx[repeat]],
-                                row_nos[first], row_nos[repeat]))
-
+    fault = None  # the first short row or non-numeric cell
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) < len(header):
-            raise duplicate_error() or MissingColumn(
-                "row %d has %d fields but the header has %d" % (row_no, len(row), len(header))
-            )
+            fault = MissingColumn("row %d has %d fields but the header has %d"
+                                  % (row_no, len(row), len(header)))
+            break
+        # the pair goes in first: a bad cell on a repeating row reports the repeat
         unit_idx.append(units.setdefault(row[unit_col].strip(), len(units)))
         period_idx.append(periods.setdefault(row[time_col].strip(), len(periods)))
         row_nos.append(row_no)
@@ -110,15 +95,28 @@ def _parse_panel(reader, path):
             try:
                 values.append(float(cell))
             except ValueError:
-                raise duplicate_error() or NonNumericCell(
-                    "row %d, column %s: %r is not numeric" % (row_no, name, cell)
-                ) from None
+                fault = NonNumericCell("row %d, column %s: %r is not numeric"
+                                       % (row_no, name, cell))
+                break
+        if fault is not None:
+            break
 
     n, t = len(units), len(periods)
-    error = duplicate_error()
-    if error is not None:
-        raise error
-    cells = cell_keys()
+    cells = np.frombuffer(unit_idx, dtype=np.int64) * t + np.frombuffer(period_idx, dtype=np.int64)
+    del unit_idx, period_idx  # each buffer goes once used: together they set the peak
+    order = np.argsort(cells, kind="stable")  # equal keys stay in file order
+    ranked = cells[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:  # report the earliest repeat in file order
+        repeat = int(repeats.min())
+        first = int(order[np.searchsorted(ranked, cells[repeat])])
+        i, s = divmod(int(cells[repeat]), t)
+        raise DuplicateCell("duplicate row for unit %r, time %r (rows %d and %d)"
+                            % (list(units)[i], list(periods)[s],
+                               row_nos[first], row_nos[repeat]))
+    del order, ranked, repeats, row_nos
+    if fault is not None:
+        raise fault
     if cells.size < n * t:
         present = np.zeros(n * t, dtype=bool)
         present[cells] = True
@@ -127,22 +125,31 @@ def _parse_panel(reader, path):
                               % (list(units)[i], list(periods)[s]))
     flat = np.empty((n * t, k + 1))
     flat[cells] = np.frombuffer(values).reshape(-1, k + 1)
+    del cells, values
     return PanelData(flat[:, 0].reshape(n, t), flat[:, 1:].reshape(n, t, k),
                      unit_labels=tuple(units), period_labels=tuple(periods))
+
+
+def _write_cells(path, panel, names, table):
+    """Write the header ``unit,time,*names``, then one row per cell in
+    unit-major order: its unit and period labels, then its row of the
+    (NT, C) float ``table``, each float as ``repr``."""
+    flat = table.reshape(-1)  # to Python floats 1,024 at a time, not all NT at once
+    reprs = map(repr, itertools.chain.from_iterable(
+        block.tolist() for block in np.split(flat, range(1024, flat.size, 1024))))
+    values = zip(*[reprs] * table.shape[1])  # each cell's C reprs, as a tuple
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["unit", "time", *names])
+        writer.writerows(map(operator.add,
+                             itertools.product(panel.unit_labels, panel.period_labels), values))
 
 
 def write_panel_csv(panel, path):
     """Write a panel in the same schema ``read_panel_csv`` accepts."""
     k = panel.x.shape[2]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit", "time", "y"] + ["x%d" % (j + 1) for j in range(k)])
-        for i, unit in enumerate(panel.unit_labels):
-            for s, time in enumerate(panel.period_labels):
-                writer.writerow(
-                    [unit, time, repr(float(panel.y[i, s]))]
-                    + [repr(float(v)) for v in panel.x[i, s]]
-                )
+    _write_cells(path, panel, ["y"] + ["x%d" % (j + 1) for j in range(k)],
+                 np.column_stack((panel.y.reshape(-1), panel.x.reshape(-1, k))))
 
 
 def _is_finite_real(value):
@@ -312,9 +319,4 @@ def fit_report_json(fit):
 def write_weights_csv(panel, fit, path):
     """Per-observation weights of a fit; LS is unweighted, so all ones."""
     w = fit.weights if fit.weights is not None else np.ones(panel.y.shape)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit", "time", "weight"])
-        for i, unit in enumerate(panel.unit_labels):
-            for s, time in enumerate(panel.period_labels):
-                writer.writerow([unit, time, repr(float(w[i, s]))])
+    _write_cells(path, panel, ["weight"], w.reshape(-1, 1))

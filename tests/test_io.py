@@ -18,7 +18,10 @@ from robustpanel.io import (
     read_panel_csv,
     serialize_config,
     write_panel_csv,
+    write_weights_csv,
 )
+from robustpanel.estimators import fit_estimator
+from robustpanel.panel import PanelData
 
 from conftest import synth_panel
 
@@ -127,8 +130,52 @@ class TestReadPanelCsv:
         ])
         assert read_panel_csv(path).y.shape == (2, 2)
 
+    # A repeated (unit, time) pair among the rows read comes before the
+    # first short row or non-numeric cell; reading stops at that fault.
+    @pytest.mark.parametrize("rows, error, message", [
+        pytest.param(["a,1,1,1", "a,1,2,2", "b,1,3"], DuplicateCell,
+                     "duplicate row for unit 'a', time '1' (rows 2 and 3)",
+                     id="repeat-then-short-row"),
+        pytest.param(["a,1,1,1", "a,1,2,2", "b,1,oops,3"], DuplicateCell,
+                     "duplicate row for unit 'a', time '1' (rows 2 and 3)",
+                     id="repeat-then-non-numeric"),
+        pytest.param(["a,1,1,1", "a,2,2,2", "a,1,3,oops"], DuplicateCell,
+                     "duplicate row for unit 'a', time '1' (rows 2 and 4)",
+                     id="non-numeric-on-repeating-row"),
+        pytest.param(["a,1,1,1", "a,2,oops,2", "a,1,3,3"], NonNumericCell,
+                     "row 3, column y: 'oops' is not numeric",
+                     id="non-numeric-before-repeat"),
+        pytest.param(["a,1,1,1", "a,2", "a,1,3,3"], MissingColumn,
+                     "row 3 has 2 fields but the header has 4",
+                     id="short-row-before-repeat"),
+        pytest.param(["b,2,1,1", "", " ,  , , ", "b,2,2,2", "a,1,oops,1"], DuplicateCell,
+                     "duplicate row for unit 'b', time '2' (rows 2 and 5)",
+                     id="blank-rows-between-repeats"),
+    ])
+    def test_fault_order(self, tmp_path, rows, error, message):
+        path = write_lines(tmp_path / "p.csv", ["unit,time,y,x1"] + rows)
+        with pytest.raises(DataError) as caught:
+            read_panel_csv(path)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
 
 class TestWritePanelCsv:
+    def test_pinned_text(self, tmp_path):
+        y = np.array([[1e-300, 1.0 + 2**-50], [-0.0, -1e300]])
+        x = np.stack([[[0.1, 2.0], [-3.5, 1e300]], [[5e-324, -0.0], [1 / 3, 7.0]]], axis=-1)
+        panel = PanelData(y, x, unit_labels=("north, east", "south"),
+                          period_labels=("2001", "2002"))
+        path = tmp_path / "pinned.csv"
+        write_panel_csv(panel, str(path))
+        assert path.read_text() == (
+            "unit,time,y,x1,x2\n"
+            '"north, east",2001,1e-300,0.1,5e-324\n'
+            '"north, east",2002,1.0000000000000009,2.0,-0.0\n'
+            "south,2001,-0.0,-3.5,0.3333333333333333\n"
+            "south,2002,-1e+300,1e+300,7.0\n"
+        )
+
     def test_round_trip_exact(self, tmp_path):
         panel = synth_panel(n=5, t=3, k=2, seed=3)
         path = str(tmp_path / "out.csv")
@@ -151,6 +198,33 @@ class TestWritePanelCsv:
         back = read_panel_csv(path)
         assert np.array_equal(back.y, panel.y)
         assert np.array_equal(back.x, panel.x)
+
+    def test_round_trip_large(self, tmp_path):
+        panel = synth_panel(n=700, t=3, k=2, seed=4)  # 6,300 floats
+        path = str(tmp_path / "large.csv")
+        write_panel_csv(panel, path)
+        back = read_panel_csv(path)
+        assert np.array_equal(back.y, panel.y)
+        assert np.array_equal(back.x, panel.x)
+        assert back.unit_labels == panel.unit_labels
+
+
+class TestWriteWeightsCsv:
+    def test_rows_carry_each_cell_weight(self, tmp_path):
+        base = synth_panel(n=400, t=3, seed=2)  # 1,200 cells
+        y = base.y.copy()
+        y[1, 2] += 500.0
+        panel = PanelData(y, base.x, unit_labels=["firm %d" % i for i in range(400)],
+                          period_labels=("q1", "q2", "q3"))
+        fit = fit_estimator(panel, "tukey", seed=0)
+        assert (fit.weights == 0).any()
+        path = tmp_path / "weights.csv"
+        write_weights_csv(panel, fit, str(path))
+        expected = ["unit,time,weight"] + [
+            "%s,%s,%r" % (unit, period, float(fit.weights[i, s]))
+            for i, unit in enumerate(panel.unit_labels)
+            for s, period in enumerate(panel.period_labels)]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestExperimentConfig:
