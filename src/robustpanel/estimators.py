@@ -17,7 +17,9 @@ constant and the starting point:
 ``fit_esl``, ``fit_estimator`` and the simulation studies fit through one
 dispatcher, ``_fit``, which draws one ``high_breakdown_init`` start per
 panel and starts every robust estimator from it.  ``irls_fit`` is the one
-reweighting step: every fit and the start's polish run through it.
+reweighting step: every fit and the start's polish run through it.  For
+Huber's convex loss it tries a safeguarded Newton step first (see
+_huber_newton); every loop stops on one scale-free rule (see _settled).
 """
 
 import dataclasses
@@ -26,16 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDesign, SingularWeightedDesign, UnstableCurvature
-from .losses import LossSpec, psi, psi_prime, weight
+from .losses import LossSpec, _rho, psi, psi_prime, weight
 from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, _in_float_range, within_ls
 from .scale import _mad, initial_scale, mad_scale
 from .tuning import HUBER_GRID, TUKEY_GRID, default_esl_grid, esl_select_c, select_c_grid
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for the start's polish
-HB_SUBSAMPLES = 500  # elemental subsets drawn by high_breakdown_init
+HB_SUBSAMPLES = 500  # most elemental subsets drawn by high_breakdown_init; see _n_subsets
 HB_SCORE_CELLS = 2000  # above this many cells, candidates are ranked on a subsample this size
 HB_RESCORE = 10  # best subsample candidates that are scored again on the full sample
-IRLS_TOL = 1e-8  # coefficient change that ends an IRLS or ESL outer loop; see _settled
+IRLS_TOL = 1e-8  # change in fitted values, relative to the residuals, that ends a loop
+NEWTON_HALVINGS = 4  # times a Huber Newton step is halved before IRLS takes over
 ESL_MAX_OUTER = 3  # outer passes of fit_esl
 
 
@@ -48,14 +51,16 @@ class IrlsConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _settled(delta, beta):
-    """Whether a max-norm coefficient change `delta` is below IRLS_TOL.
-
-    Below 1 the tolerance is taken relative to the largest coefficient,
-    so that regressors measured in larger units, which shrink the
-    coefficients, do not end a loop after its first step.
+def _settled(xdd, ydd, step, resid):
+    """Whether the coefficient change `step` is negligible: the change in
+    fitted values ||X step|| is at most IRLS_TOL times the residual norm
+    ||y - X beta_new|| (the "resid" test of MASS rlm), or at most 1e-14 ||y||
+    for an exact fit, whose residuals are about 0.  Neither side depends
+    on the units of the regressors or the size of the coefficients.
     """
-    return delta < IRLS_TOL * min(1.0, float(np.max(np.abs(beta))))
+    moved = xdd @ step
+    moved = moved @ moved
+    return bool(moved <= IRLS_TOL**2 * (resid @ resid) or moved <= 1e-28 * (ydd @ ydd))
 
 
 def _weighted_solve(xdd, ydd, w):
@@ -70,35 +75,77 @@ def _weighted_solve(xdd, ydd, w):
     return sol
 
 
+def _huber_newton(xdd, ydd, beta, u, sigma, c, objective):
+    """A safeguarded Newton step on Huber's objective sum rho(r / sigma).
+
+    The Hessian is H = X_in' X_in over the cells with |u| <= c and the
+    gradient X' clip(u, -c, c).  When H is well conditioned (smallest
+    eigenvalue above 1e-10 of the largest) the step sigma H^-1 g is tried,
+    halved up to NEWTON_HALVINGS times, and the first candidate that lowers
+    the objective is returned with its residuals and objective.  Returns
+    None otherwise, and the caller takes an IRLS step.  A step or candidate
+    past the float range has a nan or inf objective and is never taken.
+    """
+    inner = xdd[np.abs(u) <= c]
+    lam, vec = np.linalg.eigh(inner.T @ inner)
+    if not lam[0] > 1e-10 * lam[-1]:
+        return None
+    with np.errstate(invalid="ignore"):
+        step = vec @ ((np.clip(u, -c, c) @ xdd @ vec) * (sigma / lam))
+        for _ in range(NEWTON_HALVINGS + 1):
+            cand = beta + step
+            resid = ydd - xdd @ cand
+            value = _rho("huber", c, resid / sigma).sum()
+            if value < objective:
+                return cand, resid, value
+            step = step / 2
+    return None
+
+
 def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     """Iteratively reweighted LS at a fixed loss and fixed scale.
 
     Repeats w_it = weight(spec, (y_it - x_it' beta) / sigma) followed by
     a weighted LS solve until the coefficients settle (see _settled) or
-    config.max_iter is reached.
+    config.max_iter is reached.  For huber each iteration first tries a
+    safeguarded Newton step (see _huber_newton), which is accepted only
+    when it lowers the convex objective, so the objective never rises;
+    tukey and esl redescend and keep the plain IRLS step.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     cp = _as_centered(panel)
     beta = np.asarray(beta_init, dtype=float)
     sig = float(sigma)
+    newton = spec.family == "huber"
     # a residual past the float range once standardized is +-inf, where
     # every weight takes its limit
     with np.errstate(over="ignore"):
-        w = weight(spec, (cp.y - cp.x @ beta) / sig)
+        resid = cp.y - cp.x @ beta
+        if newton:
+            objective = _rho("huber", spec.c, resid / sig).sum()
         for iterations in range(1, config.max_iter + 1):
-            new_beta = _weighted_solve(cp.x, cp.y, w)
-            delta = np.max(np.abs(new_beta - beta))
+            taken = None
+            if newton:
+                taken = _huber_newton(cp.x, cp.y, beta, resid / sig, sig, spec.c, objective)
+            if taken is not None:
+                new_beta, resid, objective = taken
+            else:
+                new_beta = _weighted_solve(cp.x, cp.y, weight(spec, resid / sig))
+                resid = cp.y - cp.x @ new_beta
+                if newton:
+                    objective = _rho("huber", spec.c, resid / sig).sum()
+            converged = _settled(cp.x, cp.y, new_beta - beta, resid)
             beta = new_beta
-            w = weight(spec, (cp.y - cp.x @ beta) / sig)
-            if _settled(delta, beta):
+            if converged:
                 break
+        w = weight(spec, resid / sig)
     return FitResult(
         estimator=spec.family,
         beta=beta,
         sigma_hat=sig,
         iterations=iterations,
-        converged=bool(_settled(delta, beta)),
+        converged=converged,
         c_selected=spec.c,
         weights=w.reshape(cp.shape),
     )
@@ -135,16 +182,29 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
     return irls_fit(cp, LossSpec(family, c), beta0, sigma)  # LossSpec checks a fixed c
 
 
+def _n_subsets(k):
+    """Elemental subsets to draw at k regressors: the fewest that hold at
+    least one clean subset with probability 1 - 1e-6 when half the cells
+    are outliers, log(1e-6) / log(1 - 0.5^k) (Rousseeuw & Leroy 1987),
+    capped at HB_SUBSAMPLES; 20 at k = 1, 49 at k = 2 and the cap from k = 6.
+    """
+    clean = 0.5**k  # chance that a subset drawn at 50% contamination is clean
+    if (1.0 - clean) ** HB_SUBSAMPLES > 1e-6:
+        return HB_SUBSAMPLES
+    return int(np.ceil(np.log(1e-6) / np.log1p(-clean)))
+
+
 def _elemental_subsets(rng, nt, k):
-    """HB_SUBSAMPLES rows of k distinct cell indices in [0, nt), by Floyd's
+    """_n_subsets(k) rows of k distinct cell indices in [0, nt), by Floyd's
     algorithm: column j draws from [0, nt - k + j] and takes nt - k + j
     itself when the draw repeats an earlier column of its row.  Each row is
-    a uniformly random k-subset, and no (HB_SUBSAMPLES, nt) array is built.
+    a uniformly random k-subset, and no (subsets, nt) array is built.
     """
-    idx = np.empty((HB_SUBSAMPLES, k), dtype=np.intp)
+    rows = _n_subsets(k)
+    idx = np.empty((rows, k), dtype=np.intp)
     for j in range(k):
         top = nt - k + j
-        draw = rng.integers(0, top + 1, size=HB_SUBSAMPLES)
+        draw = rng.integers(0, top + 1, size=rows)
         repeat = (idx[:, :j] == draw[:, None]).any(axis=1)
         idx[:, j] = np.where(repeat, top, draw)
     return idx
@@ -164,7 +224,7 @@ def _mad_rows(betas, xdd, ydd):
 def high_breakdown_init(panel, seed=0):
     """High-breakdown starting vector from an elemental-subset search.
 
-    Draws HB_SUBSAMPLES random K-point subsets of the centered
+    Draws _n_subsets(K) random K-point subsets of the centered
     observations (see _elemental_subsets), solves each exactly and keeps
     the candidate whose residuals have the smallest MAD scale.  Up to
     HB_SCORE_CELLS cells every candidate is scored on the full sample.  On
@@ -184,7 +244,7 @@ def high_breakdown_init(panel, seed=0):
 
     rng = np.random.default_rng(seed)
     idx = _elemental_subsets(rng, nt, k)
-    a = cp.x[idx]  # (HB_SUBSAMPLES, K, K)
+    a = cp.x[idx]  # (subsets, K, K)
     b = cp.y[idx]
     # |det a| > 1e-12 max|a|^K, compared in log space so that neither side
     # overflows or underflows when the regressors change units
@@ -192,7 +252,7 @@ def high_breakdown_init(panel, seed=0):
     log_scale = k * np.log(np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))
     good = logdet > np.log(1e-12) + log_scale
     if not good.any():
-        raise DegenerateDesign("all %d elemental subsets were singular" % HB_SUBSAMPLES)
+        raise DegenerateDesign("all %d elemental subsets were singular" % len(idx))
     betas = np.linalg.solve(a[good], b[good][..., None])[..., 0]  # (G, K)
 
     if nt > HB_SCORE_CELLS:
@@ -251,11 +311,13 @@ def _esl(cp, start, c):
         fit = irls_fit(cp, LossSpec("esl", c_sel), beta, 1.0)
         total_iters += fit.iterations
         inner_converged = fit.converged
-        delta = np.max(np.abs(fit.beta - beta))
+        step = fit.beta - beta
         beta = fit.beta
-        if prev_c is not None and _settled(delta, beta) and abs(c_sel - prev_c) / c_sel < 0.01:
-            outer_converged = True
-            break
+        if prev_c is not None and abs(c_sel - prev_c) / c_sel < 0.01:
+            with np.errstate(over="ignore"):  # squares past the float range are inf
+                outer_converged = _settled(cp.x, cp.y, step, cp.y - cp.x @ beta)
+            if outer_converged:
+                break
         prev_c = c_sel
     return FitResult(
         estimator="esl",
