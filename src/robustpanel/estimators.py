@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDesign, SingularWeightedDesign, UnstableCurvature
-from .losses import LossSpec, _rho, psi, psi_prime, weight
+from .losses import LossSpec, _psi, _psi_prime, _rho, psi, psi_prime, weight
 from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, _in_float_range, within_ls
 from .scale import _mad, initial_scale, mad_scale
 from .tuning import HUBER_GRID, TUKEY_GRID, default_esl_grid, esl_select_c, select_c_grid
@@ -37,7 +37,7 @@ TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for the start's polish
 HB_SUBSAMPLES = 500  # most elemental subsets drawn by high_breakdown_init; see _n_subsets
 HB_SCORE_CELLS = 2000  # above this many cells, candidates are ranked on a subsample this size
 HB_RESCORE = 10  # best subsample candidates that are scored again on the full sample
-IRLS_TOL = 1e-8  # change in fitted values, relative to the residuals, that ends a loop
+IRLS_TOL = 1e-8  # change in fitted values, relative to the bounded residuals, that ends a loop
 NEWTON_HALVINGS = 4  # times a Huber Newton step is halved before IRLS takes over
 ESL_MAX_OUTER = 3  # outer passes of fit_esl
 
@@ -51,16 +51,20 @@ class IrlsConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _settled(xdd, ydd, step, resid):
+def _settled(xdd, step, bounded, fitted):
     """Whether the coefficient change `step` is negligible: the change in
-    fitted values ||X step|| is at most IRLS_TOL times the residual norm
-    ||y - X beta_new|| (the "resid" test of MASS rlm), or at most 1e-14 ||y||
-    for an exact fit, whose residuals are about 0.  Neither side depends
+    fitted values ||X step|| is at most IRLS_TOL times ||bounded||, the
+    residuals at beta_new as the loss bounds them, sigma psi(r / sigma), or
+    at most 1e-14 ||X beta_new|| (`fitted`) for an exact fit, whose
+    residuals are about 0.  sigma psi(r / sigma) is r on the cells the loss
+    keeps whole, at most sigma c on a cell that huber clips and 0 on one
+    that tukey or esl rejects, so a gross outlier does not loosen the rule
+    (the "resid" test of MASS rlm, on psi-residuals).  Neither side depends
     on the units of the regressors or the size of the coefficients.
     """
     moved = xdd @ step
     moved = moved @ moved
-    return bool(moved <= IRLS_TOL**2 * (resid @ resid) or moved <= 1e-28 * (ydd @ ydd))
+    return bool(moved <= IRLS_TOL**2 * (bounded @ bounded) or moved <= 1e-28 * (fitted @ fitted))
 
 
 def _weighted_solve(xdd, ydd, w):
@@ -86,12 +90,12 @@ def _huber_newton(xdd, ydd, beta, u, sigma, c, objective):
     None otherwise, and the caller takes an IRLS step.  A step or candidate
     past the float range has a nan or inf objective and is never taken.
     """
-    inner = xdd[np.abs(u) <= c]
+    inner = xdd[_psi_prime("huber", c, u) > 0]
     lam, vec = np.linalg.eigh(inner.T @ inner)
     if not lam[0] > 1e-10 * lam[-1]:
         return None
     with np.errstate(invalid="ignore"):
-        step = vec @ ((np.clip(u, -c, c) @ xdd @ vec) * (sigma / lam))
+        step = vec @ ((_psi("huber", c, u) @ xdd @ vec) * (sigma / lam))
         for _ in range(NEWTON_HALVINGS + 1):
             cand = beta + step
             resid = ydd - xdd @ cand
@@ -135,7 +139,8 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
                 resid = cp.y - cp.x @ new_beta
                 if newton:
                     objective = _rho("huber", spec.c, resid / sig).sum()
-            converged = _settled(cp.x, cp.y, new_beta - beta, resid)
+            bounded = sig * psi(spec, resid / sig)
+            converged = _settled(cp.x, new_beta - beta, bounded, cp.y - resid)
             beta = new_beta
             if converged:
                 break
@@ -194,13 +199,12 @@ def _n_subsets(k):
     return int(np.ceil(np.log(1e-6) / np.log1p(-clean)))
 
 
-def _elemental_subsets(rng, nt, k):
-    """_n_subsets(k) rows of k distinct cell indices in [0, nt), by Floyd's
+def _elemental_subsets(rng, nt, k, rows):
+    """`rows` rows of k distinct cell indices in [0, nt), by Floyd's
     algorithm: column j draws from [0, nt - k + j] and takes nt - k + j
     itself when the draw repeats an earlier column of its row.  Each row is
-    a uniformly random k-subset, and no (subsets, nt) array is built.
+    a uniformly random k-subset, and no (rows, nt) array is built.
     """
-    rows = _n_subsets(k)
     idx = np.empty((rows, k), dtype=np.intp)
     for j in range(k):
         top = nt - k + j
@@ -208,6 +212,16 @@ def _elemental_subsets(rng, nt, k):
         repeat = (idx[:, :j] == draw[:, None]).any(axis=1)
         idx[:, j] = np.where(repeat, top, draw)
     return idx
+
+
+def _solvable(a):
+    """Which (K, K) systems of the stack `a` are not singular: |det a| >
+    1e-12 max|a|^K, compared in log space so that neither side overflows or
+    underflows when the regressors change units."""
+    k = a.shape[-1]
+    _, logdet = np.linalg.slogdet(a)
+    log_scale = k * np.log(np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))
+    return logdet > np.log(1e-12) + log_scale
 
 
 def _mad_rows(betas, xdd, ydd):
@@ -225,8 +239,9 @@ def high_breakdown_init(panel, seed=0):
     """High-breakdown starting vector from an elemental-subset search.
 
     Draws _n_subsets(K) random K-point subsets of the centered
-    observations (see _elemental_subsets), solves each exactly and keeps
-    the candidate whose residuals have the smallest MAD scale.  Up to
+    observations (see _elemental_subsets), HB_SUBSAMPLES in all when any
+    of them is singular, solves each exactly and keeps the candidate
+    whose residuals have the smallest MAD scale.  Up to
     HB_SCORE_CELLS cells every candidate is scored on the full sample.  On
     a larger panel every candidate is ranked on one random HB_SCORE_CELLS
     subsample and only the best HB_RESCORE are scored on the full sample,
@@ -243,17 +258,18 @@ def high_breakdown_init(panel, seed=0):
         raise DegenerateDesign("need at least K+1 observations, have %d" % nt)
 
     rng = np.random.default_rng(seed)
-    idx = _elemental_subsets(rng, nt, k)
-    a = cp.x[idx]  # (subsets, K, K)
-    b = cp.y[idx]
-    # |det a| > 1e-12 max|a|^K, compared in log space so that neither side
-    # overflows or underflows when the regressors change units
-    _, logdet = np.linalg.slogdet(a)
-    log_scale = k * np.log(np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))
-    good = logdet > np.log(1e-12) + log_scale
+    idx = _elemental_subsets(rng, nt, k, _n_subsets(k))
+    good = _solvable(cp.x[idx])
+    if not good.all() and len(idx) < HB_SUBSAMPLES:
+        # _n_subsets counts solvable subsets; where some are singular (a
+        # regressor that varies in few cells) the draw goes on to the cap
+        more = _elemental_subsets(rng, nt, k, HB_SUBSAMPLES - len(idx))
+        idx = np.concatenate((idx, more))
+        good = np.concatenate((good, _solvable(cp.x[more])))
     if not good.any():
         raise DegenerateDesign("all %d elemental subsets were singular" % len(idx))
-    betas = np.linalg.solve(a[good], b[good][..., None])[..., 0]  # (G, K)
+    idx = idx[good]
+    betas = np.linalg.solve(cp.x[idx], cp.y[idx][..., None])[..., 0]  # (G, K)
 
     if nt > HB_SCORE_CELLS:
         sub = rng.choice(nt, HB_SCORE_CELLS, replace=False)
@@ -308,14 +324,16 @@ def _esl(cp, start, c):
         else:
             c_sel = float(c)  # LossSpec rejects one that is not positive
             sigma_mad = mad_scale(cp.y - cp.x @ beta).value
-        fit = irls_fit(cp, LossSpec("esl", c_sel), beta, 1.0)
+        spec = LossSpec("esl", c_sel)
+        fit = irls_fit(cp, spec, beta, 1.0)
         total_iters += fit.iterations
         inner_converged = fit.converged
         step = fit.beta - beta
         beta = fit.beta
         if prev_c is not None and abs(c_sel - prev_c) / c_sel < 0.01:
             with np.errstate(over="ignore"):  # squares past the float range are inf
-                outer_converged = _settled(cp.x, cp.y, step, cp.y - cp.x @ beta)
+                resid = cp.y - cp.x @ beta
+                outer_converged = _settled(cp.x, step, psi(spec, resid), cp.y - resid)
             if outer_converged:
                 break
         prev_c = c_sel
