@@ -1,8 +1,9 @@
 """Command-line surface: `fit` one panel CSV, or `simulate` a study config.
 
-Exit codes: 0 success, 1 usage problem, 2 malformed data or config,
-3 estimation failure on valid input.  Every error path prints exactly
-one `error: ...` line to stderr so scripts can parse failures.
+Exit codes: 0 success, 1 usage problem, 2 malformed data or config, or
+input too large for memory, 3 estimation failure on valid input.  Every
+error path prints exactly one `error: ...` line to stderr so scripts can
+parse failures.
 """
 
 import argparse
@@ -145,6 +146,9 @@ def main(argv=None):
     except (DataError, EstimationError) as err:
         print("error: %s: %s" % (type(err).__name__, err), file=sys.stderr)
         return 2 if isinstance(err, DataError) else 3
+    except MemoryError as err:  # an input too large to hold
+        print("error: MemoryError: %s" % (str(err) or "out of memory"), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

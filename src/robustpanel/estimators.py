@@ -16,9 +16,9 @@ constant and the starting point:
 
 ``fit_esl``, ``fit_estimator`` and the simulation studies fit through one
 dispatcher, ``_fit``, which draws one ``high_breakdown_init`` start per
-panel and starts every robust estimator from it.  ``irls_fit`` is the one
-reweighting step: every fit and the start's polish run through it.  For
-Huber's convex loss it tries a safeguarded Newton step first (see
+panel and starts every robust estimator from it.  ``_reweight`` is the one
+reweighting step: every ``irls_fit`` iterate and the start's polish take
+it.  For Huber's convex loss it tries a safeguarded Newton step first (see
 _huber_newton); every loop stops on one scale-free rule (see _settled).
 """
 
@@ -79,76 +79,74 @@ def _weighted_solve(xdd, ydd, w):
     return sol
 
 
-def _huber_newton(xdd, ydd, beta, u, sigma, c, objective):
+def _huber_newton(xdd, ydd, beta, u, sigma, c):
     """A safeguarded Newton step on Huber's objective sum rho(r / sigma).
 
     The Hessian is H = X_in' X_in over the cells with |u| <= c and the
     gradient X' clip(u, -c, c).  When H is well conditioned (smallest
     eigenvalue above 1e-10 of the largest) the step sigma H^-1 g is tried,
     halved up to NEWTON_HALVINGS times, and the first candidate that lowers
-    the objective is returned with its residuals and objective.  Returns
-    None otherwise, and the caller takes an IRLS step.  A step or candidate
-    past the float range has a nan or inf objective and is never taken.
+    the objective at beta is returned.  Returns None otherwise, and the
+    caller takes an IRLS step.  A step or candidate past the float range
+    has a nan or inf objective and is never taken.
     """
     inner = xdd[_psi_prime("huber", c, u) > 0]
     lam, vec = np.linalg.eigh(inner.T @ inner)
-    if not lam[0] > 1e-10 * lam[-1]:
-        return None
-    with np.errstate(invalid="ignore"):
-        step = vec @ ((_psi("huber", c, u) @ xdd @ vec) * (sigma / lam))
-        for _ in range(NEWTON_HALVINGS + 1):
-            cand = beta + step
-            resid = ydd - xdd @ cand
-            value = _rho("huber", c, resid / sigma).sum()
-            if value < objective:
-                return cand, resid, value
-            step = step / 2
+    if lam[0] > 1e-10 * lam[-1]:
+        with np.errstate(invalid="ignore"):
+            objective = _rho("huber", c, u).sum()
+            step = vec @ ((_psi("huber", c, u) @ xdd @ vec) * (sigma / lam))
+            for _ in range(NEWTON_HALVINGS + 1):
+                cand = beta + step
+                if _rho("huber", c, (ydd - xdd @ cand) / sigma).sum() < objective:
+                    return cand
+                step = step / 2
     return None
+
+
+def _reweight(xdd, ydd, spec, beta, u, sigma):
+    """The next iterate from beta, whose standardized residuals are u: for
+    huber a safeguarded Newton step (see _huber_newton) when one lowers the
+    convex objective, else, and always for the redescending tukey and esl,
+    the weighted LS solve at weight(spec, u).  The one reweighting step of
+    irls_fit and of the start's polish."""
+    if spec.family == "huber":
+        cand = _huber_newton(xdd, ydd, beta, u, sigma, spec.c)
+        if cand is not None:
+            return cand
+    return _weighted_solve(xdd, ydd, weight(spec, u))
 
 
 def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     """Iteratively reweighted LS at a fixed loss and fixed scale.
 
-    Repeats w_it = weight(spec, (y_it - x_it' beta) / sigma) followed by
-    a weighted LS solve until the coefficients settle (see _settled) or
-    config.max_iter is reached.  For huber each iteration first tries a
-    safeguarded Newton step (see _huber_newton), which is accepted only
-    when it lowers the convex objective, so the objective never rises;
-    tukey and esl redescend and keep the plain IRLS step.
+    Repeats the reweighting step of _reweight, at the standardized
+    residuals u = (y_it - x_it' beta) / sigma, until the coefficients
+    settle (see _settled) or config.max_iter is reached.  Huber's Newton
+    steps are taken only when they lower the convex objective, so the
+    objective never rises.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     cp = _as_centered(panel)
     beta = np.asarray(beta_init, dtype=float)
-    sig = float(sigma)
-    newton = spec.family == "huber"
     # a residual past the float range once standardized is +-inf, where
     # every weight takes its limit
     with np.errstate(over="ignore"):
-        resid = cp.y - cp.x @ beta
-        if newton:
-            objective = _rho("huber", spec.c, resid / sig).sum()
+        u = (cp.y - cp.x @ beta) / sigma
         for iterations in range(1, config.max_iter + 1):
-            taken = None
-            if newton:
-                taken = _huber_newton(cp.x, cp.y, beta, resid / sig, sig, spec.c, objective)
-            if taken is not None:
-                new_beta, resid, objective = taken
-            else:
-                new_beta = _weighted_solve(cp.x, cp.y, weight(spec, resid / sig))
-                resid = cp.y - cp.x @ new_beta
-                if newton:
-                    objective = _rho("huber", spec.c, resid / sig).sum()
-            bounded = sig * psi(spec, resid / sig)
-            converged = _settled(cp.x, new_beta - beta, bounded, cp.y - resid)
+            new_beta = _reweight(cp.x, cp.y, spec, beta, u, sigma)
+            resid = cp.y - cp.x @ new_beta
+            u = resid / sigma
+            converged = _settled(cp.x, new_beta - beta, sigma * psi(spec, u), cp.y - resid)
             beta = new_beta
             if converged:
                 break
-        w = weight(spec, resid / sig)
+        w = weight(spec, u)
     return FitResult(
         estimator=spec.family,
         beta=beta,
-        sigma_hat=sig,
+        sigma_hat=float(sigma),
         iterations=iterations,
         converged=converged,
         c_selected=spec.c,
@@ -246,11 +244,11 @@ def high_breakdown_init(panel, seed=0):
     a larger panel every candidate is ranked on one random HB_SCORE_CELLS
     subsample and only the best HB_RESCORE are scored on the full sample,
     as in FAST-LTS and fast-S, so time and memory stay linear in the cells.
-    The winner is polished by one irls_fit iteration of Tukey's loss
-    (c = 4.685) at its MAD scale, unless that scale is 0 or the weights
-    leave the design singular.  Singular subsets are skipped; if every
-    subset is singular the panel cannot support even an elemental fit and
-    DegenerateDesign is raised.
+    The winner is polished by one reweighting step (see _reweight) of
+    Tukey's loss (c = 4.685) at its MAD scale, unless that scale is 0 or
+    the weights leave the design singular.  Singular subsets are skipped;
+    if every subset is singular the panel cannot support even an elemental
+    fit and DegenerateDesign is raised.
     """
     cp = _as_centered(panel)
     nt, k = cp.x.shape
@@ -284,8 +282,9 @@ def high_breakdown_init(panel, seed=0):
     sigma = float(mads[best])
     if sigma > 0:
         try:
-            beta0 = irls_fit(cp, LossSpec("tukey", TUKEY_REFERENCE_C), beta0, sigma,
-                             IrlsConfig(max_iter=1)).beta
+            with np.errstate(over="ignore"):  # +-inf residuals take their limit weight
+                beta0 = _reweight(cp.x, cp.y, LossSpec("tukey", TUKEY_REFERENCE_C), beta0,
+                                  (cp.y - cp.x @ beta0) / sigma, sigma)
         except SingularWeightedDesign:
             pass  # keep the unrefined elemental winner
     return beta0
@@ -327,7 +326,6 @@ def _esl(cp, start, c):
         spec = LossSpec("esl", c_sel)
         fit = irls_fit(cp, spec, beta, 1.0)
         total_iters += fit.iterations
-        inner_converged = fit.converged
         step = fit.beta - beta
         beta = fit.beta
         if prev_c is not None and abs(c_sel - prev_c) / c_sel < 0.01:
@@ -337,15 +335,9 @@ def _esl(cp, start, c):
             if outer_converged:
                 break
         prev_c = c_sel
-    return FitResult(
-        estimator="esl",
-        beta=beta,
-        sigma_hat=sigma_mad,
-        iterations=total_iters,
-        converged=inner_converged and outer_converged,
-        c_selected=c_sel,
-        weights=fit.weights,
-    )
+    # the last pass's fit, at the MAD scale of its selection and with every pass's iterations
+    return dataclasses.replace(fit, sigma_hat=sigma_mad, iterations=total_iters,
+                               converged=fit.converged and outer_converged)
 
 
 @dataclass(frozen=True)

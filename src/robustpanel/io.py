@@ -252,6 +252,17 @@ class ExperimentConfig:
                     raise ConfigError("%s entries must be finite numbers, got %r" % (key, v))
         if len(self.beta) != len(self.gamma):
             raise ConfigError("beta and gamma must have equal length")
+        o, cs, e = self.outlier_study, self.consistency_study, self.error_dist_study
+        panels = [] if o is None else [("outlier_study.n_units", o.n_units, o.n_periods),
+                                       ("outlier_study.n_test", o.n_test, o.n_periods)]
+        if cs is not None:
+            panels += [("consistency_study.n_values", n, cs.t_fixed) for n in cs.n_values]
+            panels += [("consistency_study.t_values", cs.n_fixed, t) for t in cs.t_values]
+        panels += [] if e is None else [("error_dist_study.pairs", n, t) for n, t in e.pairs]
+        for key, n, t in panels:  # every training and holdout panel of the studies
+            if 8 * int(n) * int(t) * len(self.beta) > np.iinfo(np.intp).max:
+                raise ConfigError("%s: an N x T = %d x %d panel of %d regressors is too large "
+                                  "for one array" % (key, n, t, len(self.beta)))
 
 
 _SECTION_TYPES = {

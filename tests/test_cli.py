@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from robustpanel import cli
+from robustpanel import cli, simulation
 from robustpanel.io import write_panel_csv
 from robustpanel.panel import ESTIMATOR_NAMES, PanelData
 from robustpanel.simulation import (
@@ -245,6 +245,27 @@ class TestFitCommand:
         else:
             assert err == ""
 
+    @pytest.mark.parametrize("text,estimator,code,error", [
+        # N = T = K = 2: no residual degrees of freedom for LS
+        ("unit,time,y,x1,x2\na,1,1,1,0\na,2,2,3,1\nb,1,3,2,5\nb,2,5,7,2\n", "ls", 2,
+         "DegeneratePanel"),
+        # N = T = 2, K = 4: fewer than K + 1 cells for the start's elemental fits
+        ("unit,time,y,x1,x2,x3,x4\na,1,1,1,0,4,2\na,2,2,3,1,0,5\nb,1,3,2,5,1,1\n"
+         "b,2,5,7,2,3,0\n", "tukey", 3, "DegenerateDesign"),
+        ("", "ls", 2, "MissingColumn"),
+    ])
+    def test_documented_fit_errors_exit_with_one_error_line(self, tmp_path, capsys, text,
+                                                             estimator, code, error):
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        code_seen, _, err = run(
+            ["fit", "--input", str(path), "--estimator", estimator,
+             "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code_seen == code
+        assert err.startswith("error: %s:" % error) and err.count("\n") == 1
+
     def test_unwritable_report_is_usage_error(self, panel_csv, tmp_path, capsys):
         code, _, err = run(
             ["fit", "--input", panel_csv, "--estimator", "ls",
@@ -408,6 +429,7 @@ class TestSimulateCommand:
         {"outlier_study": {"n_units": 20, "n_periods": 4, "m_levels": [3], "n_test": 2,
                            "kinds": ["random_vertical", "concentrated_vertical"]}},
         {"beta": [], "gamma": []},
+        {"consistency_study": {"n_values": [10**30], "t_values": [4]}},
         pytest.param(b'{"estimators": ["ls"], "error_dist": "caf\xe9"}', id="latin1_file"),
     ])
     def test_invalid_config_value_fails_before_any_study(self, tmp_path, capsys, change):
@@ -422,6 +444,20 @@ class TestSimulateCommand:
         assert err.startswith("error: ConfigError:")
         assert err.count("\n") == 1
         assert not out_dir.exists()
+
+    def test_study_too_large_for_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # a panel that passes the config's size check but not the allocator
+        def too_large(config):
+            raise MemoryError("Unable to allocate 43.7 TiB for an array with shape "
+                              "(1000000000000, 3, 2) and data type float64")
+
+        monkeypatch.setattr(simulation, "gen_panel", too_large)
+        cfg = write_config(tmp_path, {"s": 1, "estimators": ["ls"], "consistency_study": {
+            "n_values": [10**12], "t_values": [4]}})
+        code, _, err = run(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                           capsys)
+        assert code == 2
+        assert err.startswith("error: MemoryError: Unable to allocate") and err.count("\n") == 1
 
     def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bogus": 1})
@@ -576,6 +612,9 @@ def fit_case(csv_text, *options):
     TINY_CONFIG, beta=[0.0], gamma=[9.950460369874228e153])))
 @example(argv=SIMULATE, csv_text=OK_CSV, config_text=json.dumps(dict(
     TINY_CONFIG, beta=[1e308], gamma=[1e308])))
+# a study panel with more regressor cells than one array can hold
+@example(argv=SIMULATE, csv_text=OK_CSV, config_text=json.dumps({
+    "s": 1, "estimators": ["ls"], "consistency_study": {"n_values": [10**30], "t_values": [4]}}))
 def test_any_input_keeps_the_exit_contract(argv, csv_text, config_text):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: os.path.join(tmp, name.strip("{}"))

@@ -254,6 +254,13 @@ class TestHighBreakdownInit:
         with pytest.raises(DegenerateDesign):
             high_breakdown_init(PanelData(y, x), seed=0)
 
+    def test_fewer_cells_than_k_plus_one_raises(self):
+        # N = T = 2, K = 4: NT = 4 < K + 1
+        rng = np.random.default_rng(2)
+        p = PanelData(rng.standard_normal((2, 2)), rng.standard_normal((2, 2, 4)))
+        with pytest.raises(DegenerateDesign, match="at least K\\+1 observations, have 4"):
+            high_breakdown_init(p, seed=0)
+
     def test_zero_mad_skips_the_polish(self):
         # y = 2x exactly: every elemental fit is 2 with zero residuals, so
         # the winner's MAD is 0 and the polish, which needs a positive
@@ -547,3 +554,26 @@ class TestPinnedDigests:
         digest.update(np.array([fit.c_selected, fit.sigma_hat]).tobytes())
         assert digest.hexdigest() == (
             "f4c79c9d66d5925960461f6ad441c40392cf4f37bb37d422181056663ac6baa2")
+
+    def test_fit_results_the_cli_reports(self):
+        # every field of fit_estimator that `robustpanel fit` writes, for each
+        # estimator on a (120, 2) concentrated-leverage panel and on 5,000
+        # cells (the start's subsample path): iterations, converged flags,
+        # weights and standard errors move with the IRLS control flow
+        panels = (
+            sim.contaminate(sim.gen_panel(sim.DgpConfig(n_units=120, n_periods=2, seed=3)),
+                            sim.ContaminationScheme(kind="concentrated_leverage", m=24, seed=4)),
+            sim.contaminate(sim.gen_panel(sim.DgpConfig(n_units=1250, n_periods=4, seed=7)),
+                            sim.ContaminationScheme(kind="random_vertical", m=250, seed=8)),
+        )
+        digest = hashlib.sha256()
+        for panel in panels:
+            for name in ("ls", "huber", "tukey", "esl"):
+                fit = fit_estimator(panel, name, seed=9)
+                for array in (fit.beta, fit.std_errors, fit.weights):
+                    if array is not None:
+                        digest.update(array.tobytes())
+                digest.update(repr((fit.sigma_hat, fit.c_selected, fit.iterations,
+                                    fit.converged)).encode())
+        assert digest.hexdigest() == (
+            "c8123a13f4b38ae9b5811be51c8b1a80566054c23b013630f4ed027429ec7ec3")

@@ -115,6 +115,12 @@ class TestReadPanelCsv:
         with pytest.raises(NonNumericCell, match="row 3, column y"):
             read_panel_csv(path)
 
+    def test_empty_file_names_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(MissingColumn, match="empty.csv is empty; expected header"):
+            read_panel_csv(str(path))
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             read_panel_csv(str(tmp_path / "nope.csv"))
@@ -311,7 +317,25 @@ class TestExperimentConfig:
          "nearest valid m is 2"),
         ('{"beta": [], "gamma": []}', "beta must hold at least one coefficient"),
         ('{"beta": [2.4], "gamma": []}', "gamma must hold at least one coefficient"),
+        ('[{"s": 1}]', "config must be a JSON object"),
+        ('{"consistency_study": [50, 100]}', "consistency_study must be an object"),
+        ('{"beta": [2.4, -1.2], "gamma": [2.0]}', "beta and gamma must have equal length"),
+        # N x T x K float64 cells past np.intp's byte range, training and holdout
+        pytest.param('{"consistency_study": {"n_values": [1%s], "t_values": [4]}}' % ("0" * 30),
+                     "consistency_study.n_values: an N x T = 1%s x 3 panel" % ("0" * 30),
+                     id="training-panel-past-intp"),
+        pytest.param('{"outlier_study": {"n_test": 1%s}}' % ("0" * 18),
+                     "outlier_study.n_test: an N x T = 1%s x 2 panel" % ("0" * 18),
+                     id="holdout-panel-past-intp"),
     ])
     def test_invalid_value_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
+
+    def test_largest_study_panel_is_one_array(self):
+        # n at t_fixed = 3 and K = 2 whose regressors fill np.intp's byte range;
+        # only a config is built, nothing is allocated
+        n = np.iinfo(np.intp).max // (8 * 3 * 2)
+        parse_config('{"consistency_study": {"n_values": [%d]}}' % n)
+        with pytest.raises(ConfigError, match="consistency_study.n_values"):
+            parse_config('{"consistency_study": {"n_values": [%d]}}' % (n + 1))

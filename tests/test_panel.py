@@ -49,6 +49,12 @@ class TestPanelData:
         with pytest.raises(DegeneratePanel):
             PanelData(y, x)
 
+    def test_nonfinite_regressor_named_with_its_cell(self):
+        x = np.zeros((3, 2, 2))
+        x[2, 1, 1] = np.inf
+        with pytest.raises(DegeneratePanel, match="non-finite x2 at unit 2, period 1"):
+            PanelData(np.zeros((3, 2)), x)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DegeneratePanel):
             PanelData(np.zeros((2, 2)), np.zeros((2, 3, 1)))
@@ -185,6 +191,13 @@ class TestWithinLs:
         with pytest.raises(SingularDesign) as err:
             within_ls(PanelData(y, x))
         assert "null direction" in str(err.value)
+
+    def test_no_residual_degrees_of_freedom_rejected(self):
+        # N = T = K = 2: the slopes are solvable but NT - N - K = 0
+        rng = np.random.default_rng(6)
+        p = PanelData(rng.standard_normal((2, 2)), rng.standard_normal((2, 2, 2)))
+        with pytest.raises(DegeneratePanel, match="NT - N - K = 0"):
+            within_ls(p)
 
     def test_std_errors_classical_form(self, noisy_panel):
         fit = within_ls(noisy_panel)
