@@ -108,22 +108,29 @@ def _run_simulate(args):
         tables["consistency_curves.csv"] = [["axis", "n", "t", "estimator", "mse"]]
     if config.error_dist_study is not None:
         tables["se_samples.csv"] = [["error_dist", "n", "t", "estimator", "rep", "se"]]
-    with _writing():
+    with _writing():  # before the studies, so that an unwritable path fails fast
+        made = not os.path.isdir(args.out_dir)
         os.makedirs(args.out_dir, exist_ok=True)
-    for section, key, report in run_experiment(config):
-        if section == "outlier_study":
-            for table, values in ((tables["mse_table.csv"], report.mse),
-                                  (tables["rmse_table.csv"], report.rmse)):
-                table[0].append("%s_m%d" % key)
-                for row, name in zip(table[1:], names):
-                    row.append(_fmt(values[name]))
-        elif section == "consistency_study":
-            tables["consistency_curves.csv"] += [
-                [*key, name, _fmt(report.mse[name])] for name in names]
-        else:
-            tables["se_samples.csv"] += [
-                [*key, name, rep, _fmt(se)]
-                for name in names for rep, se in enumerate(report.se_samples[name])]
+    try:
+        for section, key, report in run_experiment(config):
+            if section == "outlier_study":
+                for table, values in ((tables["mse_table.csv"], report.mse),
+                                      (tables["rmse_table.csv"], report.rmse)):
+                    table[0].append("%s_m%d" % key)
+                    for row, name in zip(table[1:], names):
+                        row.append(_fmt(values[name]))
+            elif section == "consistency_study":
+                tables["consistency_curves.csv"] += [
+                    [*key, name, _fmt(report.mse[name])] for name in names]
+            else:
+                tables["se_samples.csv"] += [
+                    [*key, name, rep, _fmt(se)]
+                    for name in names for rep, se in enumerate(report.se_samples[name])]
+    except BaseException:
+        if made:  # a failed run leaves no empty directory of its own behind
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out_dir)
+        raise
     for file_name, rows in tables.items():
         path = os.path.join(args.out_dir, file_name)
         with _writing(), open(path, "w", newline="") as fh:

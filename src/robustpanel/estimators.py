@@ -14,12 +14,23 @@ constant and the starting point:
 ``sandwich_se`` provides asymptotic standard errors of the familiar
 (E psi^2 / (E psi')^2) * sigma^2 * (X''X'')^{-1} form for any of them.
 
-``fit_esl``, ``fit_estimator`` and the simulation studies fit through one
-dispatcher, ``_fit``, which draws one ``high_breakdown_init`` start per
-panel and starts every robust estimator from it.  ``_reweight`` is the one
-reweighting step: every ``irls_fit`` iterate and the start's polish take
-it.  For Huber's convex loss it tries a safeguarded Newton step first (see
-_huber_newton); every loop stops on one scale-free rule (see _settled).
+Every kernel works on a stack of panels of one shape, with a leading
+replication axis: (S, NT) centered responses and (S, NT, K) centered
+designs.  ``_fit``, the one dispatcher, fits a list of centered panels at
+once: the simulation studies hand it a chunk of replications, and
+``fit_esl``, ``fit_estimator``, ``fit_mestimator``, ``irls_fit`` and
+``high_breakdown_init`` are stacks of one.  Each member runs the steps it
+would run alone: its start draws from its own random stream, IRLS sets a
+member aside once it settles, and a member that meets an EstimationError
+leaves the stack with it while the rest carry on.  No member's numbers
+depend on its stack-mates: row sums, and batched matmul, solve and eigh,
+act member by member.
+
+``_reweight`` is the one reweighting step: every IRLS iterate and the
+start's polish take it.  For Huber's convex loss it tries a safeguarded
+Newton step first (see _huber_newton); the weighted LS step is one batched
+K x K solve (see _weighted_solve); every loop stops on one scale-free rule
+(see _settled).
 """
 
 import dataclasses
@@ -27,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesign, SingularWeightedDesign, UnstableCurvature
-from .losses import LossSpec, _psi, _psi_prime, _rho, psi, psi_prime, weight
+from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, UnstableCurvature
+from .losses import LossSpec, _psi, _psi_prime, _rho, _weight, psi, psi_prime
 from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, _in_float_range, within_ls
-from .scale import _mad, initial_scale, mad_scale
-from .tuning import HUBER_GRID, TUKEY_GRID, default_esl_grid, esl_select_c, select_c_grid
+from .scale import _mad, _scales
+from .tuning import HUBER_GRID, TUKEY_GRID, _blocks, _esl_search, _tau_search, default_esl_grid
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for the start's polish
 HB_SUBSAMPLES = 500  # most elemental subsets drawn by high_breakdown_init; see _n_subsets
@@ -40,6 +51,7 @@ HB_RESCORE = 10  # best subsample candidates that are scored again on the full s
 IRLS_TOL = 1e-8  # change in fitted values, relative to the bounded residuals, that ends a loop
 NEWTON_HALVINGS = 4  # times a Huber Newton step is halved before IRLS takes over
 ESL_MAX_OUTER = 3  # outer passes of fit_esl
+LOG_SINGULAR = np.log(1e-12)  # log |det| below which a K x K system counts as singular
 
 
 @dataclass(frozen=True)
@@ -51,8 +63,24 @@ class IrlsConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _settled(xdd, step, bounded, fitted):
-    """Whether the coefficient change `step` is negligible: the change in
+def _xb(x, b):
+    """x @ b for every member: (S, NT, K) by (S, K) -> (S, NT)."""
+    return (x @ b[:, :, None])[:, :, 0]
+
+
+def _rows(live, s):
+    """An index that takes the members `live` of a stack of s; a view when
+    that is all of them."""
+    return slice(None) if len(live) == s else live
+
+
+def _others(members, failures):
+    """The `members` that are not in `failures`, as an index array."""
+    return np.array([i for i in members if i not in failures], dtype=int)
+
+
+def _settled(x, step, bounded, fitted):
+    """Which members' coefficient change `step` is negligible: the change in
     fitted values ||X step|| is at most IRLS_TOL times ||bounded||, the
     residuals at beta_new as the loss bounds them, sigma psi(r / sigma), or
     at most 1e-14 ||X beta_new|| (`fitted`) for an exact fit, whose
@@ -62,59 +90,164 @@ def _settled(xdd, step, bounded, fitted):
     (the "resid" test of MASS rlm, on psi-residuals).  Neither side depends
     on the units of the regressors or the size of the coefficients.
     """
-    moved = xdd @ step
-    moved = moved @ moved
-    return bool(moved <= IRLS_TOL**2 * (bounded @ bounded) or moved <= 1e-28 * (fitted @ fitted))
+    moved, bounded, fitted = np.add.reduce(np.square((_xb(x, step), bounded, fitted)), axis=2)
+    return (moved <= IRLS_TOL**2 * bounded) | (moved <= 1e-28 * fitted)
 
 
-def _weighted_solve(xdd, ydd, w):
-    """Solve the weighted normal equations via sqrt-weight row scaling."""
-    root = np.sqrt(w)
-    sol, _, rank, _ = np.linalg.lstsq(xdd * root[:, None], ydd * root, rcond=None)
-    if rank < xdd.shape[1]:
-        raise SingularWeightedDesign(
-            "weighted cross-product is rank %d < %d; the current weights "
-            "reject too much of the sample" % (rank, xdd.shape[1])
-        )
-    return sol
+def _weighted_solve(x, y, w):
+    """Solve every member's weighted normal equations X'WX b = X'Wy at once.
+
+    Each K x K system is scaled to a unit diagonal (Jacobi equilibration)
+    before one batched solve, so that neither its conditioning nor the
+    singularity test of _solvable, which then reads log|det| >
+    log 1e-12, depends on the units of the regressors.  A system that
+    fails the test falls back to least squares on that member's
+    sqrt-weighted design, which solves it unless the design is rank
+    deficient.  Returns (beta, {member: SingularWeightedDesign}).
+    """
+    xwt = x.transpose(0, 2, 1) * w[:, None, :]
+    a = xwt @ x
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    inv = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # a zero column stays singular
+    a *= inv[:, :, None]
+    a *= inv[:, None, :]
+    ok = np.linalg.slogdet(a)[1] > LOG_SINGULAR
+    if not ok.all():
+        a[~ok] = np.identity(x.shape[2])
+    beta = np.linalg.solve(a, (xwt @ y[:, :, None]) * inv[:, :, None])[:, :, 0] * inv
+    failures = {}
+    for i in np.flatnonzero(~ok):
+        root = np.sqrt(w[i])
+        beta[i], _, rank, _ = np.linalg.lstsq(x[i] * root[:, None], y[i] * root, rcond=None)
+        if rank < x.shape[2]:
+            failures[i] = SingularWeightedDesign(
+                "weighted cross-product is rank %d < %d; the current weights "
+                "reject too much of the sample" % (rank, x.shape[2]))
+    return beta, failures
 
 
-def _huber_newton(xdd, ydd, beta, u, sigma, c):
-    """A safeguarded Newton step on Huber's objective sum rho(r / sigma).
+def _huber_newton(x, y, beta, u, sigma, c):
+    """A safeguarded Newton step on every member's Huber objective
+    sum rho(r / sigma), at its own c and sigma.
 
     The Hessian is H = X_in' X_in over the cells with |u| <= c and the
     gradient X' clip(u, -c, c).  When H is well conditioned (smallest
     eigenvalue above 1e-10 of the largest) the step sigma H^-1 g is tried,
     halved up to NEWTON_HALVINGS times, and the first candidate that lowers
-    the objective at beta is returned.  Returns None otherwise, and the
-    caller takes an IRLS step.  A step or candidate past the float range
-    has a nan or inf objective and is never taken.
+    the objective at beta is taken.  Each halving scores the members still
+    searching at once, their residuals formed as u was, so that rounding
+    alone never makes a candidate look lower.  Returns (beta_new, taken); a
+    member that took no candidate keeps beta and takes an IRLS step
+    instead.  A step or candidate past the float range has a nan or inf
+    objective and is never taken.
     """
-    inner = xdd[_psi_prime("huber", c, u) > 0]
-    lam, vec = np.linalg.eigh(inner.T @ inner)
-    if lam[0] > 1e-10 * lam[-1]:
-        with np.errstate(invalid="ignore"):
-            objective = _rho("huber", c, u).sum()
-            step = vec @ ((_psi("huber", c, u) @ xdd @ vec) * (sigma / lam))
-            for _ in range(NEWTON_HALVINGS + 1):
-                cand = beta + step
-                if _rho("huber", c, (ydd - xdd @ cand) / sigma).sum() < objective:
-                    return cand
-                step = step / 2
-    return None
+    c = c[:, None]
+    # psi' is 0 or 1, so X' diag(psi') X is X_in' X_in
+    lam, vec = np.linalg.eigh((x.transpose(0, 2, 1) * _psi_prime("huber", c, u)[:, None, :]) @ x)
+    todo = np.flatnonzero(lam[:, 0] > 1e-10 * lam[:, -1])
+    new, taken = beta.copy(), np.zeros(len(beta), dtype=bool)
+    if not todo.size:
+        return new, taken
+    sub = _rows(todo, len(beta))
+    x, y, beta, u, sigma, c, lam, vec = (a[sub] for a in (x, y, beta, u, sigma, c, lam, vec))
+    with np.errstate(invalid="ignore"):
+        objective = _rho("huber", c, u).sum(axis=1)
+        grad = _psi("huber", c, u)[:, None, :] @ x @ vec
+        step = (vec @ (grad[:, 0, :] * (sigma[:, None] / lam))[:, :, None])[:, :, 0]
+        search = np.arange(len(todo))
+        for _ in range(NEWTON_HALVINGS + 1):
+            at = _rows(search, len(todo))
+            cand = beta[at] + step[at]
+            r = (y[at] - _xb(x[at], cand)) / sigma[at, None]
+            lower = _rho("huber", c[at], r).sum(axis=1) < objective[at]
+            new[todo[search[lower]]] = cand[lower]
+            taken[todo[search[lower]]] = True
+            search = search[~lower]
+            if not search.size:
+                break
+            step = step / 2
+    return new, taken
 
 
-def _reweight(xdd, ydd, spec, beta, u, sigma):
-    """The next iterate from beta, whose standardized residuals are u: for
-    huber a safeguarded Newton step (see _huber_newton) when one lowers the
-    convex objective, else, and always for the redescending tukey and esl,
-    the weighted LS solve at weight(spec, u).  The one reweighting step of
-    irls_fit and of the start's polish."""
-    if spec.family == "huber":
-        cand = _huber_newton(xdd, ydd, beta, u, sigma, spec.c)
-        if cand is not None:
-            return cand
-    return _weighted_solve(xdd, ydd, weight(spec, u))
+def _reweight(x, y, family, c, beta, u, sigma):
+    """The next iterate of every member from beta, whose standardized
+    residuals are u, at its own c and sigma: for huber a safeguarded Newton
+    step (see _huber_newton) where one lowers the convex objective, else,
+    and always for the redescending tukey and esl, the weighted LS solve at
+    the loss's weights (see _weighted_solve).  The one reweighting step of
+    IRLS and of the start's polish.  Returns (beta_new, {member:
+    SingularWeightedDesign})."""
+    if family != "huber":
+        return _weighted_solve(x, y, _weight(family, c[:, None], u))
+    new, taken = _huber_newton(x, y, beta, u, sigma, c)
+    if taken.all():
+        return new, {}
+    rest = np.flatnonzero(~taken)
+    sub = _rows(rest, len(beta))
+    new[sub], failures = _weighted_solve(x[sub], y[sub], _weight(family, c[sub, None], u[sub]))
+    return new, {rest[i]: err for i, err in failures.items()}
+
+
+def _irls(x, y, family, c, beta, sigma, max_iter):
+    """IRLS at a fixed loss and fixed scale for every member of a stack, at
+    its own c and sigma (S,), from beta (S, K).
+
+    Repeats the reweighting step of _reweight, at the standardized
+    residuals u = (y_it - x_it' beta) / sigma, until a member's
+    coefficients settle (see _settled) or max_iter is reached; a settled
+    member leaves the active stack, so each runs the iterations it would
+    run alone.  Huber's Newton steps are taken only when they lower the
+    convex objective, so the objective never rises.  Returns (beta, u,
+    iterations, converged, failures): each member's last iterate, and
+    {member: SingularWeightedDesign} for those whose weights left the
+    design singular.
+    """
+    beta = np.array(beta, dtype=float)
+    u = np.zeros(y.shape)
+    iterations = np.zeros(len(beta), dtype=int)
+    converged = np.zeros(len(beta), dtype=bool)
+    failures = {}
+    live = np.arange(len(beta))
+    xa, ya, ca, sa, ba = x, y, c, sigma[:, None], beta
+    # a residual past the float range once standardized is +-inf, where
+    # every weight takes its limit
+    with np.errstate(over="ignore"):
+        ua = (ya - _xb(xa, ba)) / sa
+        for it in range(1, max_iter + 1):
+            new, singular = _reweight(xa, ya, family, ca, ba, ua, sa[:, 0])
+            resid = ya - _xb(xa, new)
+            ua = resid / sa
+            done = _settled(xa, new - ba, sa * _psi(family, ca[:, None], ua), ya - resid)
+            ba = new
+            if it < max_iter and not singular and not done.any():
+                continue
+            failed = np.zeros(len(live), dtype=bool)
+            for i, err in singular.items():
+                failures[live[i]] = err
+                failed[i] = True
+            stop = (done | (it == max_iter)) & ~failed
+            beta[live[stop]] = ba[stop]
+            u[live[stop]] = ua[stop]
+            iterations[live[stop]] = it
+            converged[live[stop]] = done[stop]
+            keep = ~(stop | failed)
+            live = live[keep]
+            if not live.size:
+                break
+            xa, ya, ca, sa, ba, ua = xa[keep], ya[keep], ca[keep], sa[keep], ba[keep], ua[keep]
+    return beta, u, iterations, converged, failures
+
+
+def _results(family, members, beta, sigma, iterations, converged, c, u, shape):
+    """{member: FitResult} for `members` of a stack, from per-member arrays;
+    the weights are the loss's at each member's last residuals u."""
+    if not len(members):
+        return {}
+    w = _weight(family, c[members, None], u[members])
+    return {i: FitResult(estimator=family, beta=beta[i], sigma_hat=float(sigma[i]),
+                         iterations=int(iterations[i]), converged=bool(converged[i]),
+                         c_selected=float(c[i]), weights=w[j].reshape(shape))
+            for j, i in enumerate(members)}
 
 
 def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
@@ -124,34 +257,49 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     residuals u = (y_it - x_it' beta) / sigma, until the coefficients
     settle (see _settled) or config.max_iter is reached.  Huber's Newton
     steps are taken only when they lower the convex objective, so the
-    objective never rises.
+    objective never rises.  A stack of one of _irls.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     cp = _as_centered(panel)
-    beta = np.asarray(beta_init, dtype=float)
-    # a residual past the float range once standardized is +-inf, where
-    # every weight takes its limit
-    with np.errstate(over="ignore"):
-        u = (cp.y - cp.x @ beta) / sigma
-        for iterations in range(1, config.max_iter + 1):
-            new_beta = _reweight(cp.x, cp.y, spec, beta, u, sigma)
-            resid = cp.y - cp.x @ new_beta
-            u = resid / sigma
-            converged = _settled(cp.x, new_beta - beta, sigma * psi(spec, u), cp.y - resid)
-            beta = new_beta
-            if converged:
-                break
-        w = weight(spec, u)
-    return FitResult(
-        estimator=spec.family,
-        beta=beta,
-        sigma_hat=float(sigma),
-        iterations=iterations,
-        converged=converged,
-        c_selected=spec.c,
-        weights=w.reshape(cp.shape),
-    )
+    c, sigma = np.array([spec.c]), np.array([float(sigma)])
+    beta, u, iterations, converged, failures = _irls(
+        cp.x[None], cp.y[None], spec.family, c, np.asarray(beta_init, dtype=float)[None],
+        sigma, config.max_iter)
+    if failures:
+        raise failures[0]
+    return _results(spec.family, [0], beta, sigma, iterations, converged, c, u, cp.shape)[0]
+
+
+def _mestimators(x, y, family, c, beta0, shape):
+    """Steps 2-4 of fit_mestimator for every member of a stack, from its
+    start beta0: the residual scale, c (the grid search unless c is fixed)
+    and IRLS.  Returns ({member: FitResult}, {member: EstimationError})."""
+    resid = y - _xb(x, beta0)
+    sigma, failures = _scales(resid.copy(), "initial")
+    live = _others(range(len(beta0)), failures)
+    cs = np.zeros(len(beta0))
+    if not live.size:
+        return {}, failures
+    if c == "auto":
+        grid = HUBER_GRID if family == "huber" else TUKEY_GRID
+        with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in IRLS
+            e = resid[live] / sigma[live, None]
+        _, _, best, untuned = _tau_search(e, family, grid)
+        cs[live] = grid[best]
+        failures.update((live[j], err) for j, err in untuned.items())
+        live = _others(range(len(beta0)), failures)
+        if not live.size:
+            return {}, failures
+    else:
+        cs[:] = LossSpec(family, c).c  # LossSpec checks a fixed c
+    sub = _rows(live, len(beta0))
+    beta, u, iterations, converged, singular = _irls(
+        x[sub], y[sub], family, cs[sub], beta0[sub], sigma[sub], IrlsConfig().max_iter)
+    failures.update((live[j], err) for j, err in singular.items())
+    fitted = [j for j in range(len(live)) if j not in singular]
+    fits = _results(family, fitted, beta, sigma[sub], iterations, converged, cs[sub], u, shape)
+    return {live[j]: fit for j, fit in fits.items()}, failures
 
 
 def fit_mestimator(panel, family, c="auto", beta_init=None):
@@ -178,11 +326,10 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
                 "beta_init must have length %d, got shape %r"
                 % (cp.x.shape[1], beta0.shape)
             )
-    sigma = initial_scale(cp.y - cp.x @ beta0).value
-    if c == "auto":
-        grid = HUBER_GRID if family == "huber" else TUKEY_GRID
-        c = select_c_grid(cp, family, beta0, sigma, grid).c_star
-    return irls_fit(cp, LossSpec(family, c), beta0, sigma)  # LossSpec checks a fixed c
+    fits, failures = _mestimators(cp.x[None], cp.y[None], family, c, beta0[None], cp.shape)
+    if failures:
+        raise failures[0]
+    return fits[0]
 
 
 def _n_subsets(k):
@@ -219,18 +366,86 @@ def _solvable(a):
     k = a.shape[-1]
     _, logdet = np.linalg.slogdet(a)
     log_scale = k * np.log(np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))
-    return logdet > np.log(1e-12) + log_scale
+    return logdet > LOG_SINGULAR + log_scale
 
 
-def _mad_rows(betas, xdd, ydd):
-    """MAD scale of the residuals y - x beta for each row of `betas`, scored
-    in one (rows, cells) buffer that _mad overwrites; +inf where they leave
-    the float range, so that such a row never ranks first."""
+def _mad_rows(betas, x, y):
+    """MAD scale of the residuals y - x beta for every candidate of every
+    member, (S, G, K) betas on (S, n, K) x and (S, n) y, scored in blocks
+    (see _blocks) that _mad overwrites; +inf where they leave the float
+    range, so that such a candidate never ranks first."""
+    mads = np.empty(betas.shape[:2])
+    xt = x.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = betas @ xdd.T
-        np.subtract(ydd, resid, out=resid)
-        mads = _mad(resid)
+        for members, rows in _blocks(len(betas), betas.shape[1], y.shape[1]):
+            resid = betas[members, rows] @ xt[members]
+            np.subtract(y[members, None, :], resid, out=resid)
+            mads[members, rows] = _mad(resid)
     return np.where(np.isfinite(mads), mads, np.inf)
+
+
+def _starts(x, y, seeds):
+    """high_breakdown_init of every member of a stack, each from
+    default_rng(seed) of its own seed, drawn in the order a lone call
+    draws.  Members with the same subset count (some go on to
+    HB_SUBSAMPLES) are solved and scored together; a singular subset
+    takes an identity system and a MAD of +inf, so it never wins.
+    Returns (starts (S, K), {member: DegenerateDesign}).
+    """
+    s, nt, k = x.shape
+    if nt < k + 1:
+        return np.zeros((s, k)), {
+            i: DegenerateDesign("need at least K+1 observations, have %d" % nt) for i in range(s)}
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    idx = np.stack([_elemental_subsets(rng, nt, k, _n_subsets(k)) for rng in rngs])
+    good = list(_solvable(x[np.arange(s)[:, None, None], idx].reshape(-1, k, k))
+                .reshape(idx.shape[:2]))
+    idx = list(idx)
+    for i in range(s):
+        if not good[i].all() and len(idx[i]) < HB_SUBSAMPLES:
+            # _n_subsets counts solvable subsets; where some are singular (a
+            # regressor that varies in few cells) the draw goes on to the cap
+            more = _elemental_subsets(rngs[i], nt, k, HB_SUBSAMPLES - len(idx[i]))
+            idx[i] = np.concatenate((idx[i], more))
+            good[i] = np.concatenate((good[i], _solvable(x[i][more])))
+
+    starts, sigma, failures = np.zeros((s, k)), np.zeros(s), {}
+    for count in sorted({len(rows) for rows in idx}):
+        group = np.array([i for i in range(s) if len(idx[i]) == count])
+        cells, ok = np.stack([idx[i] for i in group]), np.stack([good[i] for i in group])
+        xg, yg = x[group], y[group]
+        at = np.arange(len(group))[:, None, None]
+        a = xg[at, cells]
+        a[~ok] = np.eye(k)
+        betas = np.linalg.solve(a, yg[at, cells][..., None])[..., 0]  # (group, count, K)
+        for j in np.flatnonzero(~ok.any(axis=1)):
+            failures[group[j]] = DegenerateDesign("all %d elemental subsets were singular" % count)
+        if nt > HB_SCORE_CELLS:
+            sub = np.stack([rngs[i].choice(nt, HB_SCORE_CELLS, replace=False) for i in group])
+            at2 = at[:, :, 0]
+            # a singular subset ranks after every other (nan sorts last)
+            ranked = np.argsort(np.where(ok, _mad_rows(betas, xg[at2, sub], yg[at2, sub]), np.nan),
+                                axis=1, kind="stable")[:, :HB_RESCORE]
+            betas = np.take_along_axis(betas, ranked[:, :, None], axis=1)
+            ok = np.take_along_axis(ok, ranked, axis=1)
+        mads = np.where(ok, _mad_rows(betas, xg, yg), np.inf)
+        best = np.argmin(mads, axis=1)
+        starts[group] = betas[at[:, 0, 0], best]
+        sigma[group] = mads[at[:, 0, 0], best]
+    for i in np.flatnonzero(sigma == np.inf):
+        failures.setdefault(i, DegenerateDesign(
+            "every elemental fit has residuals past the float range"))
+
+    live = np.array([i for i in np.flatnonzero(sigma > 0) if i not in failures], dtype=int)
+    if live.size:
+        with np.errstate(over="ignore"):  # +-inf residuals take their limit weight
+            polished, singular = _reweight(
+                x[live], y[live], "tukey", np.full(live.size, TUKEY_REFERENCE_C), starts[live],
+                (y[live] - _xb(x[live], starts[live])) / sigma[live, None], sigma[live])
+        keep = np.ones(live.size, dtype=bool)
+        keep[list(singular)] = False  # a singular polish keeps the elemental winner
+        starts[live[keep]] = polished[keep]
+    return starts, failures
 
 
 def high_breakdown_init(panel, seed=0):
@@ -248,46 +463,13 @@ def high_breakdown_init(panel, seed=0):
     Tukey's loss (c = 4.685) at its MAD scale, unless that scale is 0 or
     the weights leave the design singular.  Singular subsets are skipped;
     if every subset is singular the panel cannot support even an elemental
-    fit and DegenerateDesign is raised.
+    fit and DegenerateDesign is raised.  A stack of one of _starts.
     """
     cp = _as_centered(panel)
-    nt, k = cp.x.shape
-    if nt < k + 1:
-        raise DegenerateDesign("need at least K+1 observations, have %d" % nt)
-
-    rng = np.random.default_rng(seed)
-    idx = _elemental_subsets(rng, nt, k, _n_subsets(k))
-    good = _solvable(cp.x[idx])
-    if not good.all() and len(idx) < HB_SUBSAMPLES:
-        # _n_subsets counts solvable subsets; where some are singular (a
-        # regressor that varies in few cells) the draw goes on to the cap
-        more = _elemental_subsets(rng, nt, k, HB_SUBSAMPLES - len(idx))
-        idx = np.concatenate((idx, more))
-        good = np.concatenate((good, _solvable(cp.x[more])))
-    if not good.any():
-        raise DegenerateDesign("all %d elemental subsets were singular" % len(idx))
-    idx = idx[good]
-    betas = np.linalg.solve(cp.x[idx], cp.y[idx][..., None])[..., 0]  # (G, K)
-
-    if nt > HB_SCORE_CELLS:
-        sub = rng.choice(nt, HB_SCORE_CELLS, replace=False)
-        ranked = np.argsort(_mad_rows(betas, cp.x[sub], cp.y[sub]), kind="stable")
-        betas = betas[ranked[:HB_RESCORE]]
-    mads = _mad_rows(betas, cp.x, cp.y)
-    best = int(np.argmin(mads))
-    if mads[best] == np.inf:
-        raise DegenerateDesign("every elemental fit has residuals past the float range")
-    beta0 = betas[best]
-
-    sigma = float(mads[best])
-    if sigma > 0:
-        try:
-            with np.errstate(over="ignore"):  # +-inf residuals take their limit weight
-                beta0 = _reweight(cp.x, cp.y, LossSpec("tukey", TUKEY_REFERENCE_C), beta0,
-                                  (cp.y - cp.x @ beta0) / sigma, sigma)
-        except SingularWeightedDesign:
-            pass  # keep the unrefined elemental winner
-    return beta0
+    starts, failures = _starts(cp.x[None], cp.y[None], [seed])
+    if failures:
+        raise failures[0]
+    return starts[0]
 
 
 def fit_esl(panel, seed=0):
@@ -304,40 +486,69 @@ def fit_esl(panel, seed=0):
     the relative change in c are negligible.  The reported sigma_hat is
     the MAD scale at which the final selection was made.
     """
-    return _fit(_as_centered(panel), ("esl",), "auto", seed)["esl"]
+    return _fit_one(_as_centered(panel), ("esl",), "auto", seed)["esl"]
 
 
-def _esl(cp, start, c):
-    """The outer loop of fit_esl, run by _fit from the high-breakdown fit
-    `start`; a fixed `c` (from fit_estimator) skips the selection step."""
-    beta = start
+def _esls(x, y, start, c, shape):
+    """The outer loop of fit_esl for every member of a stack, from its
+    high-breakdown fit `start`; a fixed `c` (from fit_estimator) skips the
+    selection step.  A member leaves the loop at its own pass.  Returns
+    ({member: FitResult}, {member: EstimationError}) as _mestimators."""
+    s = len(start)
+    beta = np.array(start, dtype=float)
+    failures, grids = {}, {}
     if c == "auto":
-        grid = default_esl_grid(mad_scale(cp.y - cp.x @ beta).value)
-    prev_c = None
-    total_iters = 0
-    outer_converged = False
+        scale, failures = _scales(y - _xb(x, beta), "mad")
+        for i in _others(range(s), failures):
+            try:
+                grids[i] = default_esl_grid(scale[i])
+            except EstimationError as err:
+                failures[i] = err
+    prev_c, c_sel, sigma_mad = np.full(s, np.nan), np.zeros(s), np.zeros(s)
+    total, inner, outer = np.zeros(s, dtype=int), np.zeros(s, dtype=bool), np.zeros(s, dtype=bool)
+    u = np.zeros(y.shape)
+    live = _others(range(s), failures)
     for _ in range(ESL_MAX_OUTER):
+        if not live.size:
+            break
+        sub = _rows(live, s)
         if c == "auto":
-            state = esl_select_c(cp, beta, grid)
-            c_sel, sigma_mad = state.c_selected, state.sigma_mad
+            states, untuned = _esl_search(x[sub], y[sub], beta[sub],
+                                          np.stack([grids[i] for i in live]))
+            for j, state in enumerate(states):
+                if state is not None:
+                    c_sel[live[j]], sigma_mad[live[j]] = state.c_selected, state.sigma_mad
         else:
-            c_sel = float(c)  # LossSpec rejects one that is not positive
-            sigma_mad = mad_scale(cp.y - cp.x @ beta).value
-        spec = LossSpec("esl", c_sel)
-        fit = irls_fit(cp, spec, beta, 1.0)
-        total_iters += fit.iterations
-        step = fit.beta - beta
-        beta = fit.beta
-        if prev_c is not None and abs(c_sel - prev_c) / c_sel < 0.01:
+            scale, untuned = _scales(y[sub] - _xb(x[sub], beta[sub]), "mad")
+            sigma_mad[live] = scale
+            if len(untuned) < live.size:
+                c_sel[live] = LossSpec("esl", c).c  # LossSpec rejects one that is not positive
+        failures.update((live[j], err) for j, err in untuned.items())
+        live = _others(live, failures)
+        if not live.size:
+            break
+        sub = _rows(live, s)
+        new, nu, iterations, converged, singular = _irls(
+            x[sub], y[sub], "esl", c_sel[sub], beta[sub], np.ones(live.size),
+            IrlsConfig().max_iter)
+        failures.update((live[j], err) for j, err in singular.items())
+        step = new - beta[sub]
+        total[live] += iterations
+        beta[live], u[live], inner[live] = new, nu, converged
+        again = np.abs(c_sel[live] - prev_c[live]) / c_sel[live] < 0.01  # never on the first pass
+        again[list(singular)] = False
+        if again.any():
+            done = live[again]
             with np.errstate(over="ignore"):  # squares past the float range are inf
-                resid = cp.y - cp.x @ beta
-                outer_converged = _settled(cp.x, step, psi(spec, resid), cp.y - resid)
-            if outer_converged:
-                break
-        prev_c = c_sel
+                resid = y[done] - _xb(x[done], beta[done])
+                outer[done] = _settled(x[done], step[again],
+                                       _psi("esl", c_sel[done, None], resid), y[done] - resid)
+        prev_c[live] = c_sel[live]
+        live = _others(live[~outer[live]], failures)
     # the last pass's fit, at the MAD scale of its selection and with every pass's iterations
-    return dataclasses.replace(fit, sigma_hat=sigma_mad, iterations=total_iters,
-                               converged=fit.converged and outer_converged)
+    fits = _results("esl", _others(range(s), failures), beta, sigma_mad, total, inner & outer,
+                    c_sel, u, shape)
+    return fits, failures
 
 
 @dataclass(frozen=True)
@@ -383,32 +594,65 @@ def sandwich_se(panel, fit, spec):
     return SandwichCovariance(_in_float_range(cov, "sandwich covariances"))
 
 
-def _fit(cp, names, c, seed):
-    """Fit each named estimator to a centered panel; the one name -> procedure map.
+def _fit(cps, names, c, seeds):
+    """Fit each named estimator to every centered panel of `cps`, which
+    share one shape, the panel i from seeds[i]: the one name -> procedure
+    map.
 
-    Returns {name: FitResult}.  Every robust estimator starts from one
-    high_breakdown_init(cp, seed), drawn at most once (never when every
-    name is ls) and shared read-only.  huber and tukey start from it rather
-    than the printed LS start: under concentrated contamination the LS
-    start leaves the redescending fit in the contaminated local minimum
-    (the outliers look like the fit and the clean data like outliers).
+    Returns one entry per panel: {name: FitResult}, or the
+    EstimationError that stopped that panel's fit; its stack-mates carry
+    on.  Every robust estimator of a panel starts from its one
+    high_breakdown_init(cp, seed), drawn for the stack at most once (never
+    when every name is ls).  huber and tukey start from it rather than the
+    printed LS start: under concentrated contamination the LS start leaves
+    the redescending fit in the contaminated local minimum (the outliers
+    look like the fit and the clean data like outliers).
     """
     for name in names:
         if name not in ESTIMATOR_NAMES:
             raise ValueError("unknown estimator %r" % (name,))
+    s = len(cps)
+    x = cps[0].x[None] if s == 1 else np.stack([cp.x for cp in cps])
+    y = cps[0].y[None] if s == 1 else np.stack([cp.y for cp in cps])
+    out = [{} for _ in range(s)]
     start = None
-    fits = {}
     for name in names:
+        live = np.array([i for i in range(s) if isinstance(out[i], dict)], dtype=int)
+        if not live.size:
+            break
         if name == "ls":
-            fits[name] = within_ls(cp)
+            for i in live:
+                try:
+                    out[i][name] = within_ls(cps[i])
+                except EstimationError as err:
+                    out[i] = err
             continue
         if start is None:
-            start = high_breakdown_init(cp, seed=seed)
-            start.flags.writeable = False
+            sub = _rows(live, s)
+            start = np.zeros((s, x.shape[2]))
+            start[sub], failures = _starts(x[sub], y[sub], [seeds[i] for i in live])
+            for j, err in failures.items():
+                out[live[j]] = err
+            live = np.array([i for i in live if isinstance(out[i], dict)], dtype=int)
+        if not live.size:
+            break
+        sub = _rows(live, s)
         if name == "esl":
-            fits[name] = _esl(cp, start, c)
+            fits, failures = _esls(x[sub], y[sub], start[sub], c, cps[0].shape)
         else:
-            fits[name] = fit_mestimator(cp, name, c=c, beta_init=start)
+            fits, failures = _mestimators(x[sub], y[sub], name, c, start[sub], cps[0].shape)
+        for j, err in failures.items():
+            out[live[j]] = err
+        for j, fit in fits.items():
+            out[live[j]][name] = fit
+    return out
+
+
+def _fit_one(cp, names, c, seed):
+    """_fit on one centered panel; raises the EstimationError that stopped it."""
+    fits = _fit([cp], names, c, [seed])[0]
+    if isinstance(fits, EstimationError):
+        raise fits
     return fits
 
 
@@ -421,7 +665,7 @@ def fit_estimator(panel, estimator, c="auto", seed=0):
     esl: exponential-squared fit with sandwich standard errors.
     """
     cp = _as_centered(panel)
-    fit = _fit(cp, (estimator,), c, seed)[estimator]
+    fit = _fit_one(cp, (estimator,), c, seed)[estimator]
     if estimator == "ls":
         return fit
     cov = sandwich_se(cp, fit, LossSpec(estimator, fit.c_selected))

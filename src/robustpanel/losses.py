@@ -95,6 +95,14 @@ def _esl_v(c, u):
     return a, a * a / c
 
 
+def _esl_psi(c, u):
+    """esl's psi and psi', which share exp(-u^2 / c); the esl tuning rule
+    needs both at every grid point."""
+    a, v = _esl_v(c, u)
+    w = np.exp(-v)
+    return np.copysign(a, u) * w, w * (1.0 - 2.0 * v)
+
+
 def _rho(family, c, u):
     if family == HUBER:
         a = np.abs(u)
@@ -111,8 +119,7 @@ def _psi(family, c, u):
     if family == TUKEY:
         a, v = _tukey_v(c, u)
         return np.where(v <= 1.0, np.copysign(a, u) * (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
-    a, v = _esl_v(c, u)
-    return np.copysign(a, u) * np.exp(-v)
+    return _esl_psi(c, u)[0]
 
 
 def _psi_prime(family, c, u):
@@ -121,8 +128,7 @@ def _psi_prime(family, c, u):
     if family == TUKEY:
         v = _tukey_v(c, u)[1]
         return np.where(v <= 1.0, (1.0 - v) * (1.0 - 5.0 * v), 0.0)
-    v = _esl_v(c, u)[1]
-    return np.exp(-v) * (1.0 - 2.0 * v)
+    return _esl_psi(c, u)[1]
 
 
 def _weight(family, c, u):

@@ -7,6 +7,7 @@ beta is estimated by pooled regression of the centered y on the centered x.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ def _frozen_array(a) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)  # a study builds thousands of panels of a few sizes
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     width = len(str(count - 1))
     return tuple(f"{prefix}{i:0{width}d}" for i in range(count))

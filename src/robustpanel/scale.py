@@ -16,6 +16,9 @@ exactly when more than half of the (centered, for mad) residuals coincide.
 Every median in the package comes from one kernel, ``_median``, and every
 MAD from ``_mad`` on top of it; both work along the last axis, so the
 high-breakdown start scores all of its candidate fits in one call.
+``_scales`` gives either estimate for every row of a stack of residuals,
+as the stacked fits need it; ``initial_scale`` and ``mad_scale`` are its
+one-row calls.
 """
 
 from __future__ import annotations
@@ -72,27 +75,43 @@ def _as_vector(residuals) -> np.ndarray:
     e = np.asarray(residuals, dtype=float).ravel()
     if e.size == 0:
         raise ValueError("scale estimate needs at least one residual")
+    return e
+
+
+_ZERO = {
+    "initial": "median absolute residual is zero: more than half of the residuals vanish",
+    "mad": "median absolute deviation is zero: more than half of the residuals coincide",
+}
+
+
+def _scales(e, kind):
+    """initial_scale (`kind` "initial") or mad_scale ("mad") of every row of
+    the 2-D float array `e`, which it overwrites.
+
+    Returns the values and {row: ZeroScale} for the rows whose estimate is
+    0; raises ValueError when a residual is not finite.
+    """
     if not np.all(np.isfinite(e)):
         raise ValueError("residuals must be finite")
-    return e
+    if kind == "mad":
+        values = _mad(e)
+    else:
+        values = _median(np.abs(e, out=e)) / MEDIAN_ABS_CONSISTENCY
+    return values, {i: ZeroScale(_ZERO[kind]) for i in np.flatnonzero(values == 0.0)}
+
+
+def _scale(residuals, kind):
+    values, zero = _scales(_as_vector(residuals)[None].copy(), kind)
+    if zero:
+        raise zero[0]
+    return ScaleEstimate(float(values[0]))
 
 
 def initial_scale(residuals) -> ScaleEstimate:
     """Median of |residuals| divided by 0.6745."""
-    e = _as_vector(residuals)
-    value = float(_median(np.abs(e))) / MEDIAN_ABS_CONSISTENCY
-    if value == 0.0:
-        raise ZeroScale(
-            "median absolute residual is zero: more than half of the residuals vanish"
-        )
-    return ScaleEstimate(value)
+    return _scale(residuals, "initial")
 
 
 def mad_scale(residuals) -> ScaleEstimate:
     """1.4826 times the median absolute deviation from the median."""
-    value = float(_mad(_as_vector(residuals).copy()))
-    if value == 0.0:
-        raise ZeroScale(
-            "median absolute deviation is zero: more than half of the residuals coincide"
-        )
-    return ScaleEstimate(value)
+    return _scale(residuals, "mad")

@@ -38,8 +38,12 @@ import numpy as np
 from .errors import BlockPolicyError, EstimationError
 from .estimators import _fit
 from .panel import PanelData, predict, within_transform
+from .tuning import GRID_BLOCK_CELLS
 
 ERROR_DISTS = ("normal", "t5", "chisq4", "cauchy", "none")
+# replications fitted as one stack (see estimators._fit); fewer when their
+# panels together would pass GRID_BLOCK_CELLS cells
+STACK_REPS = 40
 CONTAMINATION_KINDS = (
     "random_vertical",
     "random_leverage",
@@ -253,28 +257,31 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
     nonconverged = dict.fromkeys(names, 0)
     rmse = {name: [] for name in names} if n_test else None
     failures = []
-    for s in range(s_total):
-        seeds = _seeds(master_seed, (s,), 4)
-        panel = gen_panel(dataclasses.replace(dgp, seed=seeds[0]))
-        if scheme is not None:
-            panel = contaminate(panel, dataclasses.replace(scheme, seed=seeds[1]))
-        cp = within_transform(panel)
-        if n_test:
-            test_panel = gen_holdout_panel(dgp, n_test, seeds[3])
-        try:
-            fits = _fit(cp, names, "auto", seeds[2])
-        except EstimationError as err:
-            failures.append((s, "%s: %s" % (type(err).__name__, err)))
-            continue
-        for name in names:
-            nonconverged[name] += not fits[name].converged
-            with np.errstate(over="ignore"):  # an error past the float range is inf
-                se[name].append(float(np.sum((fits[name].beta - beta_true) ** 2)))
-                if n_test:
-                    yhat = predict(test_panel, fits[name].beta)
-                    rmse[name].append(
-                        float(np.sqrt(np.sum((test_panel.y - yhat) ** 2) / test_panel.y.size))
-                    )
+    chunk = max(1, min(STACK_REPS, GRID_BLOCK_CELLS // (dgp.n_units * dgp.n_periods)))
+    for first in range(0, s_total, chunk):
+        reps = range(first, min(first + chunk, s_total))
+        cps, fit_seeds, tests = [], [], []
+        for s in reps:
+            seeds = _seeds(master_seed, (s,), 4)
+            panel = gen_panel(dataclasses.replace(dgp, seed=seeds[0]))
+            if scheme is not None:
+                panel = contaminate(panel, dataclasses.replace(scheme, seed=seeds[1]))
+            cps.append(within_transform(panel))
+            fit_seeds.append(seeds[2])
+            tests.append(gen_holdout_panel(dgp, n_test, seeds[3]) if n_test else None)
+        for s, fits, test_panel in zip(reps, _fit(cps, names, "auto", fit_seeds), tests):
+            if isinstance(fits, EstimationError):
+                failures.append((s, "%s: %s" % (type(fits).__name__, fits)))
+                continue
+            for name in names:
+                nonconverged[name] += not fits[name].converged
+                with np.errstate(over="ignore"):  # an error past the float range is inf
+                    se[name].append(float(np.sum((fits[name].beta - beta_true) ** 2)))
+                    if n_test:
+                        yhat = predict(test_panel, fits[name].beta)
+                        rmse[name].append(
+                            float(np.sqrt(np.sum((test_panel.y - yhat) ** 2) / test_panel.y.size))
+                        )
     return SimulationReport(
         se_samples={name: np.asarray(v) for name, v in se.items()},
         n_nonconverged=nonconverged,

@@ -17,9 +17,17 @@ Two routes, matching how the estimators use them:
   pseudo-outliers and V_hat is a sandwich covariance evaluated at an
   initial high-breakdown fit.
 
-Each search evaluates its whole grid in one array pass over
-(grid points x cells), walked in row blocks of at most GRID_BLOCK_CELLS
-cells so that its temporaries stay bounded on a large panel;
+Each search runs on a stack of panels at once, with a leading
+replication axis: ``_tau_search`` and ``_esl_search`` take the (S, NT)
+residuals (and, for esl, the (S, NT, K) designs and one grid per member)
+of a chunk of study replications, and ``select_c_grid`` and
+``esl_select_c`` are stacks of one.  A search evaluates every member's
+whole grid in array passes over (members x grid points x cells), walked
+in blocks of at most GRID_BLOCK_CELLS cells (see _blocks) so that its
+temporaries stay small: whole members while they fit, else one member's
+grid rows at a time.  A member's rows are blocked the same way in any
+stack, so its numbers do not depend on its stack-mates.  Only xi is
+summed member by member, over each member's own retained cells.
 ``efficiency_factor``, ``xi`` and ``esl_cov`` are one-point calls into the
 same kernels.  Both searches break ties toward the smallest grid point.
 """
@@ -29,13 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidTuning, ZeroScale
-from .losses import ESL, LossSpec, _psi, _psi_prime, _rho
+from .losses import ESL, LossSpec, _esl_psi, _psi, _psi_prime, _rho
 from .panel import _as_centered
 from .scale import _mad
 
 HUBER_GRID = 0.05 * np.arange(1, 61)
 TUKEY_GRID = 1.0 + 0.2 * np.arange(46)
-GRID_BLOCK_CELLS = 2**17  # cells per row block of a grid kernel; one block on a study panel
+GRID_BLOCK_CELLS = 2**14  # cells per block of a grid kernel: 128 KB per temporary
 
 
 def default_esl_grid(sigma_mad):
@@ -62,26 +70,41 @@ def _row_blocks(g, nt):
     return [slice(i, min(i + rows, g)) for i in range(0, g, rows)]
 
 
-def _tau_grid(e, family, grid):
-    """tau_hat(c) and whether it is defined, at every c in `grid` at once.
+def _blocks(s, g, nt):
+    """(member slice, row slice) blocks of an (s, g, nt) stack of grid rows,
+    each of at most GRID_BLOCK_CELLS cells but never less than one row:
+    whole members while one member's g rows fit, else one member at a time
+    in _row_blocks(g, nt).  A member's rows are split the same way in any
+    stack, so its row sums and products do not depend on its stack-mates."""
+    members = GRID_BLOCK_CELLS // max(g * nt, 1)
+    if members:
+        return [(slice(i, min(i + members, s)), slice(0, g)) for i in range(0, s, members)]
+    return [(slice(i, i + 1), rows) for i in range(s) for rows in _row_blocks(g, nt)]
 
-    One pass over (G, NT) in row blocks (see _row_blocks): psi and psi'
-    take the block's grid points as a column, and each row is reduced to
-    its two moments.  A row's sums do not depend on the block it lands in.
-    When every observation lands where psi vanishes (total rejection by a
+
+def _tau_grid(e, family, grid):
+    """tau_hat(c) and whether it is defined, for every member (row of the
+    (S, NT) residuals e) at every c in `grid` at once.
+
+    One pass over (S, G, NT) in blocks (see _blocks): psi and psi' take the
+    block's grid points as a column, and each row is reduced to its two
+    moments.  A row's sums do not depend on the block it lands in.  When
+    every observation lands where psi vanishes (total rejection by a
     redescender) both moments are 0 and the factor is reported as 0,
     undefined, rather than 0/0.
     """
-    num = np.empty(grid.size)
-    den = np.empty(grid.size)
-    for rows in _row_blocks(grid.size, e.size):
+    s, nt = e.shape
+    num = np.empty((s, grid.size))
+    den = np.empty((s, grid.size))
+    for members, rows in _blocks(s, grid.size, nt):
         c = grid[rows, None]
+        block = e[members, None, :]
         # float_power squares through pow(), as a scalar ** 2 does, where
         # ** 2 on an array multiplies; the two can differ in the last bit
-        num[rows] = np.float_power(np.sum(_psi_prime(family, c, e), axis=1), 2)
-        den[rows] = e.size * np.sum(_psi(family, c, e) ** 2, axis=1)
+        num[members, rows] = np.float_power(np.sum(_psi_prime(family, c, block), axis=-1), 2)
+        den[members, rows] = nt * np.sum(_psi(family, c, block) ** 2, axis=-1)
     defined = den != 0.0
-    tau = np.divide(num, den, out=np.zeros(grid.size), where=defined)
+    tau = np.divide(num, den, out=np.zeros(den.shape), where=defined)
     return tau, defined
 
 
@@ -93,8 +116,8 @@ def efficiency_factor(std_residuals, loss):
     e = np.asarray(std_residuals, dtype=float).ravel()
     if e.size == 0:
         raise ValueError("no residuals supplied")
-    tau, defined = _tau_grid(e, loss.family, np.array([loss.c]))
-    return float(tau[0]), bool(defined[0])
+    tau, defined = _tau_grid(e[None], loss.family, np.array([loss.c]))
+    return float(tau[0, 0]), bool(defined[0, 0])
 
 
 @dataclass(frozen=True)
@@ -105,6 +128,19 @@ class EfficiencyCurve:
     defined: np.ndarray
     c_star: float
     tau_star: float
+
+
+def _tau_search(e, family, grid):
+    """The grid search of select_c_grid for every member (row) of the
+    standardized residuals e: tau_hat, defined, the index of each member's
+    c_star, and {member: NoValidTuning} where tau_hat is nowhere defined."""
+    tau, defined = _tau_grid(e, family, grid)
+    best = np.argmax(np.where(defined, tau, -np.inf), axis=1)  # the first, i.e. smallest c
+    failures = {i: NoValidTuning(
+        "efficiency factor undefined at every candidate c in [%g, %g]; all residuals "
+        "fall in the rejection region" % (grid.min(), grid.max()))
+        for i in np.flatnonzero(~defined.any(axis=1))}
+    return tau, defined, best, failures
 
 
 def select_c_grid(panel, family, beta_current, sigma, grid):
@@ -123,16 +159,11 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
         e = (cp.y - cp.x @ np.asarray(beta_current, dtype=float)) / sigma
 
     grid = np.asarray(grid, dtype=float)
-    tau, defined = _tau_grid(e, family, grid)
-    if not defined.any():
-        raise NoValidTuning(
-            "efficiency factor undefined at every candidate c in "
-            "[%g, %g]; all residuals fall in the rejection region"
-            % (grid.min(), grid.max())
-        )
-    masked = np.where(defined, tau, -np.inf)
-    best = int(np.argmax(masked))  # argmax returns the first, i.e. smallest c
-    return EfficiencyCurve(tau, defined, float(grid[best]), float(tau[best]))
+    tau, defined, best, failures = _tau_search(e[None], family, grid)
+    if failures:
+        raise failures[0]
+    best = best[0]
+    return EfficiencyCurve(tau[0], defined[0], float(grid[best]), float(tau[0, best]))
 
 
 def pseudo_outlier_set(residuals, sigma_mad):
@@ -167,11 +198,12 @@ def xi(c, residuals_good, m, nt):
     return float(_xi_grid(residuals_good, m, nt, np.array([c]))[0])
 
 
-def _esl_sandwich(xdd, e, grid):
-    """The terms of V_hat(c) = I^{-1} Sigma_tilde I^{-1} at every c in
-    `grid`, from the (NT, K) centered regressors and the residuals e at
-    beta0.  With psi, psi' the exponential-squared kernels at c and
-    M = mean[x_dd x_dd'] fixed:
+def _esl_sandwich(x, e, grid):
+    """The terms of V_hat(c) = I^{-1} Sigma_tilde I^{-1} for every member of
+    a stack at every c of its grid, from the (S, NT, K) centered regressors
+    x, the (S, NT) residuals e at beta0 and the (S, G) grids.  With psi,
+    psi' the exponential-squared kernels at c and M = mean[x_dd x_dd']
+    fixed:
 
         I(c)           = -(2/c) kappa(c) M,   kappa(c) = mean[psi'(e)]
         Sigma_tilde(c) = (2/c)^2 S(c),
@@ -179,8 +211,8 @@ def _esl_sandwich(xdd, e, grid):
 
     so V_hat(c) = M^{-1} S(c) M^{-1} / kappa(c)^2 and
     log det V_hat = log det S - 2 (K log|kappa| + log det M): no per-c
-    inverse or determinant of I, and the S(c) of a row block of the grid
-    (see _row_blocks) come from one (rows, NT) @ (NT, K^2) matmul.  I is
+    inverse or determinant of I, and the S(c) of a member's block of the
+    grid (see _blocks) come from one (rows, NT) @ (NT, K^2) matmul.  I is
     negative definite near e = 0; only its square enters V_hat.
 
     I(c) counts as numerically singular when |det I| falls below
@@ -191,40 +223,43 @@ def _esl_sandwich(xdd, e, grid):
     go undetected.  Both sides are compared as logarithms, so neither
     overflows or underflows as K grows or the regressors change units.
 
-    Returns ``(kappa, M, S, log_det_v, defined)`` with S of shape
-    (G, K, K); log_det_v is log det V_hat(c), -inf where det S(c) <= 0.
+    Returns ``(kappa, M, S, log_det_v, defined)`` with M of shape (S, K, K)
+    and S of shape (S, G, K, K); log_det_v is log det V_hat(c), -inf where
+    det S(c) <= 0.
     """
-    nt, k = xdd.shape
-    cross = xdd.T @ xdd / nt
-    outer = (xdd[:, :, None] * xdd[:, None, :]).reshape(nt, k * k)
-    kappa = np.empty(grid.size)
-    mean_scores = np.empty((grid.size, k))
-    s = np.empty((grid.size, k * k))
+    s, nt, k = x.shape
+    g = grid.shape[1]
+    cross = x.transpose(0, 2, 1) @ x / nt
+    outer = (x[:, :, :, None] * x[:, :, None, :]).reshape(s, nt, k * k)
+    kappa = np.empty((s, g))
+    mean_scores = np.empty((s, g, k))
+    sq = np.empty((s, g, k * k))
     # psi^2 x x' can pass the float range where x x' does not; such an S(c)
     # leaves the float range and its c counts as undefined
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(grid.size, nt):
-            c = grid[rows, None]
-            kappa[rows] = np.mean(_psi_prime(ESL, c, e), axis=1)
-            p = _psi(ESL, c, e)
-            mean_scores[rows] = p @ xdd / nt
+        for members, rows in _blocks(s, g, nt):
+            c = grid[members, rows, None]
+            block = e[members, None, :]
+            p, p_prime = _esl_psi(c, block)
+            kappa[members, rows] = np.mean(p_prime, axis=-1)
+            mean_scores[members, rows] = p @ x[members] / nt
             np.square(p, out=p)
-            s[rows] = p @ outer / nt
-        s = s.reshape(-1, k, k)
-        s -= mean_scores[:, :, None] * mean_scores[:, None, :]
-    in_range = np.isfinite(s).all(axis=(1, 2))
-    s[~in_range] = 0.0  # keeps slogdet quiet; those c are undefined anyway
+            sq[members, rows] = p @ outer[members] / nt
+        sq = sq.reshape(s, g, k, k)
+        sq -= mean_scores[..., :, None] * mean_scores[..., None, :]
+    in_range = np.isfinite(sq).all(axis=(2, 3))
+    sq[~in_range] = 0.0  # keeps slogdet quiet; those c are undefined anyway
 
     _, log_det_m = np.linalg.slogdet(cross)
-    trace_scale = np.trace(cross) / k
-    sign_s, log_det_s = np.linalg.slogdet(s)
+    trace_scale = np.trace(cross, axis1=1, axis2=2)[:, None] / k
+    sign_s, log_det_s = np.linalg.slogdet(sq)
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where kappa or M vanish
         log_abs_kappa = np.log(np.abs(kappa))
         defined = in_range & (trace_scale > 0.0) & (
-            k * log_abs_kappa + log_det_m >= np.log(1e-12) + k * np.log(trace_scale))
-        log_det_v = np.where(sign_s > 0, log_det_s - 2.0 * (log_det_m + k * log_abs_kappa),
-                             -np.inf)
-    return kappa, cross, s, log_det_v, defined
+            k * log_abs_kappa + log_det_m[:, None] >= np.log(1e-12) + k * np.log(trace_scale))
+        log_det_v = np.where(sign_s > 0,
+                             log_det_s - 2.0 * (log_det_m[:, None] + k * log_abs_kappa), -np.inf)
+    return kappa, cross, sq, log_det_v, defined
 
 
 def esl_cov(panel, beta0, c):
@@ -236,12 +271,12 @@ def esl_cov(panel, beta0, c):
     """
     cp = _as_centered(panel)
     beta0 = np.asarray(beta0, dtype=float)
-    kappa, cross, s, _, defined = _esl_sandwich(cp.x, cp.y - cp.x @ beta0,
-                                                np.array([float(c)]))
-    if not defined[0]:
-        return np.full(cross.shape, np.nan), False
-    inv = np.linalg.inv(cross)
-    return inv @ s[0] @ inv / kappa[0] ** 2, True
+    kappa, cross, s, _, defined = _esl_sandwich(cp.x[None], (cp.y - cp.x @ beta0)[None],
+                                                np.array([[float(c)]]))
+    if not defined[0, 0]:
+        return np.full(cross.shape[1:], np.nan), False
+    inv = np.linalg.inv(cross[0])
+    return inv @ s[0, 0] @ inv / kappa[0, 0] ** 2, True
 
 
 @dataclass(frozen=True)
@@ -253,6 +288,44 @@ class EslTuningState:
     xi_values: np.ndarray
     detv_values: np.ndarray  # log det V_hat(c); nan off the feasible set
     c_selected: float
+
+
+def _esl_search(x, y, beta0, grids):
+    """The selection step of esl_select_c for every member of a stack, at
+    its coefficients beta0 (S, K) over its grid (a row of grids, (S, G)).
+
+    Returns ``(states, failures)``: an EslTuningState per member that has
+    a feasible c (None for the others) and {member: NoValidTuning}.  The
+    retained residuals differ in number between members, so xi is summed
+    member by member, over exactly the cells xi() would be given.
+    """
+    resid = y - (x @ beta0[:, :, None])[:, :, 0]
+    nt = resid.shape[1]
+    sigma_mad = _mad(resid.copy())
+    xi_vals = np.empty(grids.shape)
+    m = np.zeros(len(resid), dtype=int)
+    for i, r in enumerate(resid):
+        if sigma_mad[i] > 0:
+            flagged = pseudo_outlier_set(r, sigma_mad[i])
+            m[i] = flagged.sum()
+            r = r[~flagged]
+        xi_vals[i] = _xi_grid(r, m[i], nt, grids[i])
+    _, _, _, log_det_v, defined = _esl_sandwich(x, resid, grids)
+    feasible = (xi_vals > 0.0) & (xi_vals <= 1.0) & defined
+    detv = np.where(feasible, log_det_v, np.nan)
+    best = np.argmin(np.where(feasible, detv, np.inf), axis=1)  # first minimum: smallest c
+    states, failures = [], {}
+    for i, row in enumerate(feasible):
+        if row.any():
+            states.append(EslTuningState(sigma_mad=float(sigma_mad[i]), m=int(m[i]),
+                                         xi_values=xi_vals[i], detv_values=detv[i],
+                                         c_selected=float(grids[i, best[i]])))
+        else:
+            states.append(None)
+            failures[i] = NoValidTuning(
+                "no candidate c gives xi in (0, 1] with a well defined covariance; xi "
+                "ranged over [%g, %g] across the grid" % (xi_vals[i].min(), xi_vals[i].max()))
+    return states, failures
 
 
 def esl_select_c(panel, beta0, grid):
@@ -268,31 +341,8 @@ def esl_select_c(panel, beta0, grid):
     """
     cp = _as_centered(panel)
     beta0 = np.asarray(beta0, dtype=float)
-    resid = cp.y - cp.x @ beta0
-    nt = resid.size
-
-    sigma_mad = float(_mad(resid.copy()))
-    flagged = pseudo_outlier_set(resid, sigma_mad) if sigma_mad > 0 else np.zeros(nt, bool)
-    m = int(flagged.sum())
-    good = resid[~flagged]
-
-    grid = np.asarray(grid, dtype=float)
-    xi_vals = _xi_grid(good, m, nt, grid)
-    _, _, _, log_det_v, defined = _esl_sandwich(cp.x, resid, grid)
-    feasible = (xi_vals > 0.0) & (xi_vals <= 1.0) & defined
-    detv = np.where(feasible, log_det_v, np.nan)
-    if not feasible.any():
-        raise NoValidTuning(
-            "no candidate c gives xi in (0, 1] with a well defined "
-            "covariance; xi ranged over [%g, %g] across the grid"
-            % (xi_vals.min(), xi_vals.max())
-        )
-    masked = np.where(feasible, detv, np.inf)
-    best = int(np.argmin(masked))  # first minimum, i.e. smallest c on ties
-    return EslTuningState(
-        sigma_mad=sigma_mad,
-        m=m,
-        xi_values=xi_vals,
-        detv_values=detv,
-        c_selected=float(grid[best]),
-    )
+    states, failures = _esl_search(cp.x[None], cp.y[None], beta0[None],
+                                   np.asarray(grid, dtype=float)[None])
+    if failures:
+        raise failures[0]
+    return states[0]

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from robustpanel import cli, simulation
+from robustpanel.errors import NoValidTuning
 from robustpanel.io import write_panel_csv
 from robustpanel.panel import ESTIMATOR_NAMES, PanelData
 from robustpanel.simulation import (
@@ -458,6 +459,38 @@ class TestSimulateCommand:
                            capsys)
         assert code == 2
         assert err.startswith("error: MemoryError: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_study_leaves_no_empty_out_dir_of_its_own(self, tmp_path, capsys,
+                                                             monkeypatch, existed):
+        # the run that made --out-dir removes it when a study fails before
+        # any table is written; a directory that was there before stays
+        def too_large(config):
+            raise MemoryError("Unable to allocate 43.7 TiB")
+
+        monkeypatch.setattr(simulation, "gen_panel", too_large)
+        cfg = write_config(tmp_path, {"s": 1, "estimators": ["ls"], "consistency_study": {
+            "n_values": [10**12], "t_values": [4]}})
+        out = tmp_path / "o"
+        if existed:
+            out.mkdir()
+        code, _, err = run(["simulate", "--config", cfg, "--out-dir", str(out)], capsys)
+        assert code == 2 and err.startswith("error: MemoryError")
+        assert out.is_dir() == existed
+        if existed:
+            assert not any(out.iterdir())
+
+    def test_estimation_failure_leaves_no_empty_out_dir(self, tmp_path, capsys, monkeypatch):
+        def failing(config):
+            raise NoValidTuning("synthetic failure")
+
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        cfg = write_config(tmp_path, {"s": 1, "estimators": ["ls"], "consistency_study": {
+            "n_values": [10], "t_values": [4]}})
+        out = tmp_path / "o"
+        code, _, err = run(["simulate", "--config", cfg, "--out-dir", str(out)], capsys)
+        assert code == 3 and err == "error: NoValidTuning: synthetic failure\n"
+        assert not out.exists()
 
     def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bogus": 1})

@@ -1,6 +1,7 @@
 """IRLS solver, the tuned Huber/Tukey and exponential-squared pipelines,
 the high-breakdown start, and sandwich standard errors."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -233,14 +234,16 @@ class TestHighBreakdownInit:
 
     def test_six_regressors_keep_the_full_draw(self):
         # From K = 6 the rule's count reaches HB_SUBSAMPLES, so the random
-        # stream and the starts are those of the fixed 500-subset draw; the
-        # digest was computed before the count depended on K.
+        # stream is that of the fixed 500-subset draw.  The digest was
+        # computed before the count depended on K and re-pinned once when
+        # the start was stacked: the batched solve of its polish and the
+        # row blocks of its scoring move the last bits of the starts.
         digest = hashlib.sha256()
         for n, t in [(40, 3), (600, 4)]:  # 120 cells, and 2,400 > HB_SCORE_CELLS
             p = synth_panel(n=n, t=t, k=6, seed=12, beta=(2.4, -1.2, 0.7, 1.5, -0.4, 0.9))
             digest.update(high_breakdown_init(p, seed=9).tobytes())
         assert digest.hexdigest() == (
-            "3f8c09776cc967ef05523eedd8a29a1494828f25b870708f843e27a5308aa388")
+            "fac078b172165d81a1dde429bd523c261ece5859411a6960ce87ef10a57f1feb")
 
     def test_deterministic(self):
         p = synth_panel(n=30, t=3, k=2, seed=27)
@@ -273,8 +276,9 @@ class TestHighBreakdownInit:
         p = synth_panel(n=30, t=3, k=2, seed=27)
         polished = high_breakdown_init(p, seed=5)
 
-        def singular(xdd, ydd, w):
-            raise SingularWeightedDesign("rank 0 < 2")
+        def singular(x, y, w):  # every member's weighted design is singular
+            return np.zeros((len(x), x.shape[2])), {
+                i: SingularWeightedDesign("rank 0 < 2") for i in range(len(x))}
 
         monkeypatch.setattr(estimators, "_weighted_solve", singular)
         winner = high_breakdown_init(p, seed=5)
@@ -503,9 +507,9 @@ class TestFitEstimatorDispatch:
         seen = []
         real = sim._fit
 
-        def recording(cp, names, c, seed):
-            fits = real(cp, names, c, seed)
-            seen.append((cp, seed, fits[name].beta))
+        def recording(cps, names, c, seeds):
+            fits = real(cps, names, c, seeds)
+            seen.extend((cp, seed, f[name].beta) for cp, seed, f in zip(cps, seeds, fits))
             return fits
 
         monkeypatch.setattr(sim, "_fit", recording)
@@ -521,10 +525,30 @@ class TestFitEstimatorDispatch:
             assert np.array_equal(public.beta, beta)
 
 
+    @pytest.mark.parametrize("name", ["huber", "tukey", "esl"])
+    def test_lone_fit_equals_its_member_of_a_stack(self, name):
+        # The studies fit a stack of panels at once; fit_estimator is a
+        # stack of one, and each member's fit is the lone one, bit for bit.
+        dgp = sim.DgpConfig(n_units=120, n_periods=2)
+        scheme = sim.ContaminationScheme(kind="concentrated_leverage", m=24)
+        cps = [within_transform(sim.contaminate(
+            sim.gen_panel(dataclasses.replace(dgp, seed=s)),
+            dataclasses.replace(scheme, seed=100 + s))) for s in range(12)]
+        seeds = list(range(200, 212))
+        stacked = estimators._fit(cps, (name,), "auto", seeds)
+        for cp, seed, fits in zip(cps, seeds, stacked):
+            lone, member = fit_estimator(cp, name, seed=seed), fits[name]
+            assert lone.beta.tobytes() == member.beta.tobytes()
+            assert lone.weights.tobytes() == member.weights.tobytes()
+            assert (lone.iterations, lone.converged, lone.c_selected, lone.sigma_hat) == (
+                member.iterations, member.converged, member.c_selected, member.sigma_hat)
+
+
 class TestPinnedDigests:
     # SHA-256 over tobytes() of results computed on x86_64 with numpy 2.4,
-    # last re-pinned when Huber IRLS took Newton steps, every loop stopped on
-    # the bounded-residual rule and the start's subset count followed K; a kernel
+    # last re-pinned when every kernel took a leading replication axis (the
+    # weighted LS step became one batched solve of equilibrated normal
+    # equations, and grid kernels work in smaller blocks); a kernel
     # that moves one bit of a start, a selected c or a study sample fails
     # here.  A change that moves study numbers on purpose re-pins these with
     # the simulate table digests of test_cli.
@@ -539,7 +563,7 @@ class TestPinnedDigests:
             digest.update(report.se_samples[name].tobytes())
             digest.update(report.rmse_samples[name].tobytes())
         assert digest.hexdigest() == (
-            "a0c60a6e79180ffa3e64cdaf50a625a0150db0c36ecda72d6df5a157bd9a114d")
+            "6ab0a5fbfb26241a58195d14d00a4732e5532b393e5be38adaefb808bc021665")
 
     def test_start_and_esl_fit_on_a_subsample(self):
         # 5,000 cells: the start ranks its candidates on HB_SCORE_CELLS
@@ -553,7 +577,7 @@ class TestPinnedDigests:
         digest.update(fit.beta.tobytes())
         digest.update(np.array([fit.c_selected, fit.sigma_hat]).tobytes())
         assert digest.hexdigest() == (
-            "f4c79c9d66d5925960461f6ad441c40392cf4f37bb37d422181056663ac6baa2")
+            "80e6fdce8a617e448bd19d1d81262a6dd480f9bd9ec9f0a76c708a2cc12f7550")
 
     def test_fit_results_the_cli_reports(self):
         # every field of fit_estimator that `robustpanel fit` writes, for each
@@ -576,4 +600,4 @@ class TestPinnedDigests:
                 digest.update(repr((fit.sigma_hat, fit.c_selected, fit.iterations,
                                     fit.converged)).encode())
         assert digest.hexdigest() == (
-            "c8123a13f4b38ae9b5811be51c8b1a80566054c23b013630f4ed027429ec7ec3")
+            "55e7226a4b2374ce5e610abc99e435214354e05d0e5663cd85aa630ff828fadb")

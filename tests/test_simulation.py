@@ -218,11 +218,12 @@ class TestRunMc:
         calls = {"n": 0}
         real = sim._fit
 
-        def flaky(cp, names, c, seed):
+        def flaky(cps, names, c, seeds):  # the first replication fails
+            fits = real(cps, names, c, seeds)
             calls["n"] += 1
             if calls["n"] == 1:
-                raise NoValidTuning("synthetic failure for the test")
-            return real(cp, names, c, seed)
+                fits[0] = NoValidTuning("synthetic failure for the test")
+            return fits
 
         monkeypatch.setattr(sim, "_fit", flaky)
         report = run_mc(DgpConfig(20, 2), None, ["ls"], 30, 3)
@@ -232,8 +233,8 @@ class TestRunMc:
         assert "synthetic failure" in report.failures[0][1]
 
     def test_degraded_flag(self, monkeypatch):
-        def broken(cp, names, c, seed):
-            raise NoValidTuning("always fails")
+        def broken(cps, names, c, seeds):
+            return [NoValidTuning("always fails") for _ in cps]
 
         monkeypatch.setattr(sim, "_fit", broken)
         report = run_mc(DgpConfig(20, 2), None, ["tukey"], 10, 3)
@@ -248,13 +249,13 @@ class TestRunMc:
     ])
     def test_one_high_breakdown_start_per_replication(self, names, starts, monkeypatch):
         calls = {"n": 0}
-        real = estimators.high_breakdown_init
+        real = estimators._starts
 
-        def counting(panel, seed=0):
-            calls["n"] += 1
-            return real(panel, seed=seed)
+        def counting(x, y, seeds):  # one start per member of the stack
+            calls["n"] += len(seeds)
+            return real(x, y, seeds)
 
-        monkeypatch.setattr(estimators, "high_breakdown_init", counting)
+        monkeypatch.setattr(estimators, "_starts", counting)
         report = run_mc(DgpConfig(30, 2), None, names, 3, 5)
         assert report.n_failed == 0
         assert calls["n"] == 3 * starts
@@ -275,7 +276,7 @@ class TestRunMc:
             seeds = sim._seeds(315, (s,), 4)
             panel = contaminate(gen_panel(dataclasses.replace(dgp, seed=seeds[0])),
                                 dataclasses.replace(scheme, seed=seeds[1]))
-            fits = sim._fit(within_transform(panel), names, "auto", seeds[2])
+            fits = sim._fit([within_transform(panel)], names, "auto", [seeds[2]])[0]
             for name in names:
                 want[name] += not fits[name].converged
         assert report.n_failed == 0
@@ -347,6 +348,54 @@ class TestRmseStudy:
         report = rmse_prediction_study(DgpConfig(10, 2), None, ["ls"], 2, np.int64(2), 1)
         assert report.rmse_samples["ls"].size == 2
 
+
+
+class TestStackedReplications:
+    # A study fits its replications in stacks of up to STACK_REPS; every
+    # sample, count and failure is the one a stack of one gives, bit for bit.
+    NAMES = ("ls", "huber", "tukey", "esl")
+
+    @staticmethod
+    def reports(monkeypatch, study):
+        alone = None
+        for chunk in (1, sim.STACK_REPS):
+            monkeypatch.setattr(sim, "STACK_REPS", chunk)
+            report = study()
+            alone = alone or report
+        return alone, report
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.failures == b.failures
+        assert a.n_nonconverged == b.n_nonconverged
+        for samples in ("se_samples", "rmse_samples"):
+            sa, sb = getattr(a, samples), getattr(b, samples)
+            assert (sa is None) == (sb is None)
+            for name in sa or ():
+                assert sa[name].tobytes() == sb[name].tobytes()
+
+    @pytest.mark.parametrize("prediction", [False, True])
+    def test_chunk_size_moves_no_sample(self, prediction, monkeypatch):
+        # 45 replications: one full stack of 40 and a ragged one of 5
+        dgp = DgpConfig(120, 2)
+        scheme = ContaminationScheme("concentrated_leverage", 24)
+        if prediction:
+            study = lambda: rmse_prediction_study(dgp, scheme, self.NAMES, 45, 50, 315)
+        else:
+            study = lambda: run_mc(dgp, scheme, self.NAMES, 45, 315)
+        alone, stacked = self.reports(monkeypatch, study)
+        assert sum(alone.n_nonconverged.values()) > 0
+        self.assert_same(alone, stacked)
+
+    def test_failure_inside_a_stack(self, monkeypatch):
+        # At (N, T) = (3, 2) some replications leave more than half of the
+        # residuals at 0; each fails alone, and its stack-mates carry on.
+        alone, stacked = self.reports(
+            monkeypatch, lambda: run_mc(DgpConfig(3, 2), None, self.NAMES, 40, 7))
+        assert 0 < stacked.n_failed < 40
+        assert any(0 < s < 39 for s, _ in stacked.failures)
+        assert all(message.startswith("ZeroScale: ") for _, message in stacked.failures)
+        self.assert_same(alone, stacked)
 
 
 class TestRunExperiment:

@@ -187,8 +187,9 @@ class TestEslCov:
         from robustpanel.tuning import _esl_sandwich
 
         xdd = cp.x.reshape(-1, 1)
-        kappa, cross, _, _, _ = _esl_sandwich(xdd, cp.y.ravel() - xdd @ beta0, np.array([2.0]))
-        info = -(2.0 / 2.0) * kappa[0] * cross
+        kappa, cross, _, _, _ = _esl_sandwich(xdd[None], (cp.y.ravel() - xdd @ beta0)[None],
+                                              np.array([[2.0]]))
+        info = -(2.0 / 2.0) * kappa[0, 0] * cross[0]
         assert_allclose(info, -(2.0 / 2.0) * np.mean(xc**2) * np.ones((1, 1)), rtol=1e-12)
 
     def test_scalar_factor_root_flagged(self):
