@@ -20,11 +20,13 @@ designs.  ``_fit``, the one dispatcher, fits a list of centered panels at
 once: the simulation studies hand it a chunk of replications, and
 ``fit_esl``, ``fit_estimator``, ``fit_mestimator``, ``irls_fit`` and
 ``high_breakdown_init`` are stacks of one.  Each member runs the steps it
-would run alone: its start draws from its own random stream, IRLS sets a
-member aside once it settles, and a member that meets an EstimationError
-leaves the stack with it while the rest carry on.  No member's numbers
-depend on its stack-mates: row sums, and batched matmul, solve and eigh,
-act member by member.
+would run alone: its start draws from its own random stream, and IRLS and
+the esl outer loop set a member aside once it settles.  No member's
+numbers depend on its stack-mates: row sums, and batched matmul, solve and
+eigh, act member by member.  A kernel raises the EstimationError of any
+member that meets one, and returns values only; ``_fit`` alone turns a
+failure into one panel's result, by fitting a stack that raised again in
+halves (see _fit).
 
 ``_reweight`` is the one reweighting step: every IRLS iterate and the
 start's polish take it.  For Huber's convex loss it tries a safeguarded
@@ -40,7 +42,8 @@ import numpy as np
 
 from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, UnstableCurvature
 from .losses import LossSpec, _psi, _psi_prime, _rho, _weight, psi, psi_prime
-from .panel import ESTIMATOR_NAMES, FitResult, _as_centered, _in_float_range, within_ls
+from .panel import (ESTIMATOR_NAMES, FitResult, _as_centered, _coefficients, _in_float_range,
+                    within_ls)
 from .scale import _mad, _scales
 from .tuning import HUBER_GRID, TUKEY_GRID, _blocks, _esl_search, _tau_search, default_esl_grid
 
@@ -72,11 +75,6 @@ def _rows(live, s):
     """An index that takes the members `live` of a stack of s; a view when
     that is all of them."""
     return slice(None) if len(live) == s else live
-
-
-def _others(members, failures):
-    """The `members` that are not in `failures`, as an index array."""
-    return np.array([i for i in members if i not in failures], dtype=int)
 
 
 def _settled(x, step, bounded, fitted):
@@ -198,15 +196,14 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     member leaves the active stack, so each runs the iterations it would
     run alone.  Huber's Newton steps are taken only when they lower the
     convex objective, so the objective never rises.  Returns (beta, u,
-    iterations, converged, failures): each member's last iterate, and
-    {member: SingularWeightedDesign} for those whose weights left the
-    design singular.
+    iterations, converged) at each member's last iterate; raises
+    SingularWeightedDesign when a member's weights leave its design
+    singular.
     """
     beta = np.array(beta, dtype=float)
     u = np.zeros(y.shape)
     iterations = np.zeros(len(beta), dtype=int)
     converged = np.zeros(len(beta), dtype=bool)
-    failures = {}
     live = np.arange(len(beta))
     xa, ya, ca, sa, ba = x, y, c, sigma[:, None], beta
     # a residual past the float range once standardized is +-inf, where
@@ -215,39 +212,35 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
         ua = (ya - _xb(xa, ba)) / sa
         for it in range(1, max_iter + 1):
             new, singular = _reweight(xa, ya, family, ca, ba, ua, sa[:, 0])
+            if singular:
+                raise next(iter(singular.values()))
             resid = ya - _xb(xa, new)
             ua = resid / sa
             done = _settled(xa, new - ba, sa * _psi(family, ca[:, None], ua), ya - resid)
             ba = new
-            if it < max_iter and not singular and not done.any():
+            if it < max_iter and not done.any():
                 continue
-            failed = np.zeros(len(live), dtype=bool)
-            for i, err in singular.items():
-                failures[live[i]] = err
-                failed[i] = True
-            stop = (done | (it == max_iter)) & ~failed
+            stop = done | (it == max_iter)
             beta[live[stop]] = ba[stop]
             u[live[stop]] = ua[stop]
             iterations[live[stop]] = it
             converged[live[stop]] = done[stop]
-            keep = ~(stop | failed)
+            keep = ~stop
             live = live[keep]
             if not live.size:
                 break
             xa, ya, ca, sa, ba, ua = xa[keep], ya[keep], ca[keep], sa[keep], ba[keep], ua[keep]
-    return beta, u, iterations, converged, failures
+    return beta, u, iterations, converged
 
 
-def _results(family, members, beta, sigma, iterations, converged, c, u, shape):
-    """{member: FitResult} for `members` of a stack, from per-member arrays;
-    the weights are the loss's at each member's last residuals u."""
-    if not len(members):
-        return {}
-    w = _weight(family, c[members, None], u[members])
-    return {i: FitResult(estimator=family, beta=beta[i], sigma_hat=float(sigma[i]),
-                         iterations=int(iterations[i]), converged=bool(converged[i]),
-                         c_selected=float(c[i]), weights=w[j].reshape(shape))
-            for j, i in enumerate(members)}
+def _results(family, beta, sigma, iterations, converged, c, u, shape):
+    """A FitResult per member of a stack, from per-member arrays; the
+    weights are the loss's at each member's last residuals u."""
+    w = _weight(family, c[:, None], u)
+    return [FitResult(estimator=family, beta=beta[i], sigma_hat=float(sigma[i]),
+                      iterations=int(iterations[i]), converged=bool(converged[i]),
+                      c_selected=float(c[i]), weights=w[i].reshape(shape))
+            for i in range(len(beta))]
 
 
 def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
@@ -262,44 +255,28 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     cp = _as_centered(panel)
+    beta_init = _coefficients(beta_init, cp.x.shape[1], "beta_init")
     c, sigma = np.array([spec.c]), np.array([float(sigma)])
-    beta, u, iterations, converged, failures = _irls(
-        cp.x[None], cp.y[None], spec.family, c, np.asarray(beta_init, dtype=float)[None],
-        sigma, config.max_iter)
-    if failures:
-        raise failures[0]
-    return _results(spec.family, [0], beta, sigma, iterations, converged, c, u, cp.shape)[0]
+    beta, u, iterations, converged = _irls(
+        cp.x[None], cp.y[None], spec.family, c, beta_init[None], sigma, config.max_iter)
+    return _results(spec.family, beta, sigma, iterations, converged, c, u, cp.shape)[0]
 
 
 def _mestimators(x, y, family, c, beta0, shape):
     """Steps 2-4 of fit_mestimator for every member of a stack, from its
     start beta0: the residual scale, c (the grid search unless c is fixed)
-    and IRLS.  Returns ({member: FitResult}, {member: EstimationError})."""
+    and IRLS.  Returns a FitResult per member."""
     resid = y - _xb(x, beta0)
-    sigma, failures = _scales(resid.copy(), "initial")
-    live = _others(range(len(beta0)), failures)
-    cs = np.zeros(len(beta0))
-    if not live.size:
-        return {}, failures
+    sigma = _scales(resid.copy(), "initial")
     if c == "auto":
         grid = HUBER_GRID if family == "huber" else TUKEY_GRID
         with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in IRLS
-            e = resid[live] / sigma[live, None]
-        _, _, best, untuned = _tau_search(e, family, grid)
-        cs[live] = grid[best]
-        failures.update((live[j], err) for j, err in untuned.items())
-        live = _others(range(len(beta0)), failures)
-        if not live.size:
-            return {}, failures
+            e = resid / sigma[:, None]
+        cs = grid[_tau_search(e, family, grid)[2]]
     else:
-        cs[:] = LossSpec(family, c).c  # LossSpec checks a fixed c
-    sub = _rows(live, len(beta0))
-    beta, u, iterations, converged, singular = _irls(
-        x[sub], y[sub], family, cs[sub], beta0[sub], sigma[sub], IrlsConfig().max_iter)
-    failures.update((live[j], err) for j, err in singular.items())
-    fitted = [j for j in range(len(live)) if j not in singular]
-    fits = _results(family, fitted, beta, sigma[sub], iterations, converged, cs[sub], u, shape)
-    return {live[j]: fit for j, fit in fits.items()}, failures
+        cs = np.full(len(beta0), LossSpec(family, c).c)  # LossSpec checks a fixed c
+    beta, u, iterations, converged = _irls(x, y, family, cs, beta0, sigma, IrlsConfig().max_iter)
+    return _results(family, beta, sigma, iterations, converged, cs, u, shape)
 
 
 def fit_mestimator(panel, family, c="auto", beta_init=None):
@@ -320,16 +297,8 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
     if beta_init is None:
         beta0 = within_ls(cp).beta
     else:
-        beta0 = np.asarray(beta_init, dtype=float)
-        if beta0.shape != (cp.x.shape[1],):
-            raise ValueError(
-                "beta_init must have length %d, got shape %r"
-                % (cp.x.shape[1], beta0.shape)
-            )
-    fits, failures = _mestimators(cp.x[None], cp.y[None], family, c, beta0[None], cp.shape)
-    if failures:
-        raise failures[0]
-    return fits[0]
+        beta0 = _coefficients(beta_init, cp.x.shape[1], "beta_init")
+    return _mestimators(cp.x[None], cp.y[None], family, c, beta0[None], cp.shape)[0]
 
 
 def _n_subsets(k):
@@ -390,12 +359,12 @@ def _starts(x, y, seeds):
     draws.  Members with the same subset count (some go on to
     HB_SUBSAMPLES) are solved and scored together; a singular subset
     takes an identity system and a MAD of +inf, so it never wins.
-    Returns (starts (S, K), {member: DegenerateDesign}).
+    Returns the starts (S, K); raises DegenerateDesign when a member has no
+    usable elemental fit.
     """
     s, nt, k = x.shape
     if nt < k + 1:
-        return np.zeros((s, k)), {
-            i: DegenerateDesign("need at least K+1 observations, have %d" % nt) for i in range(s)}
+        raise DegenerateDesign("need at least K+1 observations, have %d" % nt)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     idx = np.stack([_elemental_subsets(rng, nt, k, _n_subsets(k)) for rng in rngs])
     good = list(_solvable(x[np.arange(s)[:, None, None], idx].reshape(-1, k, k))
@@ -409,17 +378,17 @@ def _starts(x, y, seeds):
             idx[i] = np.concatenate((idx[i], more))
             good[i] = np.concatenate((good[i], _solvable(x[i][more])))
 
-    starts, sigma, failures = np.zeros((s, k)), np.zeros(s), {}
+    starts, sigma = np.zeros((s, k)), np.zeros(s)
     for count in sorted({len(rows) for rows in idx}):
         group = np.array([i for i in range(s) if len(idx[i]) == count])
         cells, ok = np.stack([idx[i] for i in group]), np.stack([good[i] for i in group])
         xg, yg = x[group], y[group]
         at = np.arange(len(group))[:, None, None]
+        if not ok.any(axis=1).all():
+            raise DegenerateDesign("all %d elemental subsets were singular" % count)
         a = xg[at, cells]
         a[~ok] = np.eye(k)
         betas = np.linalg.solve(a, yg[at, cells][..., None])[..., 0]  # (group, count, K)
-        for j in np.flatnonzero(~ok.any(axis=1)):
-            failures[group[j]] = DegenerateDesign("all %d elemental subsets were singular" % count)
         if nt > HB_SCORE_CELLS:
             sub = np.stack([rngs[i].choice(nt, HB_SCORE_CELLS, replace=False) for i in group])
             at2 = at[:, :, 0]
@@ -432,11 +401,10 @@ def _starts(x, y, seeds):
         best = np.argmin(mads, axis=1)
         starts[group] = betas[at[:, 0, 0], best]
         sigma[group] = mads[at[:, 0, 0], best]
-    for i in np.flatnonzero(sigma == np.inf):
-        failures.setdefault(i, DegenerateDesign(
-            "every elemental fit has residuals past the float range"))
+    if (sigma == np.inf).any():
+        raise DegenerateDesign("every elemental fit has residuals past the float range")
 
-    live = np.array([i for i in np.flatnonzero(sigma > 0) if i not in failures], dtype=int)
+    live = np.flatnonzero(sigma > 0)
     if live.size:
         with np.errstate(over="ignore"):  # +-inf residuals take their limit weight
             polished, singular = _reweight(
@@ -445,7 +413,7 @@ def _starts(x, y, seeds):
         keep = np.ones(live.size, dtype=bool)
         keep[list(singular)] = False  # a singular polish keeps the elemental winner
         starts[live[keep]] = polished[keep]
-    return starts, failures
+    return starts
 
 
 def high_breakdown_init(panel, seed=0):
@@ -466,10 +434,7 @@ def high_breakdown_init(panel, seed=0):
     fit and DegenerateDesign is raised.  A stack of one of _starts.
     """
     cp = _as_centered(panel)
-    starts, failures = _starts(cp.x[None], cp.y[None], [seed])
-    if failures:
-        raise failures[0]
-    return starts[0]
+    return _starts(cp.x[None], cp.y[None], [seed])[0]
 
 
 def fit_esl(panel, seed=0):
@@ -492,51 +457,32 @@ def fit_esl(panel, seed=0):
 def _esls(x, y, start, c, shape):
     """The outer loop of fit_esl for every member of a stack, from its
     high-breakdown fit `start`; a fixed `c` (from fit_estimator) skips the
-    selection step.  A member leaves the loop at its own pass.  Returns
-    ({member: FitResult}, {member: EstimationError}) as _mestimators."""
+    selection step.  A member leaves the loop at its own pass.  Returns a
+    FitResult per member."""
     s = len(start)
     beta = np.array(start, dtype=float)
-    failures, grids = {}, {}
     if c == "auto":
-        scale, failures = _scales(y - _xb(x, beta), "mad")
-        for i in _others(range(s), failures):
-            try:
-                grids[i] = default_esl_grid(scale[i])
-            except EstimationError as err:
-                failures[i] = err
+        grids = np.stack([default_esl_grid(v) for v in _scales(y - _xb(x, beta), "mad")])
     prev_c, c_sel, sigma_mad = np.full(s, np.nan), np.zeros(s), np.zeros(s)
     total, inner, outer = np.zeros(s, dtype=int), np.zeros(s, dtype=bool), np.zeros(s, dtype=bool)
     u = np.zeros(y.shape)
-    live = _others(range(s), failures)
+    live = np.arange(s)
     for _ in range(ESL_MAX_OUTER):
-        if not live.size:
-            break
         sub = _rows(live, s)
         if c == "auto":
-            states, untuned = _esl_search(x[sub], y[sub], beta[sub],
-                                          np.stack([grids[i] for i in live]))
-            for j, state in enumerate(states):
-                if state is not None:
-                    c_sel[live[j]], sigma_mad[live[j]] = state.c_selected, state.sigma_mad
+            states = _esl_search(x[sub], y[sub], beta[sub], grids[sub])
+            c_sel[live] = [state.c_selected for state in states]
+            sigma_mad[live] = [state.sigma_mad for state in states]
         else:
-            scale, untuned = _scales(y[sub] - _xb(x[sub], beta[sub]), "mad")
-            sigma_mad[live] = scale
-            if len(untuned) < live.size:
-                c_sel[live] = LossSpec("esl", c).c  # LossSpec rejects one that is not positive
-        failures.update((live[j], err) for j, err in untuned.items())
-        live = _others(live, failures)
-        if not live.size:
-            break
-        sub = _rows(live, s)
-        new, nu, iterations, converged, singular = _irls(
+            sigma_mad[live] = _scales(y[sub] - _xb(x[sub], beta[sub]), "mad")
+            c_sel[live] = LossSpec("esl", c).c  # LossSpec rejects one that is not positive
+        new, nu, iterations, converged = _irls(
             x[sub], y[sub], "esl", c_sel[sub], beta[sub], np.ones(live.size),
             IrlsConfig().max_iter)
-        failures.update((live[j], err) for j, err in singular.items())
         step = new - beta[sub]
         total[live] += iterations
         beta[live], u[live], inner[live] = new, nu, converged
         again = np.abs(c_sel[live] - prev_c[live]) / c_sel[live] < 0.01  # never on the first pass
-        again[list(singular)] = False
         if again.any():
             done = live[again]
             with np.errstate(over="ignore"):  # squares past the float range are inf
@@ -544,11 +490,11 @@ def _esls(x, y, start, c, shape):
                 outer[done] = _settled(x[done], step[again],
                                        _psi("esl", c_sel[done, None], resid), y[done] - resid)
         prev_c[live] = c_sel[live]
-        live = _others(live[~outer[live]], failures)
+        live = live[~outer[live]]
+        if not live.size:
+            break
     # the last pass's fit, at the MAD scale of its selection and with every pass's iterations
-    fits = _results("esl", _others(range(s), failures), beta, sigma_mad, total, inner & outer,
-                    c_sel, u, shape)
-    return fits, failures
+    return _results("esl", beta, sigma_mad, total, inner & outer, c_sel, u, shape)
 
 
 @dataclass(frozen=True)
@@ -600,13 +546,18 @@ def _fit(cps, names, c, seeds):
     map.
 
     Returns one entry per panel: {name: FitResult}, or the
-    EstimationError that stopped that panel's fit; its stack-mates carry
-    on.  Every robust estimator of a panel starts from its one
-    high_breakdown_init(cp, seed), drawn for the stack at most once (never
-    when every name is ls).  huber and tukey start from it rather than the
-    printed LS start: under concentrated contamination the LS start leaves
-    the redescending fit in the contaminated local minimum (the outliers
-    look like the fit and the clean data like outliers).
+    EstimationError that stopped that panel's fit.  The kernels raise at
+    any member's EstimationError; a stack that raises is fitted again as
+    two halves, recursively, down to the failing panel alone, whose entry
+    is its error.  No member's numbers depend on its stack-mates, so every
+    entry is the one the panel gives alone.  Every robust estimator of a
+    panel starts from its one high_breakdown_init(cp, seed), drawn once per
+    stack attempt (never when every name is ls), so a panel in a failing
+    stack draws its (identical) start again in each half it lands in.
+    huber and tukey start from it rather than the printed LS start: under
+    concentrated contamination the LS start leaves the redescending fit in
+    the contaminated local minimum (the outliers look like the fit and the
+    clean data like outliers).
     """
     for name in names:
         if name not in ESTIMATOR_NAMES:
@@ -616,35 +567,23 @@ def _fit(cps, names, c, seeds):
     y = cps[0].y[None] if s == 1 else np.stack([cp.y for cp in cps])
     out = [{} for _ in range(s)]
     start = None
-    for name in names:
-        live = np.array([i for i in range(s) if isinstance(out[i], dict)], dtype=int)
-        if not live.size:
-            break
-        if name == "ls":
-            for i in live:
-                try:
-                    out[i][name] = within_ls(cps[i])
-                except EstimationError as err:
-                    out[i] = err
-            continue
-        if start is None:
-            sub = _rows(live, s)
-            start = np.zeros((s, x.shape[2]))
-            start[sub], failures = _starts(x[sub], y[sub], [seeds[i] for i in live])
-            for j, err in failures.items():
-                out[live[j]] = err
-            live = np.array([i for i in live if isinstance(out[i], dict)], dtype=int)
-        if not live.size:
-            break
-        sub = _rows(live, s)
-        if name == "esl":
-            fits, failures = _esls(x[sub], y[sub], start[sub], c, cps[0].shape)
-        else:
-            fits, failures = _mestimators(x[sub], y[sub], name, c, start[sub], cps[0].shape)
-        for j, err in failures.items():
-            out[live[j]] = err
-        for j, fit in fits.items():
-            out[live[j]][name] = fit
+    try:
+        for name in names:
+            if name != "ls" and start is None:
+                start = _starts(x, y, seeds)
+            if name == "ls":
+                results = [within_ls(cp) for cp in cps]
+            elif name == "esl":
+                results = _esls(x, y, start, c, cps[0].shape)
+            else:
+                results = _mestimators(x, y, name, c, start, cps[0].shape)
+            for fits, fit in zip(out, results):
+                fits[name] = fit
+    except EstimationError as err:
+        if s == 1:
+            return [err]
+        h = s // 2
+        return _fit(cps[:h], names, c, seeds[:h]) + _fit(cps[h:], names, c, seeds[h:])
     return out
 
 

@@ -238,13 +238,17 @@ def within_ls(panel: PanelData | CenteredPanel) -> FitResult:
     )
 
 
+def _coefficients(beta, k: int, name: str) -> np.ndarray:
+    """`beta` as a float vector, or ValueError unless it has length k."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (k,):
+        raise ValueError(f"{name} must have length {k}, got shape {beta.shape}")
+    return beta
+
+
 def fixed_effects(panel: PanelData, beta) -> np.ndarray:
     """Per-unit intercepts alpha_i = ybar_i - xbar_i' beta."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (panel.n_regressors,):
-        raise ValueError(
-            f"beta must have length {panel.n_regressors}, got shape {beta.shape}"
-        )
+    beta = _coefficients(beta, panel.n_regressors, "beta")
     return panel.y.mean(axis=1) - panel.x.mean(axis=1) @ beta
 
 

@@ -17,8 +17,9 @@ Every median in the package comes from one kernel, ``_median``, and every
 MAD from ``_mad`` on top of it; both work along the last axis, so the
 high-breakdown start scores all of its candidate fits in one call.
 ``_scales`` gives either estimate for every row of a stack of residuals,
-as the stacked fits need it; ``initial_scale`` and ``mad_scale`` are its
-one-row calls.
+as the stacked fits need it, and raises ZeroScale when any row collapses
+(``estimators._fit`` then isolates that row's panel); ``initial_scale`` and
+``mad_scale`` are its one-row calls.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def _scales(e, kind):
     """initial_scale (`kind` "initial") or mad_scale ("mad") of every row of
     the 2-D float array `e`, which it overwrites.
 
-    Returns the values and {row: ZeroScale} for the rows whose estimate is
-    0; raises ValueError when a residual is not finite.
+    Raises ZeroScale when any row's estimate is 0 and ValueError when a
+    residual is not finite.
     """
     if not np.all(np.isfinite(e)):
         raise ValueError("residuals must be finite")
@@ -97,14 +98,13 @@ def _scales(e, kind):
         values = _mad(e)
     else:
         values = _median(np.abs(e, out=e)) / MEDIAN_ABS_CONSISTENCY
-    return values, {i: ZeroScale(_ZERO[kind]) for i in np.flatnonzero(values == 0.0)}
+    if not values.all():
+        raise ZeroScale(_ZERO[kind])
+    return values
 
 
 def _scale(residuals, kind):
-    values, zero = _scales(_as_vector(residuals)[None].copy(), kind)
-    if zero:
-        raise zero[0]
-    return ScaleEstimate(float(values[0]))
+    return ScaleEstimate(float(_scales(_as_vector(residuals)[None].copy(), kind)[0]))
 
 
 def initial_scale(residuals) -> ScaleEstimate:

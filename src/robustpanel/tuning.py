@@ -27,7 +27,9 @@ in blocks of at most GRID_BLOCK_CELLS cells (see _blocks) so that its
 temporaries stay small: whole members while they fit, else one member's
 grid rows at a time.  A member's rows are blocked the same way in any
 stack, so its numbers do not depend on its stack-mates.  Only xi is
-summed member by member, over each member's own retained cells.
+summed member by member, over each member's own retained cells.  A search
+returns values only and raises NoValidTuning when any member has no valid
+c; ``estimators._fit`` then isolates that member's panel.
 ``efficiency_factor``, ``xi`` and ``esl_cov`` are one-point calls into the
 same kernels.  Both searches break ties toward the smallest grid point.
 """
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import NoValidTuning, ZeroScale
 from .losses import ESL, LossSpec, _esl_psi, _psi, _psi_prime, _rho
-from .panel import _as_centered
+from .panel import _as_centered, _coefficients
 from .scale import _mad
 
 HUBER_GRID = 0.05 * np.arange(1, 61)
@@ -132,15 +134,15 @@ class EfficiencyCurve:
 
 def _tau_search(e, family, grid):
     """The grid search of select_c_grid for every member (row) of the
-    standardized residuals e: tau_hat, defined, the index of each member's
-    c_star, and {member: NoValidTuning} where tau_hat is nowhere defined."""
+    standardized residuals e: tau_hat, defined and the index of each
+    member's c_star.  Raises NoValidTuning when tau_hat is nowhere defined
+    for some member."""
     tau, defined = _tau_grid(e, family, grid)
-    best = np.argmax(np.where(defined, tau, -np.inf), axis=1)  # the first, i.e. smallest c
-    failures = {i: NoValidTuning(
-        "efficiency factor undefined at every candidate c in [%g, %g]; all residuals "
-        "fall in the rejection region" % (grid.min(), grid.max()))
-        for i in np.flatnonzero(~defined.any(axis=1))}
-    return tau, defined, best, failures
+    if not defined.any(axis=1).all():
+        raise NoValidTuning(
+            "efficiency factor undefined at every candidate c in [%g, %g]; all residuals "
+            "fall in the rejection region" % (grid.min(), grid.max()))
+    return tau, defined, np.argmax(np.where(defined, tau, -np.inf), axis=1)  # smallest c first
 
 
 def select_c_grid(panel, family, beta_current, sigma, grid):
@@ -155,13 +157,12 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     cp = _as_centered(panel)
+    beta = _coefficients(beta_current, cp.x.shape[1], "beta_current")
     with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in irls_fit
-        e = (cp.y - cp.x @ np.asarray(beta_current, dtype=float)) / sigma
+        e = (cp.y - cp.x @ beta) / sigma
 
     grid = np.asarray(grid, dtype=float)
-    tau, defined, best, failures = _tau_search(e[None], family, grid)
-    if failures:
-        raise failures[0]
+    tau, defined, best = _tau_search(e[None], family, grid)
     best = best[0]
     return EfficiencyCurve(tau[0], defined[0], float(grid[best]), float(tau[0, best]))
 
@@ -270,7 +271,7 @@ def esl_cov(panel, beta0, c):
     when the information factor is numerically singular.
     """
     cp = _as_centered(panel)
-    beta0 = np.asarray(beta0, dtype=float)
+    beta0 = _coefficients(beta0, cp.x.shape[1], "beta0")
     kappa, cross, s, _, defined = _esl_sandwich(cp.x[None], (cp.y - cp.x @ beta0)[None],
                                                 np.array([[float(c)]]))
     if not defined[0, 0]:
@@ -294,10 +295,10 @@ def _esl_search(x, y, beta0, grids):
     """The selection step of esl_select_c for every member of a stack, at
     its coefficients beta0 (S, K) over its grid (a row of grids, (S, G)).
 
-    Returns ``(states, failures)``: an EslTuningState per member that has
-    a feasible c (None for the others) and {member: NoValidTuning}.  The
-    retained residuals differ in number between members, so xi is summed
-    member by member, over exactly the cells xi() would be given.
+    Returns an EslTuningState per member; raises NoValidTuning, with the xi
+    range of the first member that has no feasible c, when some member has
+    none.  The retained residuals differ in number between members, so xi
+    is summed member by member, over exactly the cells xi() would be given.
     """
     resid = y - (x @ beta0[:, :, None])[:, :, 0]
     nt = resid.shape[1]
@@ -314,18 +315,15 @@ def _esl_search(x, y, beta0, grids):
     feasible = (xi_vals > 0.0) & (xi_vals <= 1.0) & defined
     detv = np.where(feasible, log_det_v, np.nan)
     best = np.argmin(np.where(feasible, detv, np.inf), axis=1)  # first minimum: smallest c
-    states, failures = [], {}
-    for i, row in enumerate(feasible):
-        if row.any():
-            states.append(EslTuningState(sigma_mad=float(sigma_mad[i]), m=int(m[i]),
-                                         xi_values=xi_vals[i], detv_values=detv[i],
-                                         c_selected=float(grids[i, best[i]])))
-        else:
-            states.append(None)
-            failures[i] = NoValidTuning(
-                "no candidate c gives xi in (0, 1] with a well defined covariance; xi "
-                "ranged over [%g, %g] across the grid" % (xi_vals[i].min(), xi_vals[i].max()))
-    return states, failures
+    tuned = feasible.any(axis=1)
+    if not tuned.all():
+        first = xi_vals[np.argmin(tuned)]
+        raise NoValidTuning(
+            "no candidate c gives xi in (0, 1] with a well defined covariance; xi "
+            "ranged over [%g, %g] across the grid" % (first.min(), first.max()))
+    return [EslTuningState(sigma_mad=float(sigma_mad[i]), m=int(m[i]), xi_values=xi_vals[i],
+                           detv_values=detv[i], c_selected=float(grids[i, best[i]]))
+            for i in range(len(grids))]
 
 
 def esl_select_c(panel, beta0, grid):
@@ -340,9 +338,6 @@ def esl_select_c(panel, beta0, grid):
     Raises NoValidTuning when G is empty, reporting the xi range seen.
     """
     cp = _as_centered(panel)
-    beta0 = np.asarray(beta0, dtype=float)
-    states, failures = _esl_search(cp.x[None], cp.y[None], beta0[None],
-                                   np.asarray(grid, dtype=float)[None])
-    if failures:
-        raise failures[0]
-    return states[0]
+    beta0 = _coefficients(beta0, cp.x.shape[1], "beta0")
+    grid = np.asarray(grid, dtype=float)
+    return _esl_search(cp.x[None], cp.y[None], beta0[None], grid[None])[0]

@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from robustpanel.errors import DegeneratePanel, SingularDesign
+from robustpanel.estimators import fit_mestimator, irls_fit
+from robustpanel.losses import LossSpec
 from robustpanel.panel import (
     PanelData,
     fixed_effects,
@@ -14,6 +16,7 @@ from robustpanel.panel import (
     within_ls,
     within_transform,
 )
+from robustpanel.tuning import HUBER_GRID, default_esl_grid, esl_cov, esl_select_c, select_c_grid
 
 from conftest import synth_panel
 from oracles import direct_rmse, exact_within_ls
@@ -246,3 +249,21 @@ class TestFixedEffectsAndPredict:
     def test_beta_shape_checked(self, noisy_panel):
         with pytest.raises(ValueError):
             fixed_effects(noisy_panel, np.zeros(5))
+
+
+# every public function that takes a coefficient vector checks its length
+COEFFICIENT_CALLS = {
+    "irls_fit": lambda p, b: irls_fit(p, LossSpec("huber", 1.345), b, 1.0),
+    "fit_mestimator": lambda p, b: fit_mestimator(p, "huber", beta_init=b),
+    "select_c_grid": lambda p, b: select_c_grid(p, "huber", b, 1.0, HUBER_GRID),
+    "esl_select_c": lambda p, b: esl_select_c(p, b, default_esl_grid(1.0)),
+    "esl_cov": lambda p, b: esl_cov(p, b, 1.0),
+    "fixed_effects": fixed_effects,
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, np.zeros(3)], ids=["scalar", "one_too_long"])
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_CALLS))
+def test_coefficient_vector_must_have_length_k(name, beta, noisy_panel):
+    with pytest.raises(ValueError, match="must have length 2, got shape"):
+        COEFFICIENT_CALLS[name](noisy_panel, beta)

@@ -388,14 +388,20 @@ class TestStackedReplications:
         self.assert_same(alone, stacked)
 
     def test_failure_inside_a_stack(self, monkeypatch):
-        # At (N, T) = (3, 2) some replications leave more than half of the
-        # residuals at 0; each fails alone, and its stack-mates carry on.
-        alone, stacked = self.reports(
-            monkeypatch, lambda: run_mc(DgpConfig(3, 2), None, self.NAMES, 40, 7))
-        assert 0 < stacked.n_failed < 40
-        assert any(0 < s < 39 for s, _ in stacked.failures)
-        assert all(message.startswith("ZeroScale: ") for _, message in stacked.failures)
-        self.assert_same(alone, stacked)
+        # At (N, T) = (3, 2) some replications fail: with seed 7 every one
+        # leaves more than half of its residuals at 0, and with seed 0 the
+        # failures come from the scale step, esl's selection and IRLS.  A
+        # stack that holds one is fitted again in halves, and every panel
+        # gets the result it gets alone.
+        for s_total, seed, kinds in (
+                (40, 7, {"ZeroScale"}),
+                (80, 0, {"ZeroScale", "NoValidTuning", "SingularWeightedDesign"})):
+            alone, stacked = self.reports(
+                monkeypatch, lambda: run_mc(DgpConfig(3, 2), None, self.NAMES, s_total, seed))
+            assert 0 < stacked.n_failed < s_total
+            assert any(0 < s % sim.STACK_REPS < sim.STACK_REPS - 1 for s, _ in stacked.failures)
+            assert {message.split(":")[0] for _, message in stacked.failures} == kinds
+            self.assert_same(alone, stacked)
 
 
 class TestRunExperiment:
