@@ -26,11 +26,13 @@ numbers depend on its stack-mates: row sums, and batched matmul, solve and
 eigh, act member by member.  A kernel raises the EstimationError of any
 member that meets one, and returns values only; ``_fit`` alone turns a
 failure into one panel's result, by fitting a stack that raised again in
-halves (see _fit).
+halves that keep the start and the fits it finished (see _fit).
 
 ``_reweight`` is the one reweighting step: every IRLS iterate and the
-start's polish take it.  For Huber's convex loss it tries a safeguarded
-Newton step first (see _huber_newton); the weighted LS step is one batched
+start's polish take it.  For Huber's convex loss it takes a Newton step
+where the Hessian allows one and an IRLS step elsewhere, each carried to
+the exact minimizer of the objective along its direction (see
+_huber_newton and _huber_minimizer); the weighted LS step is one batched
 K x K solve (see _weighted_solve); every loop stops on one scale-free rule
 (see _settled).
 """
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, UnstableCurvature
-from .losses import LossSpec, _psi, _psi_prime, _rho, _weight, psi, psi_prime
+from .losses import LossSpec, _psi, _psi_prime, _weight, psi, psi_prime
 from .panel import (ESTIMATOR_NAMES, FitResult, _as_centered, _coefficients, _in_float_range,
                     within_ls)
 from .scale import _mad, _scales
@@ -52,7 +54,6 @@ HB_SUBSAMPLES = 500  # most elemental subsets drawn by high_breakdown_init; see 
 HB_SCORE_CELLS = 2000  # above this many cells, candidates are ranked on a subsample this size
 HB_RESCORE = 10  # best subsample candidates that are scored again on the full sample
 IRLS_TOL = 1e-8  # change in fitted values, relative to the bounded residuals, that ends a loop
-NEWTON_HALVINGS = 4  # times a Huber Newton step is halved before IRLS takes over
 ESL_MAX_OUTER = 3  # outer passes of fit_esl
 LOG_SINGULAR = np.log(1e-12)  # log |det| below which a K x K system counts as singular
 
@@ -124,65 +125,128 @@ def _weighted_solve(x, y, w):
     return beta, failures
 
 
-def _huber_newton(x, y, beta, u, sigma, c):
-    """A safeguarded Newton step on every member's Huber objective
-    sum rho(r / sigma), at its own c and sigma.
+def _huber_minimizer(u, v, c):
+    """The exact minimizer alpha of every member's Huber objective
+    phi(alpha) = sum rho(u - alpha v) along the direction v, at its own c.
+
+    phi is convex and piecewise quadratic: phi'(alpha) = -sum v psi(u -
+    alpha v) is piecewise linear and nondecreasing, with a kink where a cell
+    crosses +-c, at alpha = u / v -+ c / |v|, and its slope on each piece is
+    the sum of v^2 over the cells within +-c.  Each member sorts its kinks
+    past 0 and walks phi' from phi'(0) to its root, summing its slope and
+    its rise kink by kink: one sort and cumulative sums over (S, 2 NT) (the
+    exact line search of the finite Newton methods of Madsen & Nielsen
+    1990).  A cell with v = 0 has no kink, and one at u = +-inf none that is
+    ever reached.  Returns (alpha, found); found is False, and alpha
+    meaningless, where phi'(0) is not negative and finite (no descent
+    direction, or one past the float range) or phi' never reaches 0 (phi
+    falls without bound, as a cell at u = +-inf can make it).
+    """
+    c, n = c[:, None], u.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        deriv0 = -(v * _psi("huber", c, u)).sum(axis=1)
+        half, vv = c / np.abs(v), v * v
+        kinks = np.tile(u / v, 2)
+        kinks[:, :n] -= half  # where a cell enters +-c as alpha grows
+        kinks[:, n:] += half  # where it leaves
+        slope0 = (vv * ((kinks[:, :n] <= 0.0) & (kinks[:, n:] > 0.0))).sum(axis=1)
+        kinks[~(kinks > 0.0)] = np.inf  # behind alpha = 0, or no kink at all
+        # a flat gather is several times faster than take_along_axis here
+        order = np.argsort(kinks, axis=1) + 2 * n * np.arange(len(u))[:, None]
+        kinks = kinks.ravel()[order]
+        rises = np.concatenate((vv, -vv), axis=1).ravel()[order]
+        del half, vv, order  # the (S, 2 NT) buffers are written in place from here
+        # phi's slope on the piece that ends at each kink, and phi' there
+        slope = np.cumsum(rises, axis=1)
+        slope -= rises
+        slope += slope0[:, None]
+        deriv = rises
+        deriv[:, 0] = kinks[:, 0]
+        np.subtract(kinks[:, 1:], kinks[:, :-1], out=deriv[:, 1:])
+        deriv *= slope
+        np.cumsum(deriv, axis=1, out=deriv)
+        deriv += deriv0[:, None]
+        # past the last kink every cell with v != 0 is clipped and phi' is flat
+        past = (deriv >= 0.0) & (kinks < np.inf)
+        k = past.argmax(axis=1)
+        at, before = np.arange(len(u)), k > 0
+        alpha = (np.where(before, kinks[at, k - 1], 0.0)
+                 - np.where(before, deriv[at, k - 1], deriv0) / slope[at, k])
+    return alpha, past[at, k] & np.isfinite(deriv0) & (deriv0 < 0.0)
+
+
+def _huber_line_search(u, v, c):
+    """How far every member goes along its Newton direction v (see
+    _huber_newton) from the standardized residuals u: alpha = 1 where no
+    cell changes side of +-c between u and u - v, for there the quadratic
+    model of the Newton step is exact and least at alpha = 1; elsewhere the
+    exact minimizer (see _huber_minimizer).  Returns (alpha, taken); a
+    member whose direction is no descent is not taken.
+    """
+    def side(w):  # -1, 0 or 1: below -c, within +-c or above c
+        return (w > c[:, None]).view(np.int8) - (w < -c[:, None]).view(np.int8)
+
+    deriv0 = -(v * _psi("huber", c[:, None], u)).sum(axis=1)
+    alpha, taken = np.ones(len(u)), np.isfinite(deriv0) & (deriv0 < 0.0)
+    rest = np.flatnonzero(taken & (side(u) != side(u - v)).any(axis=1))
+    if rest.size:
+        alpha[rest], taken[rest] = _huber_minimizer(u[rest], v[rest], c[rest])
+    return alpha, taken
+
+
+def _huber_newton(x, beta, u, sigma, c):
+    """A Newton step on every member's Huber objective sum rho(r / sigma), at
+    its own c and sigma, sized by an exact line search.
 
     The Hessian is H = X_in' X_in over the cells with |u| <= c and the
     gradient X' clip(u, -c, c).  When H is well conditioned (smallest
-    eigenvalue above 1e-10 of the largest) the step sigma H^-1 g is tried,
-    halved up to NEWTON_HALVINGS times, and the first candidate that lowers
-    the objective at beta is taken.  Each halving scores the members still
-    searching at once, their residuals formed as u was, so that rounding
-    alone never makes a candidate look lower.  Returns (beta_new, taken); a
-    member that took no candidate keeps beta and takes an IRLS step
-    instead.  A step or candidate past the float range has a nan or inf
-    objective and is never taken.
+    eigenvalue above 1e-10 of the largest) the direction sigma H^-1 g is
+    taken as far as lowers the objective most (see _huber_line_search), so
+    the objective never rises.  Returns (beta_new, taken); a member whose H
+    is ill conditioned or whose direction is no descent keeps beta and takes
+    an IRLS step instead.
     """
-    c = c[:, None]
     # psi' is 0 or 1, so X' diag(psi') X is X_in' X_in
-    lam, vec = np.linalg.eigh((x.transpose(0, 2, 1) * _psi_prime("huber", c, u)[:, None, :]) @ x)
+    inner = _psi_prime("huber", c[:, None], u)
+    lam, vec = np.linalg.eigh((x.transpose(0, 2, 1) * inner[:, None, :]) @ x)
     todo = np.flatnonzero(lam[:, 0] > 1e-10 * lam[:, -1])
     new, taken = beta.copy(), np.zeros(len(beta), dtype=bool)
     if not todo.size:
         return new, taken
     sub = _rows(todo, len(beta))
-    x, y, beta, u, sigma, c, lam, vec = (a[sub] for a in (x, y, beta, u, sigma, c, lam, vec))
-    with np.errstate(invalid="ignore"):
-        objective = _rho("huber", c, u).sum(axis=1)
-        grad = _psi("huber", c, u)[:, None, :] @ x @ vec
+    x, beta, u, sigma, c, lam, vec = (a[sub] for a in (x, beta, u, sigma, c, lam, vec))
+    with np.errstate(invalid="ignore", over="ignore"):
+        grad = _psi("huber", c[:, None], u)[:, None, :] @ x @ vec
         step = (vec @ (grad[:, 0, :] * (sigma[:, None] / lam))[:, :, None])[:, :, 0]
-        search = np.arange(len(todo))
-        for _ in range(NEWTON_HALVINGS + 1):
-            at = _rows(search, len(todo))
-            cand = beta[at] + step[at]
-            r = (y[at] - _xb(x[at], cand)) / sigma[at, None]
-            lower = _rho("huber", c[at], r).sum(axis=1) < objective[at]
-            new[todo[search[lower]]] = cand[lower]
-            taken[todo[search[lower]]] = True
-            search = search[~lower]
-            if not search.size:
-                break
-            step = step / 2
+        alpha, ok = _huber_line_search(u, _xb(x, step) / sigma[:, None], c)
+    new[todo[ok]] = beta[ok] + alpha[ok, None] * step[ok]
+    taken[todo] = ok
     return new, taken
 
 
 def _reweight(x, y, family, c, beta, u, sigma):
     """The next iterate of every member from beta, whose standardized
-    residuals are u, at its own c and sigma: for huber a safeguarded Newton
-    step (see _huber_newton) where one lowers the convex objective, else,
-    and always for the redescending tukey and esl, the weighted LS solve at
-    the loss's weights (see _weighted_solve).  The one reweighting step of
+    residuals are u, at its own c and sigma: for the redescending tukey and
+    esl the weighted LS solve at the loss's weights (see _weighted_solve);
+    for huber a Newton step (see _huber_newton) and, where that is not
+    taken, the weighted LS step carried to the minimizer of the convex
+    objective along it (see _huber_minimizer).  The one reweighting step of
     IRLS and of the start's polish.  Returns (beta_new, {member:
     SingularWeightedDesign})."""
     if family != "huber":
         return _weighted_solve(x, y, _weight(family, c[:, None], u))
-    new, taken = _huber_newton(x, y, beta, u, sigma, c)
+    new, taken = _huber_newton(x, beta, u, sigma, c)
     if taken.all():
         return new, {}
     rest = np.flatnonzero(~taken)
     sub = _rows(rest, len(beta))
-    new[sub], failures = _weighted_solve(x[sub], y[sub], _weight(family, c[sub, None], u[sub]))
+    irls, failures = _weighted_solve(x[sub], y[sub], _weight(family, c[sub, None], u[sub]))
+    # the IRLS step's curvature X'WX overstates huber's X_in' X_in, so the
+    # minimizer along it often lies past it
+    step = irls - beta[sub]
+    alpha, found = _huber_minimizer(u[sub], _xb(x[sub], step) / sigma[sub, None], c[sub])
+    new[sub] = irls
+    new[rest[found]] = beta[rest[found]] + alpha[found, None] * step[found]
     return new, {rest[i]: err for i, err in failures.items()}
 
 
@@ -194,8 +258,8 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     residuals u = (y_it - x_it' beta) / sigma, until a member's
     coefficients settle (see _settled) or max_iter is reached; a settled
     member leaves the active stack, so each runs the iterations it would
-    run alone.  Huber's Newton steps are taken only when they lower the
-    convex objective, so the objective never rises.  Returns (beta, u,
+    run alone.  Huber's steps end at the minimizer of its convex objective
+    along their direction, so the objective never rises.  Returns (beta, u,
     iterations, converged) at each member's last iterate; raises
     SingularWeightedDesign when a member's weights leave its design
     singular.
@@ -248,8 +312,8 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
 
     Repeats the reweighting step of _reweight, at the standardized
     residuals u = (y_it - x_it' beta) / sigma, until the coefficients
-    settle (see _settled) or config.max_iter is reached.  Huber's Newton
-    steps are taken only when they lower the convex objective, so the
+    settle (see _settled) or config.max_iter is reached.  Huber's steps end
+    at the minimizer of its convex objective along their direction, so the
     objective never rises.  A stack of one of _irls.
     """
     if not sigma > 0:
@@ -549,26 +613,33 @@ def _fit(cps, names, c, seeds):
     EstimationError that stopped that panel's fit.  The kernels raise at
     any member's EstimationError; a stack that raises is fitted again as
     two halves, recursively, down to the failing panel alone, whose entry
-    is its error.  No member's numbers depend on its stack-mates, so every
-    entry is the one the panel gives alone.  Every robust estimator of a
-    panel starts from its one high_breakdown_init(cp, seed), drawn once per
-    stack attempt (never when every name is ls), so a panel in a failing
-    stack draws its (identical) start again in each half it lands in.
-    huber and tukey start from it rather than the printed LS start: under
-    concentrated contamination the LS start leaves the redescending fit in
-    the contaminated local minimum (the outliers look like the fit and the
+    is its error (see _fit_rest).  No member's numbers depend on its
+    stack-mates, so every entry is the one the panel gives alone.  Every
+    robust estimator of a panel starts from its one high_breakdown_init(cp,
+    seed), drawn once (never when every name is ls).  huber and tukey start
+    from it rather than the printed LS start: under concentrated
+    contamination the LS start leaves the redescending fit in the
+    contaminated local minimum (the outliers look like the fit and the
     clean data like outliers).
     """
     for name in names:
         if name not in ESTIMATOR_NAMES:
             raise ValueError("unknown estimator %r" % (name,))
+    return _fit_rest(cps, names, c, seeds, [{} for _ in cps], None)
+
+
+def _fit_rest(cps, names, c, seeds, out, start):
+    """_fit from the first of `names` that the entries `out` lack, at the
+    panels' starts `start` (None until drawn).  A stack that raises hands
+    each half its slice of the start and of the fits already finished, so
+    a half refits only the estimators from the one that raised onward."""
     s = len(cps)
     x = cps[0].x[None] if s == 1 else np.stack([cp.x for cp in cps])
     y = cps[0].y[None] if s == 1 else np.stack([cp.y for cp in cps])
-    out = [{} for _ in range(s)]
-    start = None
     try:
         for name in names:
+            if name in out[0]:
+                continue
             if name != "ls" and start is None:
                 start = _starts(x, y, seeds)
             if name == "ls":
@@ -582,8 +653,9 @@ def _fit(cps, names, c, seeds):
     except EstimationError as err:
         if s == 1:
             return [err]
-        h = s // 2
-        return _fit(cps[:h], names, c, seeds[:h]) + _fit(cps[h:], names, c, seeds[h:])
+        return [entry for half in (slice(None, s // 2), slice(s // 2, None))
+                for entry in _fit_rest(cps[half], names, c, seeds[half], out[half],
+                                       None if start is None else start[half])]
     return out
 
 

@@ -106,6 +106,67 @@ class TestIrls:
             values.append(objective(fit.beta))
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_huber_line_search_against_a_grid(self, seed):
+        # Random stacks of residuals u, directions v and constants c, with
+        # cells at v = 0, at u = +-c and at u = +-inf (IRLS past the float
+        # range).  Along any direction _huber_minimizer's alpha is least on a
+        # dense grid of phi(alpha) = sum rho(u - alpha v), and phi' changes
+        # sign there.  Along a Newton direction (v scaled so that the
+        # quadratic model at alpha = 0 is least at 1) _huber_line_search
+        # takes alpha = 1 exactly where no cell changes side of +-c, and
+        # searches elsewhere.
+        rng = np.random.default_rng(seed)
+        s, n = 60, 12
+        u, v = 3.0 * rng.standard_normal((s, n)), rng.standard_normal((s, n))
+        v[rng.random((s, n)) < 0.2] = 0.0
+        u[::4, 0], u[1::4, 0] = np.inf, -np.inf
+        c = rng.uniform(0.05, 3.0, s)
+        u[::3, 1], u[1::3, 1] = c[::3], -c[1::3]  # on a kink at alpha = 0
+        inner = np.abs(u) <= c[:, None]
+        down = -(v * np.clip(u, -c[:, None], c[:, None])).sum(axis=1)  # phi'(0)
+        curve = (v * v * inner).sum(axis=1)
+        # 0 where v has no Newton scale, which leaves no descent either
+        scale = np.where((down < 0) & (curve > 0), -down / np.maximum(curve, 1e-300), 0.0)
+        newton = v * scale[:, None]
+        newton[:3] *= -1.0  # no descent
+        # phi falls without bound along this one (its cell at u = inf pulls
+        # harder than the clipped cells resist), and the running sum of the
+        # slope, with the inf cell's rises at its unreached kinks, must not
+        # round to a root past the last kink
+        u[3, :3], c[3] = (np.inf, 1.1440097249125298, 4.6833362486324095), 2.488517733395421
+        newton[3] = np.r_[5.098284233071504, -3.035537276807298, np.zeros(n - 2)]
+
+        def deriv(i, w, alpha):
+            return -(w[i] * psi(LossSpec("huber", c[i]), u[i] - alpha * w[i])).sum()
+
+        def check(w, alpha, ok):
+            for i in range(s):
+                spec, fin = LossSpec("huber", c[i]), np.isfinite(u[i])
+                moves = fin & (w[i] != 0)  # past top every such cell is clipped
+                top = 2.0 * ((np.abs(u[i, moves]) + c[i]) / np.abs(w[i, moves])).max(initial=1.0)
+                if deriv(i, w, 0.0) >= 0 or deriv(i, w, top) < 0:  # no descent, or no minimum
+                    assert not ok[i]
+                    continue
+                assert ok[i]
+                # phi(alpha) - phi(0); a cell at u = +-inf adds -+c v alpha
+                grid = np.append(np.linspace(0.0, top, 20001), alpha[i])[:, None]
+                phi = (rho(spec, u[i, fin] - grid * w[i, fin]).sum(axis=1)
+                       - c[i] * grid[:, 0] * (np.sign(u[i, ~fin]) * w[i, ~fin]).sum())
+                assert phi[-1] <= phi[:-1].min() + 1e-9 * (1.0 + np.abs(phi).max())
+                eps, tol = 1e-7 * max(alpha[i], 1.0), 1e-9 * (1.0 + c[i] * np.abs(w[i]).sum())
+                assert deriv(i, w, alpha[i] - eps) <= tol
+                assert deriv(i, w, alpha[i] + eps) >= -tol
+
+        check(v, *estimators._huber_minimizer(u, v, c))
+        alpha, taken = estimators._huber_line_search(u, newton, c)
+        check(newton, alpha, taken)
+        assert not taken[:3].any()
+        side = lambda a: np.sign(a) * (np.abs(a) > c[:, None])
+        fast = taken & (side(u) == side(u - newton)).all(axis=1)
+        assert fast.any() and (taken & ~fast).any()
+        assert (alpha[fast] == 1.0).all()
+
     @pytest.mark.parametrize("family", ["huber", "tukey", "esl"])
     def test_gross_outlier_does_not_loosen_the_stop(self, family):
         # One cell off by 1e10: the stopping rule measures the step against
@@ -546,12 +607,11 @@ class TestFitEstimatorDispatch:
 
 class TestPinnedDigests:
     # SHA-256 over tobytes() of results computed on x86_64 with numpy 2.4,
-    # last re-pinned when every kernel took a leading replication axis (the
-    # weighted LS step became one batched solve of equilibrated normal
-    # equations, and grid kernels work in smaller blocks); a kernel
-    # that moves one bit of a start, a selected c or a study sample fails
-    # here.  A change that moves study numbers on purpose re-pins these with
-    # the simulate table digests of test_cli.
+    # last re-pinned when huber's Newton and IRLS steps took an exact line
+    # search (its iterations and last bits moved; ls, tukey and esl held);
+    # a kernel that moves one bit of a start, a selected c or a study sample
+    # fails here.  A change that moves study numbers on purpose re-pins
+    # these with the simulate table digests of test_cli.
 
     def test_leverage_study(self):
         names = ("ls", "huber", "tukey", "esl")
@@ -563,7 +623,7 @@ class TestPinnedDigests:
             digest.update(report.se_samples[name].tobytes())
             digest.update(report.rmse_samples[name].tobytes())
         assert digest.hexdigest() == (
-            "6ab0a5fbfb26241a58195d14d00a4732e5532b393e5be38adaefb808bc021665")
+            "a769842dc7f68b1d19fd0cde8dbe55443217b9fb3885986e5120f891e16b6315")
 
     def test_start_and_esl_fit_on_a_subsample(self):
         # 5,000 cells: the start ranks its candidates on HB_SCORE_CELLS
@@ -600,4 +660,4 @@ class TestPinnedDigests:
                 digest.update(repr((fit.sigma_hat, fit.c_selected, fit.iterations,
                                     fit.converged)).encode())
         assert digest.hexdigest() == (
-            "55e7226a4b2374ce5e610abc99e435214354e05d0e5663cd85aa630ff828fadb")
+            "1317a74c71c08a9bcd8889de1c1db1e40151f83c78e44342358bbf158b3485eb")
