@@ -366,10 +366,12 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
 
 
 def _n_subsets(k):
-    """Elemental subsets to draw at k regressors: the fewest that hold at
-    least one clean subset with probability 1 - 1e-6 when half the cells
-    are outliers, log(1e-6) / log(1 - 0.5^k) (Rousseeuw & Leroy 1987),
+    """Solvable elemental subsets to keep at k regressors: the fewest that
+    hold at least one clean subset with probability 1 - 1e-6 when half the
+    cells are outliers, log(1e-6) / log(1 - 0.5^k) (Rousseeuw & Leroy 1987),
     capped at HB_SUBSAMPLES; 20 at k = 1, 49 at k = 2 and the cap from k = 6.
+    The count assumes every subset can be solved, so _starts redraws a
+    singular one.
     """
     clean = 0.5**k  # chance that a subset drawn at 50% contamination is clean
     if (1.0 - clean) ** HB_SUBSAMPLES > 1e-6:
@@ -418,53 +420,47 @@ def _mad_rows(betas, x, y):
 
 
 def _starts(x, y, seeds):
-    """high_breakdown_init of every member of a stack, each from
-    default_rng(seed) of its own seed, drawn in the order a lone call
-    draws.  Members with the same subset count (some go on to
-    HB_SUBSAMPLES) are solved and scored together; a singular subset
-    takes an identity system and a MAD of +inf, so it never wins.
-    Returns the starts (S, K); raises DegenerateDesign when a member has no
-    usable elemental fit.
+    """high_breakdown_init of every member of a stack.  One loop does all
+    of a member's random drawing, from default_rng(seed) of its own seed:
+    its _n_subsets(K) subsets, rounds that redraw the singular ones until
+    all are solvable or HB_SUBSAMPLES have been drawn in all (as FAST-LTS
+    does), then the HB_SCORE_CELLS subsample of a larger panel.  Every
+    member then holds the same count, so one batched solve, ranking and
+    scoring serve the stack; a subset still singular takes an identity
+    system and a MAD of +inf, so it never wins.  Returns the starts (S, K);
+    raises DegenerateDesign when a member has no usable elemental fit.
     """
     s, nt, k = x.shape
     if nt < k + 1:
         raise DegenerateDesign("need at least K+1 observations, have %d" % nt)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    idx = np.stack([_elemental_subsets(rng, nt, k, _n_subsets(k)) for rng in rngs])
-    good = list(_solvable(x[np.arange(s)[:, None, None], idx].reshape(-1, k, k))
-                .reshape(idx.shape[:2]))
-    idx = list(idx)
-    for i in range(s):
-        if not good[i].all() and len(idx[i]) < HB_SUBSAMPLES:
-            # _n_subsets counts solvable subsets; where some are singular (a
-            # regressor that varies in few cells) the draw goes on to the cap
-            more = _elemental_subsets(rngs[i], nt, k, HB_SUBSAMPLES - len(idx[i]))
-            idx[i] = np.concatenate((idx[i], more))
-            good[i] = np.concatenate((good[i], _solvable(x[i][more])))
-
-    starts, sigma = np.zeros((s, k)), np.zeros(s)
-    for count in sorted({len(rows) for rows in idx}):
-        group = np.array([i for i in range(s) if len(idx[i]) == count])
-        cells, ok = np.stack([idx[i] for i in group]), np.stack([good[i] for i in group])
-        xg, yg = x[group], y[group]
-        at = np.arange(len(group))[:, None, None]
-        if not ok.any(axis=1).all():
-            raise DegenerateDesign("all %d elemental subsets were singular" % count)
-        a = xg[at, cells]
-        a[~ok] = np.eye(k)
-        betas = np.linalg.solve(a, yg[at, cells][..., None])[..., 0]  # (group, count, K)
+    n = _n_subsets(k)
+    idx, ok = np.empty((s, n, k), dtype=np.intp), np.empty((s, n), dtype=bool)
+    sub = np.empty((s, HB_SCORE_CELLS), dtype=np.intp) if nt > HB_SCORE_CELLS else None
+    for i, seed in enumerate(seeds):
+        rng, drawn, redo = np.random.default_rng(seed), 0, np.arange(n)
+        while redo.size:  # the first n subsets, then rounds that redraw the singular ones
+            idx[i, redo] = _elemental_subsets(rng, nt, k, redo.size)
+            ok[i, redo] = _solvable(x[i][idx[i, redo]])
+            drawn += redo.size
+            redo = np.flatnonzero(~ok[i])[:HB_SUBSAMPLES - drawn]
         if nt > HB_SCORE_CELLS:
-            sub = np.stack([rngs[i].choice(nt, HB_SCORE_CELLS, replace=False) for i in group])
-            at2 = at[:, :, 0]
-            # a singular subset ranks after every other (nan sorts last)
-            ranked = np.argsort(np.where(ok, _mad_rows(betas, xg[at2, sub], yg[at2, sub]), np.nan),
-                                axis=1, kind="stable")[:, :HB_RESCORE]
-            betas = np.take_along_axis(betas, ranked[:, :, None], axis=1)
-            ok = np.take_along_axis(ok, ranked, axis=1)
-        mads = np.where(ok, _mad_rows(betas, xg, yg), np.inf)
-        best = np.argmin(mads, axis=1)
-        starts[group] = betas[at[:, 0, 0], best]
-        sigma[group] = mads[at[:, 0, 0], best]
+            sub[i] = rng.choice(nt, HB_SCORE_CELLS, replace=False)
+    if not ok.any(axis=1).all():
+        raise DegenerateDesign("all %d elemental subsets were singular" % HB_SUBSAMPLES)
+
+    at = np.arange(s)[:, None]
+    a = x[at[:, :, None], idx]
+    a[~ok] = np.eye(k)
+    betas = np.linalg.solve(a, y[at[:, :, None], idx][..., None])[..., 0]  # (S, n, K)
+    if nt > HB_SCORE_CELLS:
+        # a singular subset ranks after every other (nan sorts last)
+        ranked = np.argsort(np.where(ok, _mad_rows(betas, x[at, sub], y[at, sub]), np.nan),
+                            axis=1, kind="stable")[:, :HB_RESCORE]
+        betas = np.take_along_axis(betas, ranked[:, :, None], axis=1)
+        ok = np.take_along_axis(ok, ranked, axis=1)
+    mads = np.where(ok, _mad_rows(betas, x, y), np.inf)
+    best = np.argmin(mads, axis=1)
+    starts, sigma = betas[at[:, 0], best], mads[at[:, 0], best]
     if (sigma == np.inf).any():
         raise DegenerateDesign("every elemental fit has residuals past the float range")
 
@@ -484,18 +480,19 @@ def high_breakdown_init(panel, seed=0):
     """High-breakdown starting vector from an elemental-subset search.
 
     Draws _n_subsets(K) random K-point subsets of the centered
-    observations (see _elemental_subsets), HB_SUBSAMPLES in all when any
-    of them is singular, solves each exactly and keeps the candidate
-    whose residuals have the smallest MAD scale.  Up to
-    HB_SCORE_CELLS cells every candidate is scored on the full sample.  On
-    a larger panel every candidate is ranked on one random HB_SCORE_CELLS
-    subsample and only the best HB_RESCORE are scored on the full sample,
-    as in FAST-LTS and fast-S, so time and memory stay linear in the cells.
-    The winner is polished by one reweighting step (see _reweight) of
-    Tukey's loss (c = 4.685) at its MAD scale, unless that scale is 0 or
-    the weights leave the design singular.  Singular subsets are skipped;
-    if every subset is singular the panel cannot support even an elemental
-    fit and DegenerateDesign is raised.  A stack of one of _starts.
+    observations (see _elemental_subsets), redrawing each singular one
+    until all are solvable or HB_SUBSAMPLES have been drawn in all, solves
+    each exactly and keeps the candidate whose residuals have the smallest
+    MAD scale.  Up to HB_SCORE_CELLS cells every candidate is scored on
+    the full sample.  On a larger panel every candidate is ranked on one
+    random HB_SCORE_CELLS subsample and only the best HB_RESCORE are scored
+    on the full sample, as in FAST-LTS and fast-S, so time and memory stay
+    linear in the cells.  The winner is polished by one reweighting step
+    (see _reweight) of Tukey's loss (c = 4.685) at its MAD scale, unless
+    that scale is 0 or the weights leave the design singular.  A subset
+    still singular is skipped; if every one is, the panel cannot support
+    even an elemental fit and DegenerateDesign is raised.  A stack of one
+    of _starts.
     """
     cp = _as_centered(panel)
     return _starts(cp.x[None], cp.y[None], [seed])[0]

@@ -377,8 +377,10 @@ class TestHighBreakdownInit:
     def test_regressor_varying_in_few_cells(self):
         # K = 1 draws 20 subsets, but the regressor is constant within 95 of
         # 100 units, so demeaning leaves it 0 in 95% of the cells and all 20
-        # are singular on about a third of the seeds; the draw then goes on
-        # to HB_SUBSAMPLES.
+        # are singular on about a third of the seeds; the singular ones are
+        # then redrawn, round by round, until all are solvable or
+        # HB_SUBSAMPLES have been drawn in all, which here goes on toward
+        # HB_SUBSAMPLES.
         for seed in range(10):
             rng = np.random.default_rng(seed)
             x = np.zeros((100, 4, 1))
@@ -386,6 +388,35 @@ class TestHighBreakdownInit:
             y = 2.0 * x[..., 0] + rng.uniform(0.0, 10.0, (100, 1))
             y += 0.1 * rng.standard_normal((100, 4))
             assert abs(high_breakdown_init(PanelData(y, x), seed=seed)[0] - 2.0) < 0.05
+
+    def test_singular_subsets_are_redrawn(self, monkeypatch):
+        # At T = 2 a unit's two centered cells mirror each other, so a subset
+        # that holds both is singular.  Criterion-2 replications 5, 7, 13 and
+        # 19 (seed 315) each meet one among their first _n_subsets(2); only
+        # the singular subsets are drawn again, so the draw stays near
+        # _n_subsets(2) instead of going on to HB_SUBSAMPLES.
+        cps, seeds = [], []
+        for s in range(20):
+            panel_seed, scheme_seed, fit_seed, _ = sim._seeds(315, (s,), 4)
+            panel = sim.gen_panel(sim.DgpConfig(n_units=120, n_periods=2, seed=panel_seed))
+            cps.append(within_transform(sim.contaminate(panel, sim.ContaminationScheme(
+                kind="concentrated_leverage", m=24, seed=scheme_seed))))
+            seeds.append(fit_seed)
+        rows = []
+
+        def counted(rng, nt, k, n):
+            rows.append(n)
+            return _elemental_subsets(rng, nt, k, n)
+
+        monkeypatch.setattr(estimators, "_elemental_subsets", counted)
+        for s in (5, 7, 13, 19):
+            rows.clear()
+            high_breakdown_init(cps[s], seed=seeds[s])
+            assert _n_subsets(2) < sum(rows) < 2 * _n_subsets(2)
+        lone = np.stack([high_breakdown_init(cp, seed=seed) for cp, seed in zip(cps, seeds)])
+        stacked = estimators._starts(np.stack([cp.x for cp in cps]),
+                                     np.stack([cp.y for cp in cps]), seeds)
+        assert np.array_equal(stacked, lone)
 
     @staticmethod
     def peak_bytes_per_cell(n):
@@ -606,10 +637,13 @@ class TestFitEstimatorDispatch:
 
 
 class TestPinnedDigests:
-    # SHA-256 over tobytes() of results computed on x86_64 with numpy 2.4,
-    # last re-pinned when huber's Newton and IRLS steps took an exact line
-    # search (its iterations and last bits moved; ls, tukey and esl held);
-    # a kernel that moves one bit of a start, a selected c or a study sample
+    # SHA-256 over tobytes() of results computed on x86_64 with numpy 2.4;
+    # test_leverage_study was last re-pinned when the start came to redraw
+    # a singular elemental subset instead of drawing on to HB_SUBSAMPLES
+    # (the start's draw moved on replications that meet one, so their
+    # robust samples moved; ls held), the others when huber's Newton and
+    # IRLS steps took an exact line search (its iterations and last bits
+    # moved; ls, tukey and esl held); a kernel that moves one bit of a start, a selected c or a study sample
     # fails here.  A change that moves study numbers on purpose re-pins
     # these with the simulate table digests of test_cli.
 
@@ -623,7 +657,7 @@ class TestPinnedDigests:
             digest.update(report.se_samples[name].tobytes())
             digest.update(report.rmse_samples[name].tobytes())
         assert digest.hexdigest() == (
-            "a769842dc7f68b1d19fd0cde8dbe55443217b9fb3885986e5120f891e16b6315")
+            "d05a795f65d2f6db9e6d03703f8dd13970ab83c553abdfbd42d2d32c679d71db")
 
     def test_start_and_esl_fit_on_a_subsample(self):
         # 5,000 cells: the start ranks its candidates on HB_SCORE_CELLS
