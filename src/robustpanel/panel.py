@@ -102,8 +102,9 @@ class CenteredPanel:
     ``y`` is the (NT,) centered response and ``x`` the (NT, K) centered
     design, unit-major: cell i * T + s is unit i in period s.  ``shape`` is
     the panel's (N, T), which only the degrees of freedom of within LS and
-    the (N, T) weights of a fit need.  within_transform is its only
-    builder and hands it read-only arrays, which are held without a copy.
+    the (N, T) weights of a fit need.  Its arrays are read-only rows of a
+    _centered stack, held without a copy: within_transform builds one from
+    a stack of one, and a study one per row of its centered chunk.
     """
 
     y: np.ndarray
@@ -146,31 +147,42 @@ class FitResult:
             object.__setattr__(self, "weights", w)
 
 
+def _centered(y: np.ndarray, x: np.ndarray):
+    """The within transform of a stack of panels, (S, N, T) responses and
+    (S, N, T, K) regressors: the (S, NT) centered responses and the
+    (S, NT, K) centered designs, unit-major and read-only, and a dict that
+    maps each member whose centered column leaves the float range to its
+    DegeneratePanel (see within_transform).
+    """
+    s, n, t, k = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (y - y.mean(axis=2)[..., None]).reshape(s, n * t)
+        x = (x - x.mean(axis=2)[:, :, None, :]).reshape(s, n * t, k)
+        sums = np.column_stack((np.einsum("si,si->s", y, y), np.einsum("sik,sik->sk", x, x)))
+    too_small = (sums < np.finfo(float).tiny) & np.column_stack((np.zeros(s, bool), x.any(axis=1)))
+    bad = ~np.isfinite(sums) | too_small
+    faults = {int(r): DegeneratePanel(
+        f"centered {f'x{j}' if j else 'y'} has a sum of squares outside the float range; "
+        f"rescale the column (its values are too {'small' if too_small[r, j] else 'large'} "
+        f"to square)") for r, j in enumerate(bad.argmax(axis=1)) if bad[r, j]}
+    y.flags.writeable = False
+    x.flags.writeable = False
+    return y, x, faults
+
+
 def within_transform(panel: PanelData) -> CenteredPanel:
-    """Subtract per-unit time means from y and x, stacked unit-major, read-only.
+    """Subtract per-unit time means from y and x, stacked unit-major,
+    read-only: a stack of one of _centered, held without a copy.
 
     Raises DegeneratePanel, naming the column, when the sum of squares of a
     centered column is not finite, or, for a regressor that is not all
     zero, below the normal float range: every fit squares these values,
     and past about 1e154 they overflow, below about 1e-154 they underflow.
     """
-    n, t, k = panel.x.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = (panel.y - panel.y.mean(axis=1)[:, None]).reshape(n * t)
-        x = (panel.x - panel.x.mean(axis=1)[:, None, :]).reshape(n * t, k)
-        sums = np.append(y @ y, np.einsum("ik,ik->k", x, x))
-    too_small = np.append(False, (sums[1:] < np.finfo(float).tiny) & x.any(axis=0))
-    bad = ~np.isfinite(sums) | too_small
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise DegeneratePanel(
-            f"centered {f'x{j}' if j else 'y'} has a sum of squares outside the float range; "
-            f"rescale the column (its values are too {'small' if too_small[j] else 'large'} "
-            f"to square)"
-        )
-    y.flags.writeable = False
-    x.flags.writeable = False
-    return CenteredPanel(y=y, x=x, shape=(n, t))
+    y, x, faults = _centered(panel.y[None], panel.x[None])
+    if faults:
+        raise faults[0]
+    return CenteredPanel(y=y[0], x=x[0], shape=panel.y.shape)
 
 
 def _as_centered(panel) -> CenteredPanel:
@@ -246,15 +258,26 @@ def _coefficients(beta, k: int, name: str) -> np.ndarray:
     return beta
 
 
+def _effects(y: np.ndarray, x: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Per-unit intercepts ybar_i - xbar_i' beta of every member of a stack:
+    (S, N) from (S, N, T) responses, (S, N, T, K) regressors and (S, K)
+    coefficients."""
+    return y.mean(axis=2) - (x.mean(axis=2) @ betas[:, :, None])[..., 0]
+
+
+def _predictions(y: np.ndarray, x: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """predict for every member of a stack (shapes as in _effects): (S, N, T)."""
+    return (x @ betas[:, None, :, None])[..., 0] + _effects(y, x, betas)[..., None]
+
+
 def fixed_effects(panel: PanelData, beta) -> np.ndarray:
-    """Per-unit intercepts alpha_i = ybar_i - xbar_i' beta."""
+    """Per-unit intercepts alpha_i = ybar_i - xbar_i' beta: a stack of one of _effects."""
     beta = _coefficients(beta, panel.n_regressors, "beta")
-    return panel.y.mean(axis=1) - panel.x.mean(axis=1) @ beta
+    return _effects(panel.y[None], panel.x[None], beta[None])[0]
 
 
 def predict(test_panel: PanelData, beta) -> np.ndarray:
     """Predicted y for every cell, with each unit's intercept recovered from
-    its own sample means."""
-    beta = np.asarray(beta, dtype=float)
-    alpha = fixed_effects(test_panel, beta)
-    return test_panel.x @ beta + alpha[:, None]
+    its own sample means: a stack of one of _predictions."""
+    beta = _coefficients(beta, test_panel.n_regressors, "beta")
+    return _predictions(test_panel.y[None], test_panel.x[None], beta[None])[0]

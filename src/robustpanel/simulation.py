@@ -24,7 +24,17 @@ centered data and leave nothing for the estimators to disagree about.
 
 Every derived seed comes from ``_seeds``: replication s of a study uses
 SeedSequence(master_seed, spawn_key=(s,)), so replication s is the same
-no matter how many replications surround it.  ``run_experiment`` is the
+no matter how many replications surround it.
+
+A study runs its replications in chunks of up to STACK_REPS, each chunk
+an array from its draws to its scores.  Every replication draws its
+panel, contamination and holdout from its own seeds, in the order a lone
+panel draws them, into (S, N, T) and (S, N, T, K) stacks (``_panels``,
+``_contaminate``); the chunk is centered at once (``panel._centered``),
+fitted as one stack (``estimators._fit``) and scored in one pass per
+estimator (``panel._predictions``).  gen_panel, contaminate,
+gen_holdout_panel, within_transform and predict are stacks of one over
+the same kernels, so a chunk member is its lone panel bit for bit.  ``run_experiment`` is the
 one study driver: it runs every cell of an experiment config and derives
 each cell's seed from the config's master seed.
 """
@@ -37,7 +47,7 @@ import numpy as np
 
 from .errors import BlockPolicyError, EstimationError
 from .estimators import _fit
-from .panel import PanelData, predict, within_transform
+from .panel import ESTIMATOR_NAMES, CenteredPanel, PanelData, _centered, _predictions
 from .tuning import GRID_BLOCK_CELLS
 
 ERROR_DISTS = ("normal", "t5", "chisq4", "cauchy", "none")
@@ -106,34 +116,59 @@ def _draw_errors(rng, dist, shape):
     return np.zeros(shape)
 
 
-def _draw_x(rng, n, t, k):
-    x = np.empty((n, t, k))
-    for j in range(k):
+def _draw_x(rng, x):
+    """Fill one (N, T, K) panel's regressors, column by column."""
+    for j in range(x.shape[-1]):
         if j % 2 == 0:  # regressors 1, 3, ... in 1-based counting
-            x[:, :, j] = rng.chisquare(2, (n, t)) - 2.0
+            x[..., j] = rng.chisquare(2, x.shape[:2]) - 2.0
         else:
-            x[:, :, j] = rng.standard_normal((n, t))
-    return x
+            x[..., j] = rng.standard_normal(x.shape[:2])
+
+
+def _panels(config, seeds, n_test):
+    """The (S, N, T) responses and (S, N, T, K) regressors of the panels
+    drawn from `seeds`, member r from default_rng(seeds[r]) in the order
+    x, then eta, then errors: training panels of config.n_units units for
+    n_test None, else holdout panels of n_test units (gen_holdout_panel's
+    law: z is drawn after x, and eta per cell).  Values are not checked
+    (see _accepted)."""
+    n, t = n_test or config.n_units, config.n_periods
+    beta = np.asarray(config.beta, dtype=float)
+    gamma = np.asarray(config.gamma, dtype=float)
+    x = np.empty((len(seeds), n, t, beta.size))
+    z = np.empty((len(seeds), n, t, gamma.size))
+    eta = np.empty((len(seeds), n, t if n_test else 1))
+    eps = np.empty((len(seeds), n, t))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        _draw_x(rng, x[r])
+        if n_test:
+            _draw_x(rng, z[r])
+        eta[r] = rng.uniform(0.0, 12.0, eta.shape[1:])
+        eps[r] = _draw_errors(rng, config.error_dist, (n, t))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite y is flagged later
+        if n_test:
+            return x @ beta + (z @ gamma + eta) + eps, x
+        alpha = (x @ gamma).sum(axis=2, keepdims=True) / math.sqrt(t) + eta
+        return x @ beta + alpha + eps, x
+
+
+def _accepted(y, x):
+    """Which members of a (S, N, T) and (S, N, T, K) stack PanelData takes:
+    K >= 1 and every value finite (N, T >= 2 hold by construction)."""
+    return ((x.shape[-1] > 0) & np.isfinite(y).all(axis=(1, 2))
+            & np.isfinite(x).all(axis=(1, 2, 3)))
 
 
 def gen_panel(config):
-    """Generate one panel.  Draw order is x, then eta, then errors."""
-    rng = np.random.default_rng(config.seed)
-    n, t = config.n_units, config.n_periods
-    beta = np.asarray(config.beta, dtype=float)
-    gamma = np.asarray(config.gamma, dtype=float)
-    x = _draw_x(rng, n, t, beta.size)
-    eta = rng.uniform(0.0, 12.0, n)
-    eps = _draw_errors(rng, config.error_dist, (n, t))
-    with np.errstate(over="ignore", invalid="ignore"):  # PanelData names a non-finite y
-        alpha = (x @ gamma).sum(axis=1) / math.sqrt(t) + eta
-        y = x @ beta + alpha[:, None] + eps
-    return PanelData(y, x)
+    """Generate one panel: a stack of one of _panels."""
+    y, x = _panels(config, [config.seed], None)
+    return PanelData(y[0], x[0])
 
 
 def gen_holdout_panel(config, n_test, seed):
     """Clean evaluation panel of n_test units from the same regressor and
-    error laws.
+    error laws: a stack of one of _panels.
 
     The heterogeneity term is drawn freshly per cell as
     alpha_it = z_it' gamma + eta_it, where z_it is an independent draw
@@ -146,17 +181,8 @@ def gen_holdout_panel(config, n_test, seed):
     construction's per-unit alpha_i would let own-means prediction
     cancel it almost entirely.)
     """
-    rng = np.random.default_rng(seed)
-    t = config.n_periods
-    beta = np.asarray(config.beta, dtype=float)
-    gamma = np.asarray(config.gamma, dtype=float)
-    x = _draw_x(rng, n_test, t, beta.size)
-    z = _draw_x(rng, n_test, t, gamma.size)
-    eta = rng.uniform(0.0, 12.0, (n_test, t))
-    eps = _draw_errors(rng, config.error_dist, (n_test, t))
-    with np.errstate(over="ignore", invalid="ignore"):  # PanelData names a non-finite y
-        y = x @ beta + (z @ gamma + eta) + eps
-    return PanelData(y, x)
+    y, x = _panels(config, [seed], n_test)
+    return PanelData(y[0], x[0])
 
 
 def block_length(t):
@@ -182,31 +208,36 @@ def check_contamination(kind, m, n_units, n_periods):
                          % (m, m // b, n_units))
 
 
+def _contaminate(y, x, kind, m, seeds):
+    """Write m cells of `kind` into every member of the C-contiguous
+    (S, N, T) and (S, N, T, K) stacks in place, member r from default_rng(seeds[r]);
+    check_contamination must have passed.  A concentrated kind's cells are
+    the first block_length(T) periods of m / block_length(T) units."""
+    s, n, t, k = x.shape
+    b = block_length(t)
+    y, x = y.reshape(s, n * t), x.reshape(s, n * t, k)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if kind.startswith("random"):
+            cells, low = rng.choice(n * t, m, replace=False), 20.0
+        else:
+            units = rng.choice(n, m // b, replace=False)
+            cells, low = (units[:, None] * t + np.arange(b)).ravel(), 79.0
+        y[r, cells] = rng.uniform(low, 80.0, m)
+        if kind.endswith("leverage"):
+            x[r, cells] = rng.normal(8.0, 2.0, (m, k))
+
+
 def contaminate(panel, scheme):
-    """Apply one contamination scheme; untouched cells stay bitwise equal."""
-    n, t = panel.n_units, panel.n_periods
-    check_contamination(scheme.kind, scheme.m, n, t)
+    """Apply one contamination scheme, a stack of one of _contaminate;
+    untouched cells stay bitwise equal."""
+    check_contamination(scheme.kind, scheme.m, panel.n_units, panel.n_periods)
     if scheme.m == 0:
         return panel
-    k = panel.n_regressors
-    nt = n * t
-    rng = np.random.default_rng(scheme.seed)
-    y = panel.y.copy()
-    x = panel.x.copy()
-
-    if scheme.kind in ("random_vertical", "random_leverage"):
-        cells = rng.choice(nt, scheme.m, replace=False)
-        y.ravel()[cells] = rng.uniform(20.0, 80.0, scheme.m)
-        if scheme.kind == "random_leverage":
-            x.reshape(nt, k)[cells] = rng.normal(8.0, 2.0, (scheme.m, k))
-    else:
-        b = block_length(t)
-        n_blocks = scheme.m // b
-        units = rng.choice(n, n_blocks, replace=False)
-        y[units, :b] = rng.uniform(79.0, 80.0, (n_blocks, b))
-        if scheme.kind == "concentrated_leverage":
-            x[units, :b, :] = rng.normal(8.0, 2.0, (n_blocks, b, k))
-    return PanelData(y, x, unit_labels=panel.unit_labels, period_labels=panel.period_labels)
+    y, x = panel.y[None].copy(), panel.x[None].copy()
+    _contaminate(y, x, scheme.kind, scheme.m, [scheme.seed])
+    return PanelData(y[0], x[0], unit_labels=panel.unit_labels,
+                     period_labels=panel.period_labels)
 
 
 def _means(samples):
@@ -247,46 +278,65 @@ def _seeds(master_seed, key, n=1):
 
 
 def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
+    """run_mc, and with n_test rmse_prediction_study.  The scheme and the
+    estimator names are checked before any chunk, so S = 0 checks them too;
+    every chunk is drawn, contaminated, centered, fitted and scored as
+    stacks of arrays."""
     if not estimators:
         raise ValueError("estimators must be nonempty")
     if not _is_whole(s_total, 0):
         raise ValueError("s_total must be a nonnegative whole number, got %r" % (s_total,))
     names = tuple(estimators)
+    n, t = dgp.n_units, dgp.n_periods
+    if scheme is not None:
+        check_contamination(scheme.kind, scheme.m, n, t)
+    for name in names:
+        if name not in ESTIMATOR_NAMES:
+            raise ValueError("unknown estimator %r" % (name,))
     beta_true = np.asarray(dgp.beta, dtype=float)
     se = {name: [] for name in names}
     nonconverged = dict.fromkeys(names, 0)
-    rmse = {name: [] for name in names} if n_test else None
+    rmse = {name: [] for name in names}
     failures = []
-    chunk = max(1, min(STACK_REPS, GRID_BLOCK_CELLS // (dgp.n_units * dgp.n_periods)))
+    chunk = max(1, min(STACK_REPS, GRID_BLOCK_CELLS // (n * t)))
     for first in range(0, s_total, chunk):
         reps = range(first, min(first + chunk, s_total))
-        cps, fit_seeds, tests = [], [], []
-        for s in reps:
-            seeds = _seeds(master_seed, (s,), 4)
-            panel = gen_panel(dataclasses.replace(dgp, seed=seeds[0]))
-            if scheme is not None:
-                panel = contaminate(panel, dataclasses.replace(scheme, seed=seeds[1]))
-            cps.append(within_transform(panel))
-            fit_seeds.append(seeds[2])
-            tests.append(gen_holdout_panel(dgp, n_test, seeds[3]) if n_test else None)
-        for s, fits, test_panel in zip(reps, _fit(cps, names, "auto", fit_seeds), tests):
-            if isinstance(fits, EstimationError):
-                failures.append((s, "%s: %s" % (type(fits).__name__, fits)))
-                continue
-            for name in names:
-                nonconverged[name] += not fits[name].converged
-                with np.errstate(over="ignore"):  # an error past the float range is inf
-                    se[name].append(float(np.sum((fits[name].beta - beta_true) ** 2)))
-                    if n_test:
-                        yhat = predict(test_panel, fits[name].beta)
-                        rmse[name].append(
-                            float(np.sqrt(np.sum((test_panel.y - yhat) ** 2) / test_panel.y.size))
-                        )
+        seeds = [_seeds(master_seed, (s,), 4) for s in reps]
+        y, x = _panels(dgp, [seed[0] for seed in seeds], None)
+        flagged = ~_accepted(y, x)
+        if scheme is not None and scheme.m:
+            _contaminate(y, x, scheme.kind, scheme.m, [seed[1] for seed in seeds])
+        y, x, faults = _centered(y, x)  # the uncentered stacks are freed here
+        flagged[list(faults)] = True
+        if n_test:
+            test_y, test_x = _panels(dgp, [seed[3] for seed in seeds], n_test)
+            flagged |= ~_accepted(test_y, test_x)
+        for r in np.flatnonzero(flagged)[:1]:  # raise what replication r raises alone:
+            gen_panel(dataclasses.replace(dgp, seed=seeds[r][0]))  # a non-finite value,
+            if r in faults:
+                raise faults[r]  # a centered column outside the float range,
+            PanelData(test_y[r], test_x[r])  # or a non-finite holdout value
+        cps = [CenteredPanel(y=y[r], x=x[r], shape=(n, t)) for r in range(len(reps))]
+        results = _fit(cps, names, "auto", [seed[2] for seed in seeds])
+        done = [r for r, fits in enumerate(results) if not isinstance(fits, EstimationError)]
+        failures += [(first + r, "%s: %s" % (type(fits).__name__, fits))
+                     for r, fits in enumerate(results) if r not in done]
+        if n_test:
+            test_y, test_x = test_y[done], test_x[done]
+        for name in names:
+            nonconverged[name] += sum(not results[r][name].converged for r in done)
+            betas = np.reshape([results[r][name].beta for r in done], (len(done), beta_true.size))
+            with np.errstate(over="ignore"):  # an error past the float range is inf
+                se[name].append(np.sum((betas - beta_true) ** 2, axis=1))
+                if n_test:
+                    residuals = test_y - _predictions(test_y, test_x, betas)
+                    rmse[name].append(np.sqrt(np.sum(residuals ** 2, axis=(1, 2)) / (n_test * t)))
     return SimulationReport(
-        se_samples={name: np.asarray(v) for name, v in se.items()},
+        se_samples={name: np.concatenate([np.empty(0), *v]) for name, v in se.items()},
         n_nonconverged=nonconverged,
         failures=tuple(failures),
-        rmse_samples={name: np.asarray(v) for name, v in rmse.items()} if n_test else None,
+        rmse_samples={name: np.concatenate([np.empty(0), *v]) for name, v in rmse.items()}
+        if n_test else None,
     )
 
 

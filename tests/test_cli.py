@@ -447,12 +447,13 @@ class TestSimulateCommand:
         assert not out_dir.exists()
 
     def test_study_too_large_for_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
-        # a panel that passes the config's size check but not the allocator
-        def too_large(config):
+        # a panel that passes the config's size check but not the allocator;
+        # the study's chunk draw raises as numpy would, without trying it
+        def too_large(config, seeds, n_test):
             raise MemoryError("Unable to allocate 43.7 TiB for an array with shape "
                               "(1000000000000, 3, 2) and data type float64")
 
-        monkeypatch.setattr(simulation, "gen_panel", too_large)
+        monkeypatch.setattr(simulation, "_panels", too_large)
         cfg = write_config(tmp_path, {"s": 1, "estimators": ["ls"], "consistency_study": {
             "n_values": [10**12], "t_values": [4]}})
         code, _, err = run(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")],
@@ -465,10 +466,10 @@ class TestSimulateCommand:
                                                              monkeypatch, existed):
         # the run that made --out-dir removes it when a study fails before
         # any table is written; a directory that was there before stays
-        def too_large(config):
+        def too_large(config, seeds, n_test):
             raise MemoryError("Unable to allocate 43.7 TiB")
 
-        monkeypatch.setattr(simulation, "gen_panel", too_large)
+        monkeypatch.setattr(simulation, "_panels", too_large)
         cfg = write_config(tmp_path, {"s": 1, "estimators": ["ls"], "consistency_study": {
             "n_values": [10**12], "t_values": [4]}})
         out = tmp_path / "o"

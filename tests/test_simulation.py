@@ -9,14 +9,14 @@ from numpy.testing import assert_allclose
 
 import robustpanel.estimators as estimators
 import robustpanel.simulation as sim
-from robustpanel.errors import BlockPolicyError, NoValidTuning
+from robustpanel.errors import BlockPolicyError, DegeneratePanel, NoValidTuning
 from robustpanel.io import (
     ConsistencyStudyConfig,
     ErrorDistStudyConfig,
     ExperimentConfig,
     OutlierStudyConfig,
 )
-from robustpanel.panel import within_ls, within_transform
+from robustpanel.panel import _centered, _predictions, predict, within_ls, within_transform
 from robustpanel.simulation import (
     ContaminationScheme,
     DgpConfig,
@@ -409,6 +409,114 @@ class TestStackedReplications:
             assert {message.split(":")[0] for _, message in stacked.failures} == kinds
             self.assert_same(alone, stacked)
             assert sum(drawn) == s_total  # members passed to _starts in the stacked run
+
+
+class TestChunkKernels:
+    # A study draws, contaminates, centres and scores each chunk as stacks
+    # of arrays; every member is the lone replication's panel bit for bit.
+    S = 5
+
+    @staticmethod
+    def schemes(t):
+        m = 4 * block_length(t)
+        return [None] + [ContaminationScheme(kind, mm) for kind in sim.CONTAMINATION_KINDS
+                         for mm in (0, m)]
+
+    @staticmethod
+    def lone(dgp, scheme, seed, n_test):
+        """A replication built one panel at a time, as a study did before chunks."""
+        panel = gen_panel(dataclasses.replace(dgp, seed=seed[0]))
+        if scheme is not None:
+            panel = contaminate(panel, dataclasses.replace(scheme, seed=seed[1]))
+        return panel, within_transform(panel), gen_holdout_panel(dgp, n_test, seed[3])
+
+    @pytest.mark.parametrize("error_dist", sim.ERROR_DISTS)
+    @pytest.mark.parametrize("n, t", [(120, 2), (7, 3)])  # T = 3: blocks of 2 of 3 periods
+    def test_chunk_equals_lone_panels(self, n, t, error_dist):
+        dgp = DgpConfig(n, t, error_dist=error_dist)
+        seeds = [sim._seeds(315, (s,), 4) for s in range(self.S)]
+        betas = np.random.default_rng(1).normal(size=(self.S, 2))
+        for scheme in self.schemes(t):
+            y, x = sim._panels(dgp, [seed[0] for seed in seeds], None)
+            if scheme is not None:
+                sim._contaminate(y, x, scheme.kind, scheme.m, [seed[1] for seed in seeds])
+            yc, xc, faults = _centered(y, x)
+            test_y, test_x = sim._panels(dgp, [seed[3] for seed in seeds], 9)
+            yhat = _predictions(test_y, test_x, betas)
+            assert not faults and not yc.flags.writeable and not xc.flags.writeable
+            for r, seed in enumerate(seeds):
+                panel, cp, test = self.lone(dgp, scheme, seed, 9)
+                assert y[r].tobytes() == panel.y.tobytes() and x[r].tobytes() == panel.x.tobytes()
+                assert yc[r].tobytes() == cp.y.tobytes() and xc[r].tobytes() == cp.x.tobytes()
+                assert test_y[r].tobytes() == test.y.tobytes()
+                assert test_x[r].tobytes() == test.x.tobytes()
+                assert yhat[r].tobytes() == predict(test, betas[r]).tobytes()
+
+    @pytest.mark.parametrize("error_dist", sim.ERROR_DISTS)
+    @pytest.mark.parametrize("n, t", [(120, 2), (7, 3)])
+    def test_study_samples_equal_lone_replications(self, n, t, error_dist):
+        dgp = DgpConfig(n, t, error_dist=error_dist)
+        for scheme in self.schemes(t):
+            report = rmse_prediction_study(dgp, scheme, ["ls"], self.S, 9, 315)
+            se, rmse = [], []
+            for s in range(self.S):
+                _, cp, test = self.lone(dgp, scheme, sim._seeds(315, (s,), 4), 9)
+                beta = within_ls(cp).beta
+                se.append(float(np.sum((beta - np.asarray(dgp.beta)) ** 2)))
+                yhat = predict(test, beta)
+                rmse.append(float(np.sqrt(np.sum((test.y - yhat) ** 2) / test.y.size)))
+            assert report.se_samples["ls"].tobytes() == np.array(se).tobytes()
+            assert report.rmse_samples["ls"].tobytes() == np.array(rmse).tobytes()
+
+    @pytest.mark.parametrize("poison", [
+        {(2, 0): np.inf, (5, 0): np.inf},  # two non-finite y: replication 2's is named
+        {(4, 0): 1e200, (6, 0): np.inf},  # a centered sum that overflows comes first
+        {(1, 3): np.inf, (4, 0): 1e200},  # a non-finite holdout comes first
+        {(3, 3): np.inf, (3, 0): 1e200},  # in one replication the training panel comes first
+    ])
+    def test_failure_raises_the_first_lone_replications_error(self, poison, monkeypatch):
+        # poison[(s, i)] goes into cell (s, 1) of the errors that replication
+        # s draws from its seed i (0 the training panel, 3 the holdout)
+        dgp = DgpConfig(120, 2)
+        scheme = ContaminationScheme("concentrated_vertical", 24)  # never period 1
+        seeds = [sim._seeds(315, (s,), 4) for s in range(8)]
+        cells = {seeds[s][i]: (s, value) for (s, i), value in poison.items()}
+        draw = sim._draw_errors
+
+        def poisoned(rng, dist, shape):
+            eps = draw(rng, dist, shape)
+            s, value = cells.get(rng.bit_generator.seed_seq.entropy, (None, None))
+            if s is not None:
+                eps[s, 1] = value
+            return eps
+
+        monkeypatch.setattr(sim, "_draw_errors", poisoned)
+        with pytest.raises(DegeneratePanel) as want:
+            for seed in seeds:
+                self.lone(dgp, scheme, seed, 50)
+        with pytest.raises(DegeneratePanel) as got:
+            rmse_prediction_study(dgp, scheme, ["ls"], 8, 50, 315)
+        assert str(got.value) == str(want.value)
+        first = min(poison)
+        if poison[first] == np.inf:
+            assert str(got.value) == "non-finite y at unit %d, period 1" % first[0]
+        else:
+            assert str(got.value).startswith("centered y has a sum of squares")
+
+    @pytest.mark.parametrize("t, scheme, names", [
+        (2, None, ["bogus"]),
+        (2, ContaminationScheme("random_vertical", 25), ["ls"]),  # 25 > 20 cells
+        (2, ContaminationScheme("concentrated_vertical", 11), ["ls"]),  # 11 > 10 units
+        (2, ContaminationScheme("random_vertical", 25), ["bogus"]),
+        (3, ContaminationScheme("concentrated_vertical", 3), ["ls"]),  # blocks of 2 periods
+    ])
+    def test_empty_study_checks_its_inputs(self, t, scheme, names):
+        raised = []
+        for s_total in (0, 1):
+            with pytest.raises((ValueError, BlockPolicyError)) as err:
+                run_mc(DgpConfig(10, t), scheme, names, s_total, 1)
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1]
 
 
 class TestRunExperiment:
