@@ -531,9 +531,7 @@ def _esls(x, y, start, c, shape):
     for _ in range(ESL_MAX_OUTER):
         sub = _rows(live, s)
         if c == "auto":
-            states = _esl_search(x[sub], y[sub], beta[sub], grids[sub])
-            c_sel[live] = [state.c_selected for state in states]
-            sigma_mad[live] = [state.sigma_mad for state in states]
+            c_sel[live], sigma_mad[live] = _esl_search(x[sub], y[sub], beta[sub], grids[sub])[:2]
         else:
             sigma_mad[live] = _scales(y[sub] - _xb(x[sub], beta[sub]), "mad")
             c_sel[live] = LossSpec("esl", c).c  # LossSpec rejects one that is not positive

@@ -96,11 +96,11 @@ def _esl_v(c, u):
 
 
 def _esl_psi(c, u):
-    """esl's psi and psi', which share exp(-u^2 / c); the esl tuning rule
-    needs both at every grid point."""
+    """esl's psi, psi' and the exp(-u^2 / c) they share, which is also
+    1 - rho; the esl tuning rule needs all three at every grid point."""
     a, v = _esl_v(c, u)
     w = np.exp(-v)
-    return np.copysign(a, u) * w, w * (1.0 - 2.0 * v)
+    return np.copysign(a, u) * w, w * (1.0 - 2.0 * v), w
 
 
 def _rho(family, c, u):

@@ -26,12 +26,15 @@ whole grid in array passes over (members x grid points x cells), walked
 in blocks of at most GRID_BLOCK_CELLS cells (see _blocks) so that its
 temporaries stay small: whole members while they fit, else one member's
 grid rows at a time.  A member's rows are blocked the same way in any
-stack, so its numbers do not depend on its stack-mates.  Only xi is
-summed member by member, over each member's own retained cells.  A search
-returns values only and raises NoValidTuning when any member has no valid
-c; ``estimators._fit`` then isolates that member's panel.
-``efficiency_factor``, ``xi`` and ``esl_cov`` are one-point calls into the
-same kernels.  Both searches break ties toward the smallest grid point.
+stack, so its numbers do not depend on its stack-mates.  esl's search
+flags a whole stack at once and takes xi and V_hat from one evaluation
+of exp(-e^2 / c) per member, grid point and cell.  A search returns
+values only and raises NoValidTuning when any member has no valid c;
+``estimators._fit`` then isolates that member's panel.
+``efficiency_factor`` and ``esl_cov`` are one-point calls into the same
+kernels, and ``xi`` sums the same per-cell loss in the same order as the
+search, so the two agree bit for bit.  Both searches break ties toward
+the smallest grid point.
 """
 
 from dataclasses import dataclass
@@ -65,23 +68,19 @@ def default_esl_grid(sigma_mad):
     return np.geomspace(0.1 * s2, 100.0 * s2, 50)
 
 
-def _row_blocks(g, nt):
-    """Slices of consecutive rows of a (g, nt) grid array, each of at most
-    GRID_BLOCK_CELLS cells but never less than one row."""
-    rows = max(1, GRID_BLOCK_CELLS // max(nt, 1))
-    return [slice(i, min(i + rows, g)) for i in range(0, g, rows)]
-
-
 def _blocks(s, g, nt):
     """(member slice, row slice) blocks of an (s, g, nt) stack of grid rows,
     each of at most GRID_BLOCK_CELLS cells but never less than one row:
     whole members while one member's g rows fit, else one member at a time
-    in _row_blocks(g, nt).  A member's rows are split the same way in any
-    stack, so its row sums and products do not depend on its stack-mates."""
+    in runs of consecutive rows.  A member's rows are split the same way in
+    any stack, so its row sums and products do not depend on its
+    stack-mates."""
     members = GRID_BLOCK_CELLS // max(g * nt, 1)
     if members:
         return [(slice(i, min(i + members, s)), slice(0, g)) for i in range(0, s, members)]
-    return [(slice(i, i + 1), rows) for i in range(s) for rows in _row_blocks(g, nt)]
+    rows = max(1, GRID_BLOCK_CELLS // nt)
+    return [(slice(i, i + 1), slice(j, min(j + rows, g)))
+            for i in range(s) for j in range(0, g, rows)]
 
 
 def _tau_grid(e, family, grid):
@@ -167,25 +166,17 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
     return EfficiencyCurve(tau[0], defined[0], float(grid[best]), float(tau[0, best]))
 
 
+def _flagged(residuals, sigma_mad):
+    """The pseudo-outlier cut: |residual| >= 2.5 sigma_mad, elementwise."""
+    return np.abs(residuals) >= 2.5 * sigma_mad
+
+
 def pseudo_outlier_set(residuals, sigma_mad):
     """Cells whose absolute residual reaches 2.5 * sigma_mad: a boolean
     mask of the shape of `residuals`."""
     if not sigma_mad > 0:
         raise ValueError("sigma_mad must be positive")
-    return np.abs(np.asarray(residuals, dtype=float)) >= 2.5 * sigma_mad
-
-
-def _xi_grid(residuals_good, m, nt, grid):
-    """xi(c) at every c in `grid`, in one (G, #retained) pass in row blocks."""
-    e = np.asarray(residuals_good, dtype=float).ravel()
-    if nt <= 0:
-        raise ValueError("nt must be positive")
-    if m < 0 or m + e.size > nt:
-        raise ValueError("m and retained residuals inconsistent with nt")
-    loss = np.empty(grid.size)
-    for rows in _row_blocks(grid.size, e.size):
-        loss[rows] = np.sum(_rho(ESL, grid[rows, None], e), axis=1)
-    return 2.0 * m / nt + (2.0 / nt) * loss
+    return _flagged(np.asarray(residuals, dtype=float), sigma_mad)
 
 
 def xi(c, residuals_good, m, nt):
@@ -196,15 +187,21 @@ def xi(c, residuals_good, m, nt):
     xi <= 2(m + #retained)/NT <= 2; the feasible region asks xi in (0, 1].
     """
     c = LossSpec(ESL, c).c
-    return float(_xi_grid(residuals_good, m, nt, np.array([c]))[0])
+    e = np.asarray(residuals_good, dtype=float).ravel()
+    if nt <= 0:
+        raise ValueError("nt must be positive")
+    if m < 0 or m + e.size > nt:
+        raise ValueError("m and retained residuals inconsistent with nt")
+    return float(2.0 * m / nt + (2.0 / nt) * np.sum(_rho(ESL, c, e)))
 
 
-def _esl_sandwich(x, e, grid):
+def _esl_sandwich(x, e, grid, keep):
     """The terms of V_hat(c) = I^{-1} Sigma_tilde I^{-1} for every member of
     a stack at every c of its grid, from the (S, NT, K) centered regressors
-    x, the (S, NT) residuals e at beta0 and the (S, G) grids.  With psi,
-    psi' the exponential-squared kernels at c and M = mean[x_dd x_dd']
-    fixed:
+    x, the (S, NT) residuals e at beta0 and the (S, G) grids, and the loss
+    sum of xi(c) over the cells that the (S, NT) mask `keep` retains.
+    With psi, psi' the exponential-squared kernels at c and
+    M = mean[x_dd x_dd'] fixed:
 
         I(c)           = -(2/c) kappa(c) M,   kappa(c) = mean[psi'(e)]
         Sigma_tilde(c) = (2/c)^2 S(c),
@@ -224,9 +221,15 @@ def _esl_sandwich(x, e, grid):
     go undetected.  Both sides are compared as logarithms, so neither
     overflows or underflows as K grows or the regressors change units.
 
-    Returns ``(kappa, M, S, log_det_v, defined)`` with M of shape (S, K, K)
-    and S of shape (S, G, K, K); log_det_v is log det V_hat(c), -inf where
-    det S(c) <= 0.
+    psi, psi' and rho = 1 - exp(-e^2 / c) share one exponential per cell
+    and c.  The retained loss sum_keep rho is taken over each member's
+    retained cells gathered C-contiguous (np.compress), so it adds in the
+    order xi() adds them and equals it bit for bit; a sum over all cells
+    with the flagged ones zeroed would add in another order.
+
+    Returns ``(kappa, M, S, log_det_v, defined, loss)`` with M of shape
+    (S, K, K), S of shape (S, G, K, K) and loss of shape (S, G); log_det_v
+    is log det V_hat(c), -inf where det S(c) <= 0.
     """
     s, nt, k = x.shape
     g = grid.shape[1]
@@ -235,17 +238,20 @@ def _esl_sandwich(x, e, grid):
     kappa = np.empty((s, g))
     mean_scores = np.empty((s, g, k))
     sq = np.empty((s, g, k * k))
+    loss = np.empty((s, g))
     # psi^2 x x' can pass the float range where x x' does not; such an S(c)
     # leaves the float range and its c counts as undefined
     with np.errstate(over="ignore", invalid="ignore"):
         for members, rows in _blocks(s, g, nt):
             c = grid[members, rows, None]
             block = e[members, None, :]
-            p, p_prime = _esl_psi(c, block)
+            p, p_prime, w = _esl_psi(c, block)
             kappa[members, rows] = np.mean(p_prime, axis=-1)
             mean_scores[members, rows] = p @ x[members] / nt
             np.square(p, out=p)
             sq[members, rows] = p @ outer[members] / nt
+            for i, wi in enumerate(w, members.start):  # one member unless its grid is small
+                loss[i, rows] = np.sum(1.0 - np.compress(keep[i], wi, axis=-1), axis=-1)
         sq = sq.reshape(s, g, k, k)
         sq -= mean_scores[..., :, None] * mean_scores[..., None, :]
     in_range = np.isfinite(sq).all(axis=(2, 3))
@@ -260,7 +266,7 @@ def _esl_sandwich(x, e, grid):
             k * log_abs_kappa + log_det_m[:, None] >= np.log(1e-12) + k * np.log(trace_scale))
         log_det_v = np.where(sign_s > 0,
                              log_det_s - 2.0 * (log_det_m[:, None] + k * log_abs_kappa), -np.inf)
-    return kappa, cross, sq, log_det_v, defined
+    return kappa, cross, sq, log_det_v, defined, loss
 
 
 def esl_cov(panel, beta0, c):
@@ -272,8 +278,9 @@ def esl_cov(panel, beta0, c):
     """
     cp = _as_centered(panel)
     beta0 = _coefficients(beta0, cp.x.shape[1], "beta0")
-    kappa, cross, s, _, defined = _esl_sandwich(cp.x[None], (cp.y - cp.x @ beta0)[None],
-                                                np.array([[float(c)]]))
+    e = (cp.y - cp.x @ beta0)[None]
+    kappa, cross, s, _, defined, _ = _esl_sandwich(cp.x[None], e, np.array([[float(c)]]),
+                                                   np.ones(e.shape, dtype=bool))
     if not defined[0, 0]:
         return np.full(cross.shape[1:], np.nan), False
     inv = np.linalg.inv(cross[0])
@@ -295,23 +302,22 @@ def _esl_search(x, y, beta0, grids):
     """The selection step of esl_select_c for every member of a stack, at
     its coefficients beta0 (S, K) over its grid (a row of grids, (S, G)).
 
-    Returns an EslTuningState per member; raises NoValidTuning, with the xi
+    The whole stack is flagged at once (a member with a MAD of 0 flags
+    nothing), and xi and log det V_hat come from one _esl_sandwich pass.
+    Returns arrays: each member's selected c and sigma_mad (S,), its xi
+    and log det V_hat (nan off the feasible set) over its grid (S, G), and
+    its pseudo-outlier count m (S,).  Raises NoValidTuning, with the xi
     range of the first member that has no feasible c, when some member has
-    none.  The retained residuals differ in number between members, so xi
-    is summed member by member, over exactly the cells xi() would be given.
+    none.
     """
     resid = y - (x @ beta0[:, :, None])[:, :, 0]
     nt = resid.shape[1]
     sigma_mad = _mad(resid.copy())
-    xi_vals = np.empty(grids.shape)
-    m = np.zeros(len(resid), dtype=int)
-    for i, r in enumerate(resid):
-        if sigma_mad[i] > 0:
-            flagged = pseudo_outlier_set(r, sigma_mad[i])
-            m[i] = flagged.sum()
-            r = r[~flagged]
-        xi_vals[i] = _xi_grid(r, m[i], nt, grids[i])
-    _, _, _, log_det_v, defined = _esl_sandwich(x, resid, grids)
+    spread = sigma_mad[:, None]
+    flagged = (spread > 0) & _flagged(resid, spread)
+    m = flagged.sum(axis=1)
+    _, _, _, log_det_v, defined, loss = _esl_sandwich(x, resid, grids, ~flagged)
+    xi_vals = 2.0 * m[:, None] / nt + (2.0 / nt) * loss
     feasible = (xi_vals > 0.0) & (xi_vals <= 1.0) & defined
     detv = np.where(feasible, log_det_v, np.nan)
     best = np.argmin(np.where(feasible, detv, np.inf), axis=1)  # first minimum: smallest c
@@ -321,9 +327,7 @@ def _esl_search(x, y, beta0, grids):
         raise NoValidTuning(
             "no candidate c gives xi in (0, 1] with a well defined covariance; xi "
             "ranged over [%g, %g] across the grid" % (first.min(), first.max()))
-    return [EslTuningState(sigma_mad=float(sigma_mad[i]), m=int(m[i]), xi_values=xi_vals[i],
-                           detv_values=detv[i], c_selected=float(grids[i, best[i]]))
-            for i in range(len(grids))]
+    return grids[np.arange(len(grids)), best], sigma_mad, xi_vals, detv, m
 
 
 def esl_select_c(panel, beta0, grid):
@@ -340,4 +344,6 @@ def esl_select_c(panel, beta0, grid):
     cp = _as_centered(panel)
     beta0 = _coefficients(beta0, cp.x.shape[1], "beta0")
     grid = np.asarray(grid, dtype=float)
-    return _esl_search(cp.x[None], cp.y[None], beta0[None], grid[None])[0]
+    c, sigma_mad, xi_vals, detv, m = _esl_search(cp.x[None], cp.y[None], beta0[None], grid[None])
+    return EslTuningState(sigma_mad=float(sigma_mad[0]), m=int(m[0]), xi_values=xi_vals[0],
+                          detv_values=detv[0], c_selected=float(c[0]))

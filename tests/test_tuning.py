@@ -20,7 +20,7 @@ from robustpanel.tuning import (
     pseudo_outlier_set,
     select_c_grid,
     xi,
-    _row_blocks,
+    _blocks,
 )
 
 from conftest import synth_panel
@@ -187,8 +187,9 @@ class TestEslCov:
         from robustpanel.tuning import _esl_sandwich
 
         xdd = cp.x.reshape(-1, 1)
-        kappa, cross, _, _, _ = _esl_sandwich(xdd[None], (cp.y.ravel() - xdd @ beta0)[None],
-                                              np.array([[2.0]]))
+        e = (cp.y.ravel() - xdd @ beta0)[None]
+        kappa, cross, _, _, _, _ = _esl_sandwich(xdd[None], e, np.array([[2.0]]),
+                                                 np.ones(e.shape, dtype=bool))
         info = -(2.0 / 2.0) * kappa[0, 0] * cross[0]
         assert_allclose(info, -(2.0 / 2.0) * np.mean(xc**2) * np.ones((1, 1)), rtol=1e-12)
 
@@ -381,7 +382,7 @@ class TestGridKernels:
         nt = cp.y.size
         grid = default_esl_grid(1.0)
         for g in (HUBER_GRID, TUKEY_GRID, grid):
-            assert len(_row_blocks(g.size, nt)) >= 3
+            assert len(_blocks(1, g.size, nt)) >= 3
         beta0 = np.array([2.45, -1.15])
         resid = cp.y - cp.x @ beta0
         for family, fgrid in (("huber", HUBER_GRID), ("tukey", TUKEY_GRID)):
@@ -398,6 +399,41 @@ class TestGridKernels:
                 v, defined = esl_cov(cp, beta0, c)
                 assert defined
                 assert_allclose(state.detv_values[j], np.linalg.slogdet(v)[1], rtol=1e-10)
+
+    def test_stacked_esl_search_matches_lone_panels(self):
+        # Three members in one block of the sandwich: one whose residuals at
+        # beta0 = 0 are its exactly centered y, 16 of 24 of them 0, so its
+        # MAD is 0 and it flags nothing; and two whose pseudo-outlier
+        # counts m differ.
+        from robustpanel.scale import mad_scale
+        from robustpanel.tuning import _esl_search
+
+        rng = np.random.default_rng(17)
+        exact = np.zeros((12, 2))
+        exact[:4] = np.array([[0.75, -0.75], [0.5, -0.5], [1.25, -1.25], [2.0, -2.0]])
+        ys = [exact]
+        for m in (1, 4):
+            y = rng.standard_normal((12, 2))
+            y.ravel()[rng.choice(24, m, replace=False)] += 40.0
+            ys.append(y)
+        panels = [within_transform(PanelData(y, rng.standard_normal((12, 2, 2)))) for y in ys]
+        assert np.array_equal(panels[0].y, exact.ravel())
+        grids = np.stack([np.geomspace(0.01, 100.0, 50)] + [
+            default_esl_grid(mad_scale(cp.y).value) for cp in panels[1:]])
+        beta0 = np.zeros(2)
+        c, sigma_mad, xi_vals, detv, m = _esl_search(
+            np.stack([cp.x for cp in panels]), np.stack([cp.y for cp in panels]),
+            np.zeros((3, 2)), grids)
+        assert sigma_mad[0] == 0.0 and m[0] == 0
+        assert m[1] > 0 and m[2] > 0 and m[1] != m[2]
+        for i, cp in enumerate(panels):
+            alone = esl_select_c(cp, beta0, grids[i])
+            assert (alone.c_selected, alone.sigma_mad, alone.m) == (c[i], sigma_mad[i], m[i])
+            assert np.array_equal(alone.xi_values, xi_vals[i])
+            assert np.array_equal(alone.detv_values, detv[i], equal_nan=True)
+            good = cp.y[~pseudo_outlier_set(cp.y, sigma_mad[i])] if m[i] else cp.y
+            for j, c_j in enumerate(grids[i]):
+                assert xi_vals[i, j] == xi(c_j, good, int(m[i]), cp.y.size)
 
     def test_esl_select_c_peak_memory_per_cell(self):
         cp = within_transform(synth_panel(n=5000, t=4, k=2, seed=8))
