@@ -29,12 +29,14 @@ failure into one panel's result, by fitting a stack that raised again in
 halves that keep the start and the fits it finished (see _fit).
 
 ``_reweight`` is the one reweighting step: every IRLS iterate and the
-start's polish take it.  For Huber's convex loss it takes a Newton step
-where the Hessian allows one and an IRLS step elsewhere, each carried to
-the exact minimizer of the objective along its direction (see
-_huber_newton and _huber_minimizer); the weighted LS step is one batched
-K x K solve (see _weighted_solve); every loop stops on one scale-free rule
-(see _settled).
+start's polish take it, at weights its caller computed.  For Huber's
+convex loss it takes a Newton step where the Hessian allows one and an
+IRLS step elsewhere, each carried to the exact minimizer of the objective
+along its direction (see _huber_newton and _huber_minimizer); the
+weighted LS step is one batched K x K solve (see _weighted_solve); every
+loop stops on one scale-free rule (see _settled).  IRLS evaluates the
+loss once per step and cell: one losses._psi_weight call gives the psi
+of the stopping rule and the weights of the next step.
 """
 
 import dataclasses
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, UnstableCurvature
-from .losses import LossSpec, _psi, _psi_prime, _weight, psi, psi_prime
+from .losses import LossSpec, _psi, _psi_prime, _psi_weight, _weight, psi, psi_prime
 from .panel import (ESTIMATOR_NAMES, FitResult, _as_centered, _coefficients, _in_float_range,
                     within_ls)
 from .scale import _mad, _scales
@@ -89,7 +91,8 @@ def _settled(x, step, bounded, fitted):
     (the "resid" test of MASS rlm, on psi-residuals).  Neither side depends
     on the units of the regressors or the size of the coefficients.
     """
-    moved, bounded, fitted = np.add.reduce(np.square((_xb(x, step), bounded, fitted)), axis=2)
+    # one (S, NT) square at a time: squaring the three stacked would hold six
+    moved, bounded, fitted = (np.square(a).sum(axis=1) for a in (_xb(x, step), bounded, fitted))
     return (moved <= IRLS_TOL**2 * bounded) | (moved <= 1e-28 * fitted)
 
 
@@ -224,23 +227,24 @@ def _huber_newton(x, beta, u, sigma, c):
     return new, taken
 
 
-def _reweight(x, y, family, c, beta, u, sigma):
+def _reweight(x, y, family, c, beta, u, sigma, w):
     """The next iterate of every member from beta, whose standardized
-    residuals are u, at its own c and sigma: for the redescending tukey and
-    esl the weighted LS solve at the loss's weights (see _weighted_solve);
-    for huber a Newton step (see _huber_newton) and, where that is not
-    taken, the weighted LS step carried to the minimizer of the convex
-    objective along it (see _huber_minimizer).  The one reweighting step of
-    IRLS and of the start's polish.  Returns (beta_new, {member:
-    SingularWeightedDesign})."""
+    residuals are u and whose loss weights there are w, at its own c and
+    sigma: for the redescending tukey and esl the weighted LS solve at w
+    (see _weighted_solve); for huber a Newton step (see _huber_newton) and,
+    where that is not taken, the weighted LS step at w carried to the
+    minimizer of the convex objective along it (see _huber_minimizer).  The
+    one reweighting step of IRLS and of the start's polish; the caller
+    computes w (IRLS together with psi, see _irls).  Returns (beta_new,
+    {member: SingularWeightedDesign})."""
     if family != "huber":
-        return _weighted_solve(x, y, _weight(family, c[:, None], u))
+        return _weighted_solve(x, y, w)
     new, taken = _huber_newton(x, beta, u, sigma, c)
     if taken.all():
         return new, {}
     rest = np.flatnonzero(~taken)
     sub = _rows(rest, len(beta))
-    irls, failures = _weighted_solve(x[sub], y[sub], _weight(family, c[sub, None], u[sub]))
+    irls, failures = _weighted_solve(x[sub], y[sub], w[sub])
     # the IRLS step's curvature X'WX overstates huber's X_in' X_in, so the
     # minimizer along it often lies past it
     step = irls - beta[sub]
@@ -259,13 +263,16 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     coefficients settle (see _settled) or max_iter is reached; a settled
     member leaves the active stack, so each runs the iterations it would
     run alone.  Huber's steps end at the minimizer of its convex objective
-    along their direction, so the objective never rises.  Returns (beta, u,
-    iterations, converged) at each member's last iterate; raises
+    along their direction, so the objective never rises.  The loss is
+    evaluated once per step and cell: the psi that _settled reads at the
+    new iterate and the weights that the next step solves at come from one
+    losses._psi_weight call.  Returns (beta, w, iterations, converged) at
+    each member's last iterate, w its loss weights there; raises
     SingularWeightedDesign when a member's weights leave its design
     singular.
     """
     beta = np.array(beta, dtype=float)
-    u = np.zeros(y.shape)
+    w = np.zeros(y.shape)
     iterations = np.zeros(len(beta), dtype=int)
     converged = np.zeros(len(beta), dtype=bool)
     live = np.arange(len(beta))
@@ -274,33 +281,35 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     # every weight takes its limit
     with np.errstate(over="ignore"):
         ua = (ya - _xb(xa, ba)) / sa
+        wa = _weight(family, ca[:, None], ua)
         for it in range(1, max_iter + 1):
-            new, singular = _reweight(xa, ya, family, ca, ba, ua, sa[:, 0])
+            new, singular = _reweight(xa, ya, family, ca, ba, ua, sa[:, 0], wa)
             if singular:
                 raise next(iter(singular.values()))
             resid = ya - _xb(xa, new)
             ua = resid / sa
-            done = _settled(xa, new - ba, sa * _psi(family, ca[:, None], ua), ya - resid)
+            bounded, wa = _psi_weight(family, ca[:, None], ua)
+            done = _settled(xa, new - ba, sa * bounded, ya - resid)
+            del bounded, resid  # so that the next step does not hold them
             ba = new
             if it < max_iter and not done.any():
                 continue
             stop = done | (it == max_iter)
             beta[live[stop]] = ba[stop]
-            u[live[stop]] = ua[stop]
+            w[live[stop]] = wa[stop]
             iterations[live[stop]] = it
             converged[live[stop]] = done[stop]
             keep = ~stop
             live = live[keep]
             if not live.size:
                 break
-            xa, ya, ca, sa, ba, ua = xa[keep], ya[keep], ca[keep], sa[keep], ba[keep], ua[keep]
-    return beta, u, iterations, converged
+            xa, ya, ca, sa, ba, ua, wa = (a[keep] for a in (xa, ya, ca, sa, ba, ua, wa))
+    return beta, w, iterations, converged
 
 
-def _results(family, beta, sigma, iterations, converged, c, u, shape):
-    """A FitResult per member of a stack, from per-member arrays; the
-    weights are the loss's at each member's last residuals u."""
-    w = _weight(family, c[:, None], u)
+def _results(family, beta, sigma, iterations, converged, c, w, shape):
+    """A FitResult per member of a stack, from per-member arrays; w holds
+    the loss's weights at each member's last residuals."""
     return [FitResult(estimator=family, beta=beta[i], sigma_hat=float(sigma[i]),
                       iterations=int(iterations[i]), converged=bool(converged[i]),
                       c_selected=float(c[i]), weights=w[i].reshape(shape))
@@ -321,9 +330,9 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     cp = _as_centered(panel)
     beta_init = _coefficients(beta_init, cp.x.shape[1], "beta_init")
     c, sigma = np.array([spec.c]), np.array([float(sigma)])
-    beta, u, iterations, converged = _irls(
+    beta, w, iterations, converged = _irls(
         cp.x[None], cp.y[None], spec.family, c, beta_init[None], sigma, config.max_iter)
-    return _results(spec.family, beta, sigma, iterations, converged, c, u, cp.shape)[0]
+    return _results(spec.family, beta, sigma, iterations, converged, c, w, cp.shape)[0]
 
 
 def _mestimators(x, y, family, c, beta0, shape):
@@ -339,8 +348,8 @@ def _mestimators(x, y, family, c, beta0, shape):
         cs = grid[_tau_search(e, family, grid)[2]]
     else:
         cs = np.full(len(beta0), LossSpec(family, c).c)  # LossSpec checks a fixed c
-    beta, u, iterations, converged = _irls(x, y, family, cs, beta0, sigma, IrlsConfig().max_iter)
-    return _results(family, beta, sigma, iterations, converged, cs, u, shape)
+    beta, w, iterations, converged = _irls(x, y, family, cs, beta0, sigma, IrlsConfig().max_iter)
+    return _results(family, beta, sigma, iterations, converged, cs, w, shape)
 
 
 def fit_mestimator(panel, family, c="auto", beta_init=None):
@@ -466,10 +475,11 @@ def _starts(x, y, seeds):
 
     live = np.flatnonzero(sigma > 0)
     if live.size:
+        c = np.full(live.size, TUKEY_REFERENCE_C)
         with np.errstate(over="ignore"):  # +-inf residuals take their limit weight
-            polished, singular = _reweight(
-                x[live], y[live], "tukey", np.full(live.size, TUKEY_REFERENCE_C), starts[live],
-                (y[live] - _xb(x[live], starts[live])) / sigma[live, None], sigma[live])
+            u = (y[live] - _xb(x[live], starts[live])) / sigma[live, None]
+            polished, singular = _reweight(x[live], y[live], "tukey", c, starts[live], u,
+                                           sigma[live], _weight("tukey", c[:, None], u))
         keep = np.ones(live.size, dtype=bool)
         keep[list(singular)] = False  # a singular polish keeps the elemental winner
         starts[live[keep]] = polished[keep]
@@ -526,7 +536,7 @@ def _esls(x, y, start, c, shape):
         grids = np.stack([default_esl_grid(v) for v in _scales(y - _xb(x, beta), "mad")])
     prev_c, c_sel, sigma_mad = np.full(s, np.nan), np.zeros(s), np.zeros(s)
     total, inner, outer = np.zeros(s, dtype=int), np.zeros(s, dtype=bool), np.zeros(s, dtype=bool)
-    u = np.zeros(y.shape)
+    w = np.zeros(y.shape)
     live = np.arange(s)
     for _ in range(ESL_MAX_OUTER):
         sub = _rows(live, s)
@@ -535,12 +545,12 @@ def _esls(x, y, start, c, shape):
         else:
             sigma_mad[live] = _scales(y[sub] - _xb(x[sub], beta[sub]), "mad")
             c_sel[live] = LossSpec("esl", c).c  # LossSpec rejects one that is not positive
-        new, nu, iterations, converged = _irls(
+        new, nw, iterations, converged = _irls(
             x[sub], y[sub], "esl", c_sel[sub], beta[sub], np.ones(live.size),
             IrlsConfig().max_iter)
         step = new - beta[sub]
         total[live] += iterations
-        beta[live], u[live], inner[live] = new, nu, converged
+        beta[live], w[live], inner[live] = new, nw, converged
         again = np.abs(c_sel[live] - prev_c[live]) / c_sel[live] < 0.01  # never on the first pass
         if again.any():
             done = live[again]
@@ -553,7 +563,7 @@ def _esls(x, y, start, c, shape):
         if not live.size:
             break
     # the last pass's fit, at the MAD scale of its selection and with every pass's iterations
-    return _results("esl", beta, sigma_mad, total, inner & outer, c_sel, u, shape)
+    return _results("esl", beta, sigma_mad, total, inner & outer, c_sel, w, shape)
 
 
 @dataclass(frozen=True)

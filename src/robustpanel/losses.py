@@ -74,7 +74,9 @@ def _apply(kernel, spec, u):
 
 # The formulas, once each.  `c` is a float or an array that broadcasts
 # against u (a column of grid points gives one row per constant); the
-# tuning searches call these directly, the public views through _apply.
+# tuning searches and IRLS call these directly, the public views through
+# _apply.  A redescender's psi and weight come from _psi_weight, which
+# IRLS calls once per step for both.
 # The redescenders work from |u| clamped where every view has reached its
 # limit, so no residual (even an infinite one) or constant overflows.  The
 # clamp is set by the largest c, one pass over u: (u / c)^2 is exact to
@@ -95,14 +97,6 @@ def _esl_v(c, u):
     return a, a * a / c
 
 
-def _esl_psi(c, u):
-    """esl's psi, psi' and the exp(-u^2 / c) they share, which is also
-    1 - rho; the esl tuning rule needs all three at every grid point."""
-    a, v = _esl_v(c, u)
-    w = np.exp(-v)
-    return np.copysign(a, u) * w, w * (1.0 - 2.0 * v), w
-
-
 def _rho(family, c, u):
     if family == HUBER:
         a = np.abs(u)
@@ -113,13 +107,27 @@ def _rho(family, c, u):
     return 1.0 - np.exp(-_esl_v(c, u)[1])
 
 
+def _psi_weight(family, c, u):
+    """psi and the IRLS weight from one evaluation of the loss: a
+    redescender's psi is u times its weight, so tukey's (u / c)^2 and esl's
+    exp(-u^2 / c) are computed once for both.  tukey's psi is +0 where it
+    rejects a cell, as its closed form is, rather than the product's -0."""
+    if family == HUBER:
+        return _psi(family, c, u), c / np.maximum(np.abs(u), c)
+    if family == TUKEY:
+        a, v = _tukey_v(c, u)
+        inside = v <= 1.0
+        w = np.where(inside, (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
+        return np.where(inside, np.copysign(a, u) * w, 0.0), w
+    a, v = _esl_v(c, u)
+    w = np.exp(-v)
+    return np.copysign(a, u) * w, w
+
+
 def _psi(family, c, u):
     if family == HUBER:
         return np.clip(u, -c, c)
-    if family == TUKEY:
-        a, v = _tukey_v(c, u)
-        return np.where(v <= 1.0, np.copysign(a, u) * (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
-    return _esl_psi(c, u)[0]
+    return _psi_weight(family, c, u)[0]
 
 
 def _psi_prime(family, c, u):
@@ -128,16 +136,12 @@ def _psi_prime(family, c, u):
     if family == TUKEY:
         v = _tukey_v(c, u)[1]
         return np.where(v <= 1.0, (1.0 - v) * (1.0 - 5.0 * v), 0.0)
-    return _esl_psi(c, u)[1]
+    v = _esl_v(c, u)[1]
+    return np.exp(-v) * (1.0 - 2.0 * v)
 
 
 def _weight(family, c, u):
-    if family == HUBER:
-        return c / np.maximum(np.abs(u), c)
-    if family == TUKEY:
-        v = _tukey_v(c, u)[1]
-        return np.where(v <= 1.0, (1.0 - np.minimum(v, 1.0)) ** 2, 0.0)
-    return np.exp(-_esl_v(c, u)[1])
+    return _psi_weight(family, c, u)[1]
 
 
 def rho(spec: LossSpec, u):

@@ -21,16 +21,19 @@ Each search runs on a stack of panels at once, with a leading
 replication axis: ``_tau_search`` and ``_esl_search`` take the (S, NT)
 residuals (and, for esl, the (S, NT, K) designs and one grid per member)
 of a chunk of study replications, and ``select_c_grid`` and
-``esl_select_c`` are stacks of one.  A search evaluates every member's
-whole grid in array passes over (members x grid points x cells), walked
-in blocks of at most GRID_BLOCK_CELLS cells (see _blocks) so that its
-temporaries stay small: whole members while they fit, else one member's
-grid rows at a time.  A member's rows are blocked the same way in any
-stack, so its numbers do not depend on its stack-mates.  esl's search
-flags a whole stack at once and takes xi and V_hat from one evaluation
-of exp(-e^2 / c) per member, grid point and cell.  A search returns
-values only and raises NoValidTuning when any member has no valid c;
-``estimators._fit`` then isolates that member's panel.
+``esl_select_c`` are stacks of one.  huber's search takes its whole
+tau_hat curve from one sort of each member's |e| (see _tau_grid), with no
+pass over (members x grid points x cells).  tukey's and esl's evaluate
+every member's whole grid in array passes over (members x grid points x
+cells), walked in blocks of at most GRID_BLOCK_CELLS cells (see _blocks)
+so that their temporaries stay small: whole members while they fit, else
+one member's grid rows at a time.  A member's rows are blocked the same
+way in any stack, so its numbers do not depend on its stack-mates.
+esl's search flags a whole stack at once and takes xi and V_hat from one
+evaluation of exp(-e^2 / c) per member, grid point and cell (see
+_esl_sandwich).  A search returns values only and raises NoValidTuning
+when any member has no valid c; ``estimators._fit`` then isolates that
+member's panel.
 ``efficiency_factor`` and ``esl_cov`` are one-point calls into the same
 kernels, and ``xi`` sums the same per-cell loss in the same order as the
 search, so the two agree bit for bit.  Both searches break ties toward
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidTuning, ZeroScale
-from .losses import ESL, LossSpec, _esl_psi, _psi, _psi_prime, _rho
+from .losses import ESL, LossSpec, _esl_v, _psi, _psi_prime, _rho
 from .panel import _as_centered, _coefficients
 from .scale import _mad
 
@@ -87,23 +90,40 @@ def _tau_grid(e, family, grid):
     """tau_hat(c) and whether it is defined, for every member (row of the
     (S, NT) residuals e) at every c in `grid` at once.
 
-    One pass over (S, G, NT) in blocks (see _blocks): psi and psi' take the
-    block's grid points as a column, and each row is reduced to its two
-    moments.  A row's sums do not depend on the block it lands in.  When
-    every observation lands where psi vanishes (total rejection by a
-    redescender) both moments are 0 and the factor is reported as 0,
+    huber's two moments come from one sort of each member's |e|, whatever
+    the grid: sum psi'(c) is the count of |e| <= c (a searchsorted, which
+    keeps the kink's inner value 1 and is exact), and sum psi(c)^2 is the
+    cumulative sum of e^2 below c plus c^2 per cell above it, which equals
+    the cell by cell sum to rounding.  That is O(NT log NT + G) per member
+    rather than a pass over (G, NT).  The squares are taken of |e| clamped
+    at the grid's top, which changes none below it and keeps the rest in
+    the float range.
+
+    tukey makes one pass over (S, G, NT) in blocks (see _blocks): psi and
+    psi' take the block's grid points as a column, and each row is reduced
+    to its two moments.  A row's sums do not depend on the block it lands
+    in.  When every observation lands where psi vanishes (total rejection
+    by a redescender) both moments are 0 and the factor is reported as 0,
     undefined, rather than 0/0.
     """
     s, nt = e.shape
-    num = np.empty((s, grid.size))
-    den = np.empty((s, grid.size))
-    for members, rows in _blocks(s, grid.size, nt):
-        c = grid[rows, None]
-        block = e[members, None, :]
-        # float_power squares through pow(), as a scalar ** 2 does, where
-        # ** 2 on an array multiplies; the two can differ in the last bit
-        num[members, rows] = np.float_power(np.sum(_psi_prime(family, c, block), axis=-1), 2)
-        den[members, rows] = nt * np.sum(_psi(family, c, block) ** 2, axis=-1)
+    if family == "huber":
+        a = np.abs(e)
+        a.sort(axis=1)
+        inside = np.stack([np.searchsorted(row, grid, side="right") for row in a])
+        np.cumsum(np.square(np.minimum(a, grid.max(), out=a), out=a), axis=1, out=a)
+        below = np.where(inside > 0, np.take_along_axis(a, np.maximum(inside - 1, 0), axis=1), 0.0)
+        num, den = np.float_power(inside, 2), nt * (below + grid * grid * (nt - inside))
+    else:
+        num = np.empty((s, grid.size))
+        den = np.empty((s, grid.size))
+        for members, rows in _blocks(s, grid.size, nt):
+            c = grid[rows, None]
+            block = e[members, None, :]
+            # float_power squares through pow(), as a scalar ** 2 does, where
+            # ** 2 on an array multiplies; the two can differ in the last bit
+            num[members, rows] = np.float_power(np.sum(_psi_prime(family, c, block), axis=-1), 2)
+            den[members, rows] = nt * np.sum(_psi(family, c, block) ** 2, axis=-1)
     defined = den != 0.0
     tau = np.divide(num, den, out=np.zeros(den.shape), where=defined)
     return tau, defined
@@ -221,11 +241,18 @@ def _esl_sandwich(x, e, grid, keep):
     go undetected.  Both sides are compared as logarithms, so neither
     overflows or underflows as K grows or the regressors change units.
 
-    psi, psi' and rho = 1 - exp(-e^2 / c) share one exponential per cell
-    and c.  The retained loss sum_keep rho is taken over each member's
-    retained cells gathered C-contiguous (np.compress), so it adds in the
-    order xi() adds them and equals it bit for bit; a sum over all cells
-    with the flagged ones zeroed would add in another order.
+    The loss is evaluated once per cell and c: w = exp(-e^2 / c), which is
+    1 - rho.  kappa = (sum w - (2/c) sum w e^2) / NT, both sums from one
+    (rows, NT) @ (NT, 2) matmul, so no psi' array is formed; w then becomes
+    psi = sign(e) |e| w in place, and psi^2 in place.  |e|, e^2 and the
+    (NT, K^2) products x x' are formed once per call, never per block.  The
+    retained loss sum_keep rho is taken over each member's retained cells
+    gathered C-contiguous (np.compress), so it adds in the order xi() adds
+    them and equals it bit for bit; a sum over all cells with the flagged
+    ones zeroed would add in another order.  The mean score is taken as
+    psi @ x: forming it in the kappa matmul as w @ (sign(e) |e| x) rounds
+    differently, and that moves esl's numbers on exact-fit panels such as
+    (N, T) = (3, 2).
 
     Returns ``(kappa, M, S, log_det_v, defined, loss)`` with M of shape
     (S, K, K), S of shape (S, G, K, K) and loss of shape (S, G); log_det_v
@@ -235,23 +262,26 @@ def _esl_sandwich(x, e, grid, keep):
     g = grid.shape[1]
     cross = x.transpose(0, 2, 1) @ x / nt
     outer = (x[:, :, :, None] * x[:, :, None, :]).reshape(s, nt, k * k)
-    kappa = np.empty((s, g))
+    sums = np.empty((s, g, 2))
     mean_scores = np.empty((s, g, k))
     sq = np.empty((s, g, k * k))
     loss = np.empty((s, g))
     # psi^2 x x' can pass the float range where x x' does not; such an S(c)
     # leaves the float range and its c counts as undefined
     with np.errstate(over="ignore", invalid="ignore"):
+        a = _esl_v(grid.max(), e)[0]  # |e|, clamped where every exp(-e^2 / c) is 0
+        a2, signed = a * a, np.copysign(a, e, out=a)  # a's buffer becomes sign(e) |e|
+        ones_a2 = np.stack((np.ones(a2.shape), a2), axis=2)  # w @ ones_a2 = (sum w, sum w e^2)
         for members, rows in _blocks(s, g, nt):
-            c = grid[members, rows, None]
-            block = e[members, None, :]
-            p, p_prime, w = _esl_psi(c, block)
-            kappa[members, rows] = np.mean(p_prime, axis=-1)
-            mean_scores[members, rows] = p @ x[members] / nt
-            np.square(p, out=p)
-            sq[members, rows] = p @ outer[members] / nt
+            w = np.exp(-a2[members, None, :] / grid[members, rows, None])
             for i, wi in enumerate(w, members.start):  # one member unless its grid is small
                 loss[i, rows] = np.sum(1.0 - np.compress(keep[i], wi, axis=-1), axis=-1)
+            sums[members, rows] = w @ ones_a2[members]
+            w *= signed[members, None, :]  # psi
+            mean_scores[members, rows] = w @ x[members] / nt
+            np.square(w, out=w)
+            sq[members, rows] = w @ outer[members] / nt
+        kappa = (sums[..., 0] - 2.0 * sums[..., 1] / grid) / nt
         sq = sq.reshape(s, g, k, k)
         sq -= mean_scores[..., :, None] * mean_scores[..., None, :]
     in_range = np.isfinite(sq).all(axis=(2, 3))

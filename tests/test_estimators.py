@@ -33,7 +33,7 @@ from robustpanel.estimators import (
     irls_fit,
     sandwich_se,
 )
-from robustpanel.losses import LossSpec, psi, psi_prime, rho
+from robustpanel.losses import LossSpec, psi, psi_prime, rho, weight
 from robustpanel.panel import FitResult, PanelData, within_ls, within_transform
 from robustpanel.scale import initial_scale, mad_scale
 from robustpanel.tuning import HUBER_GRID
@@ -166,6 +166,58 @@ class TestIrls:
         fast = taken & (side(u) == side(u - newton)).all(axis=1)
         assert fast.any() and (taken & ~fast).any()
         assert (alpha[fast] == 1.0).all()
+
+    @pytest.mark.parametrize("family", ["huber", "tukey", "esl"])
+    def test_carried_weights_match_recomputed_ones(self, family, monkeypatch):
+        # _irls takes psi and the next step's weights from one evaluation of
+        # the loss and carries the weights to that step.  A loop that fits
+        # each member alone and recomputes the weights from u before every
+        # step must give the same coefficients, weights, iterations and
+        # flags, bit for bit.  Member 0 is an exact fit and leaves the stack
+        # after one step; the others carry 10% gross outliers.  huber's
+        # member 1 has so few cells within +-c that its Newton step is not
+        # taken and its weighted LS step reads the carried weights.
+        rng = np.random.default_rng(23)
+        s, n, t, k = 4, 25, 3, 2
+        x = rng.standard_normal((s, n * t, k))
+        beta = np.array([2.4, -1.2])
+        y = x @ beta + rng.standard_normal((s, n * t))
+        y[0] = x[0] @ beta
+        y[1:, ::10] += rng.uniform(20.0, 80.0, (s - 1, (n * t + 9) // 10))
+        start = np.tile(beta + 0.3, (s, 1))
+        start[0] = beta
+        if family == "esl":
+            c, sigma = np.array([2.0, 3.0, 5.0, 8.0]), np.ones(s)
+        else:
+            c = np.array([1.345, 0.05, 1.0, 2.0]) if family == "huber" else np.full(s, 4.685)
+            sigma = np.array([1.0, 0.5, 1.2, 0.9])
+        solved = []
+        weighted_solve = estimators._weighted_solve
+
+        def counted(x, y, w):
+            solved.append(len(x))
+            return weighted_solve(x, y, w)
+
+        monkeypatch.setattr(estimators, "_weighted_solve", counted)
+        fit = estimators._irls(x, y, family, c, start, sigma, IrlsConfig().max_iter)
+        assert solved  # every family reaches a weighted LS step
+        assert fit[2][0] == 1 and fit[3][0] and len(set(fit[2])) > 1
+        for i in range(s):
+            xi, yi, b, spec = x[i:i + 1], y[i:i + 1], start[i:i + 1], LossSpec(family, c[i])
+            u = (yi - estimators._xb(xi, b)) / sigma[i]
+            for it in range(1, IrlsConfig().max_iter + 1):
+                new, singular = estimators._reweight(xi, yi, family, c[i:i + 1], b, u,
+                                                     sigma[i:i + 1], weight(spec, u))
+                assert not singular
+                resid = yi - estimators._xb(xi, new)
+                u = resid / sigma[i]
+                done = estimators._settled(xi, new - b, sigma[i] * psi(spec, u), yi - resid)[0]
+                b = new
+                if done:
+                    break
+            alone = (b[0], weight(spec, u)[0], it, done)
+            for stacked, lone in zip(fit, alone):
+                assert np.asarray(stacked[i]).tobytes() == np.asarray(lone).tobytes()
 
     @pytest.mark.parametrize("family", ["huber", "tukey", "esl"])
     def test_gross_outlier_does_not_loosen_the_stop(self, family):
@@ -645,7 +697,10 @@ class TestPinnedDigests:
     # IRLS steps took an exact line search (its iterations and last bits
     # moved; ls, tukey and esl held); a kernel that moves one bit of a start, a selected c or a study sample
     # fails here.  A change that moves study numbers on purpose re-pins
-    # these with the simulate table digests of test_cli.
+    # these with the simulate table digests of test_cli.  test_exact_fit_study
+    # pins the (3, 2) regime, where every robust fit is an exact fit and
+    # esl's selection works on residuals of rounding size; the exact-fit
+    # rule of ROADMAP.md's item 17 will move it on purpose and re-pin it.
 
     def test_leverage_study(self):
         names = ("ls", "huber", "tukey", "esl")
@@ -658,6 +713,21 @@ class TestPinnedDigests:
             digest.update(report.rmse_samples[name].tobytes())
         assert digest.hexdigest() == (
             "d05a795f65d2f6db9e6d03703f8dd13970ab83c553abdfbd42d2d32c679d71db")
+
+    def test_exact_fit_study(self):
+        # clean (3, 2) panels: 39 of 400 replications fail and esl leaves
+        # 101 fits unconverged.  Replications 200-399 are needed: forming
+        # esl's mean score in the same matmul as kappa moves the last bits
+        # of S(c) and a sample among them, while the first 200 hold.
+        names = ("ls", "huber", "tukey", "esl")
+        report = sim.run_mc(sim.DgpConfig(n_units=3, n_periods=2), None, names, 400, 7)
+        digest = hashlib.sha256()
+        for name in names:
+            digest.update(report.se_samples[name].tobytes())
+        digest.update(repr((report.n_failed, [report.n_nonconverged[name] for name in names]))
+                      .encode())
+        assert digest.hexdigest() == (
+            "9404af51cbbf5c58a5d58ef475e7aed70705a6c58136be6830508be16a6cccff")
 
     def test_start_and_esl_fit_on_a_subsample(self):
         # 5,000 cells: the start ranks its candidates on HB_SCORE_CELLS

@@ -330,6 +330,41 @@ class TestGridKernels:
         if family == "tukey":  # the smallest constants reject every cell
             assert not curve.defined[0] and curve.defined[-1]
 
+    def test_huber_curve_from_one_sort_matches_the_cell_sums(self):
+        # huber's tau_hat comes from one sort of |e| per member: sum psi' is
+        # the count of |e| <= c and sum psi^2 a cumulative sum of e^2 below c
+        # plus c^2 per cell above.  Against the moments summed cell by cell,
+        # on an unsorted grid, with cells exactly at |e| = c (counted
+        # inside), at +-inf and past the square root of the float range, all
+        # inside and all outside the grid, and at NT = 1.  A count is exact, and one cell counted on the wrong side
+        # moves tau_hat by far more than rounding, so the numerator must
+        # agree exactly and tau_hat to the rounding of the cumulative sum.
+        from robustpanel.tuning import _tau_grid
+
+        grid = np.array([1.5, 0.25, 3.0, 0.5, 0.05, 1.0, 0.75])
+        rng = np.random.default_rng(8)
+        e = 1.5 * rng.standard_normal((6, 11))
+        e[0, :5] = [0.5, -0.5, 1.0, -3.0, 0.05]  # on kinks
+        e[1, :4] = [np.inf, -np.inf, -0.25, 1e200]  # 1e200 squares past the float range
+        e[2] = 0.01 * rng.standard_normal(11)  # inside at every c
+        e[3] = np.copysign(50.0 + rng.random(11), rng.standard_normal(11))  # outside at every c
+        e[4, :] = 0.0  # tau_hat undefined: no spread at all
+        for stack in (e, e[:, :1]):
+            nt = stack.shape[1]
+            with np.errstate(all="raise"):
+                tau, defined = _tau_grid(stack, "huber", grid)
+            c = grid[:, None]
+            for i, row in enumerate(stack):
+                num = np.float_power(np.sum((np.abs(row) <= c).astype(float), axis=1), 2)
+                den = nt * np.sum(np.clip(row, -c, c) ** 2, axis=1)
+                assert np.array_equal(defined[i], den != 0.0)
+                assert np.array_equal(tau[i] == 0.0, (num == 0.0) | (den == 0.0))
+                ref = np.divide(num, den, out=np.zeros(grid.size), where=den != 0.0)
+                assert_allclose(tau[i], ref, rtol=1e-14, atol=0.0)
+                on = den != 0.0
+                assert np.array_equal(np.round(tau[i, on] * den[on]), num[on])  # exact counts
+        assert not defined[4].any() and defined[3].all() and (tau[3] == 0.0).all()
+
     def test_esl_curves_are_xi_and_esl_cov_pointwise(self):
         rng = np.random.default_rng(42)
         n, t, k = 30, 4, 2
