@@ -16,17 +16,19 @@ constant and the starting point:
 
 Every kernel works on a stack of panels of one shape, with a leading
 replication axis: (S, NT) centered responses and (S, NT, K) centered
-designs.  ``_fit``, the one dispatcher, fits a list of centered panels at
-once: the simulation studies hand it a chunk of replications, and
-``fit_esl``, ``fit_estimator``, ``fit_mestimator``, ``irls_fit`` and
-``high_breakdown_init`` are stacks of one.  Each member runs the steps it
-would run alone: its start draws from its own random stream, and IRLS and
-the esl outer loop set a member aside once it settles.  No member's
+designs.  ``_fit``, the one dispatcher, takes those two arrays and fits
+every member at once: the simulation studies hand it the centered arrays
+of a chunk of replications, and ``fit_esl``, ``fit_estimator``,
+``fit_mestimator``, ``irls_fit`` and ``high_breakdown_init`` are stacks
+of one.  Each member runs the steps it would run alone: its start draws
+from its own random stream, and IRLS and the esl outer loop set a member
+aside once it settles.  No member's
 numbers depend on its stack-mates: row sums, and batched matmul, solve and
 eigh, act member by member.  A kernel raises the EstimationError of any
 member that meets one, and returns values only; ``_fit`` alone turns a
 failure into one panel's result, by fitting a stack that raised again in
-halves that keep the start and the fits it finished (see _fit).
+halves, row-slice views that keep the start and the fits it finished (see
+_fit).
 
 ``_reweight`` is the one reweighting step: every IRLS iterate and the
 start's polish take it, at weights its caller computed.  For Huber's
@@ -35,8 +37,11 @@ IRLS step elsewhere, each carried to the exact minimizer of the objective
 along its direction (see _huber_newton and _huber_minimizer); the
 weighted LS step is one batched K x K solve (see _weighted_solve); every
 loop stops on one scale-free rule (see _settled).  IRLS evaluates the
-loss once per step and cell: one losses._psi_weight call gives the psi
-of the stopping rule and the weights of the next step.
+loss once per step and cell for its own use: one losses._psi_weight call
+gives the psi of the stopping rule and the weights of the next step.
+Huber's Newton step evaluates psi and psi' again at the same residuals;
+threading psi through to it would hold one more (S, NT) array through
+every step of tukey's and esl's IRLS too, and raise their peak memory.
 """
 
 import dataclasses
@@ -46,10 +51,11 @@ import numpy as np
 
 from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, UnstableCurvature
 from .losses import LossSpec, _psi, _psi_prime, _psi_weight, _weight, psi, psi_prime
-from .panel import (ESTIMATOR_NAMES, FitResult, _as_centered, _coefficients, _in_float_range,
-                    within_ls)
+from .panel import (ESTIMATOR_NAMES, CenteredPanel, FitResult, _as_centered, _coefficients,
+                    _in_float_range, within_ls)
 from .scale import _mad, _scales
-from .tuning import HUBER_GRID, TUKEY_GRID, _blocks, _esl_search, _tau_search, default_esl_grid
+from .tuning import (HUBER_GRID, LOG_SINGULAR, TUKEY_GRID, _blocks, _esl_grids, _esl_search,
+                     _tau_search)
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for the start's polish
 HB_SUBSAMPLES = 500  # most elemental subsets drawn by high_breakdown_init; see _n_subsets
@@ -57,7 +63,6 @@ HB_SCORE_CELLS = 2000  # above this many cells, candidates are ranked on a subsa
 HB_RESCORE = 10  # best subsample candidates that are scored again on the full sample
 IRLS_TOL = 1e-8  # change in fitted values, relative to the bounded residuals, that ends a loop
 ESL_MAX_OUTER = 3  # outer passes of fit_esl
-LOG_SINGULAR = np.log(1e-12)  # log |det| below which a K x K system counts as singular
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,11 @@ def _weighted_solve(x, y, w):
     return beta, failures
 
 
-def _huber_minimizer(u, v, c):
+def _huber_minimizer(u, v, c, deriv0):
     """The exact minimizer alpha of every member's Huber objective
-    phi(alpha) = sum rho(u - alpha v) along the direction v, at its own c.
+    phi(alpha) = sum rho(u - alpha v) along the direction v, at its own c,
+    from its slope phi'(0) = -sum v psi(u), `deriv0`, which the caller sums
+    from the psi it already holds.
 
     phi is convex and piecewise quadratic: phi'(alpha) = -sum v psi(u -
     alpha v) is piecewise linear and nondecreasing, with a kink where a cell
@@ -147,7 +154,6 @@ def _huber_minimizer(u, v, c):
     """
     c, n = c[:, None], u.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        deriv0 = -(v * _psi("huber", c, u)).sum(axis=1)
         half, vv = c / np.abs(v), v * v
         kinks = np.tile(u / v, 2)
         kinks[:, :n] -= half  # where a cell enters +-c as alpha grows
@@ -178,36 +184,22 @@ def _huber_minimizer(u, v, c):
     return alpha, past[at, k] & np.isfinite(deriv0) & (deriv0 < 0.0)
 
 
-def _huber_line_search(u, v, c):
-    """How far every member goes along its Newton direction v (see
-    _huber_newton) from the standardized residuals u: alpha = 1 where no
-    cell changes side of +-c between u and u - v, for there the quadratic
-    model of the Newton step is exact and least at alpha = 1; elsewhere the
-    exact minimizer (see _huber_minimizer).  Returns (alpha, taken); a
-    member whose direction is no descent is not taken.
-    """
-    def side(w):  # -1, 0 or 1: below -c, within +-c or above c
-        return (w > c[:, None]).view(np.int8) - (w < -c[:, None]).view(np.int8)
-
-    deriv0 = -(v * _psi("huber", c[:, None], u)).sum(axis=1)
-    alpha, taken = np.ones(len(u)), np.isfinite(deriv0) & (deriv0 < 0.0)
-    rest = np.flatnonzero(taken & (side(u) != side(u - v)).any(axis=1))
-    if rest.size:
-        alpha[rest], taken[rest] = _huber_minimizer(u[rest], v[rest], c[rest])
-    return alpha, taken
-
-
 def _huber_newton(x, beta, u, sigma, c):
     """A Newton step on every member's Huber objective sum rho(r / sigma), at
     its own c and sigma, sized by an exact line search.
 
     The Hessian is H = X_in' X_in over the cells with |u| <= c and the
-    gradient X' clip(u, -c, c).  When H is well conditioned (smallest
-    eigenvalue above 1e-10 of the largest) the direction sigma H^-1 g is
-    taken as far as lowers the objective most (see _huber_line_search), so
-    the objective never rises.  Returns (beta_new, taken); a member whose H
-    is ill conditioned or whose direction is no descent keeps beta and takes
-    an IRLS step instead.
+    gradient X' psi(u), psi(u) = clip(u, -c, c).  When H is well
+    conditioned (smallest eigenvalue above 1e-10 of the largest) the
+    direction sigma H^-1 g, v = X H^-1 g in standardized residuals, is
+    taken as far as lowers the objective most: the whole step where no
+    cell changes side of +-c between u and u - v, for there the quadratic
+    model of the step is exact and least at it; elsewhere to the exact
+    minimizer along v (see _huber_minimizer).  So the objective never
+    rises.  psi(u) is evaluated once, for g and for the slope phi'(0) =
+    -v' psi(u) that the descent test and the minimizer read.  Returns
+    (beta_new, taken); a member whose H is ill conditioned or whose
+    direction is no descent keeps beta and takes an IRLS step instead.
     """
     # psi' is 0 or 1, so X' diag(psi') X is X_in' X_in
     inner = _psi_prime("huber", c[:, None], u)
@@ -218,10 +210,21 @@ def _huber_newton(x, beta, u, sigma, c):
         return new, taken
     sub = _rows(todo, len(beta))
     x, beta, u, sigma, c, lam, vec = (a[sub] for a in (x, beta, u, sigma, c, lam, vec))
+
+    def side(w):  # -1, 0 or 1: below -c, within +-c or above c
+        return (w > c[:, None]).view(np.int8) - (w < -c[:, None]).view(np.int8)
+
     with np.errstate(invalid="ignore", over="ignore"):
-        grad = _psi("huber", c[:, None], u)[:, None, :] @ x @ vec
+        clipped = _psi("huber", c[:, None], u)
+        grad = clipped[:, None, :] @ x @ vec
         step = (vec @ (grad[:, 0, :] * (sigma[:, None] / lam))[:, :, None])[:, :, 0]
-        alpha, ok = _huber_line_search(u, _xb(x, step) / sigma[:, None], c)
+        v = _xb(x, step) / sigma[:, None]
+        deriv0 = -(v * clipped).sum(axis=1)
+        del clipped  # so that the search's (S, 2 NT) buffers do not join it
+        alpha, ok = np.ones(len(u)), np.isfinite(deriv0) & (deriv0 < 0.0)
+        rest = np.flatnonzero(ok & (side(u) != side(u - v)).any(axis=1))
+        if rest.size:
+            alpha[rest], ok[rest] = _huber_minimizer(u[rest], v[rest], c[rest], deriv0[rest])
     new[todo[ok]] = beta[ok] + alpha[ok, None] * step[ok]
     taken[todo] = ok
     return new, taken
@@ -248,7 +251,10 @@ def _reweight(x, y, family, c, beta, u, sigma, w):
     # the IRLS step's curvature X'WX overstates huber's X_in' X_in, so the
     # minimizer along it often lies past it
     step = irls - beta[sub]
-    alpha, found = _huber_minimizer(u[sub], _xb(x[sub], step) / sigma[sub, None], c[sub])
+    v = _xb(x[sub], step) / sigma[sub, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        deriv0 = -(v * _psi("huber", c[sub, None], u[sub])).sum(axis=1)
+    alpha, found = _huber_minimizer(u[sub], v, c[sub], deriv0)
     new[sub] = irls
     new[rest[found]] = beta[rest[found]] + alpha[found, None] * step[found]
     return new, {rest[i]: err for i, err in failures.items()}
@@ -421,10 +427,10 @@ def _mad_rows(betas, x, y):
     mads = np.empty(betas.shape[:2])
     xt = x.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for members, rows in _blocks(len(betas), betas.shape[1], y.shape[1]):
-            resid = betas[members, rows] @ xt[members]
-            np.subtract(y[members, None, :], resid, out=resid)
-            mads[members, rows] = _mad(resid)
+        for i, rows in _blocks(len(betas), betas.shape[1], y.shape[1]):
+            resid = betas[i, rows] @ xt[i]
+            np.subtract(y[i], resid, out=resid)
+            mads[i, rows] = _mad(resid)
     return np.where(np.isfinite(mads), mads, np.inf)
 
 
@@ -533,7 +539,7 @@ def _esls(x, y, start, c, shape):
     s = len(start)
     beta = np.array(start, dtype=float)
     if c == "auto":
-        grids = np.stack([default_esl_grid(v) for v in _scales(y - _xb(x, beta), "mad")])
+        grids = _esl_grids(_scales(y - _xb(x, beta), "mad"))
     prev_c, c_sel, sigma_mad = np.full(s, np.nan), np.zeros(s), np.zeros(s)
     total, inner, outer = np.zeros(s, dtype=int), np.zeros(s, dtype=bool), np.zeros(s, dtype=bool)
     w = np.zeros(y.shape)
@@ -609,20 +615,20 @@ def sandwich_se(panel, fit, spec):
     return SandwichCovariance(_in_float_range(cov, "sandwich covariances"))
 
 
-def _fit(cps, names, c, seeds):
-    """Fit each named estimator to every centered panel of `cps`, which
-    share one shape, the panel i from seeds[i]: the one name -> procedure
-    map.
+def _fit(y, x, shape, names, c, seeds):
+    """Fit each named estimator to every member of a stack of centered
+    panels of one (N, T) `shape`, the (S, NT) responses y and (S, NT, K)
+    designs x, the member i from seeds[i]: the one name -> procedure map.
 
-    Returns one entry per panel: {name: FitResult}, or the
-    EstimationError that stopped that panel's fit.  The kernels raise at
+    Returns one entry per member: {name: FitResult}, or the
+    EstimationError that stopped that member's fit.  The kernels raise at
     any member's EstimationError; a stack that raises is fitted again as
-    two halves, recursively, down to the failing panel alone, whose entry
+    two halves, recursively, down to the failing member alone, whose entry
     is its error (see _fit_rest).  No member's numbers depend on its
     stack-mates, so every entry is the one the panel gives alone.  Every
-    robust estimator of a panel starts from its one high_breakdown_init(cp,
-    seed), drawn once (never when every name is ls).  huber and tukey start
-    from it rather than the printed LS start: under concentrated
+    robust estimator of a member starts from its one high_breakdown_init at
+    its seed, drawn once (never when every name is ls).  huber and tukey
+    start from it rather than the printed LS start: under concentrated
     contamination the LS start leaves the redescending fit in the
     contaminated local minimum (the outliers look like the fit and the
     clean data like outliers).
@@ -630,43 +636,42 @@ def _fit(cps, names, c, seeds):
     for name in names:
         if name not in ESTIMATOR_NAMES:
             raise ValueError("unknown estimator %r" % (name,))
-    return _fit_rest(cps, names, c, seeds, [{} for _ in cps], None)
+    return _fit_rest(y, x, shape, names, c, seeds, [{} for _ in seeds], None)
 
 
-def _fit_rest(cps, names, c, seeds, out, start):
+def _fit_rest(y, x, shape, names, c, seeds, out, start):
     """_fit from the first of `names` that the entries `out` lack, at the
-    panels' starts `start` (None until drawn).  A stack that raises hands
-    each half its slice of the start and of the fits already finished, so
-    a half refits only the estimators from the one that raised onward."""
-    s = len(cps)
-    x = cps[0].x[None] if s == 1 else np.stack([cp.x for cp in cps])
-    y = cps[0].y[None] if s == 1 else np.stack([cp.y for cp in cps])
+    members' starts `start` (None until drawn).  A stack that raises hands
+    each half its row slices of y and x, of the start and of the fits
+    already finished, so a half refits only the estimators from the one
+    that raised onward."""
+    s = len(y)
     try:
         for name in names:
             if name in out[0]:
                 continue
             if name != "ls" and start is None:
                 start = _starts(x, y, seeds)
-            if name == "ls":
-                results = [within_ls(cp) for cp in cps]
+            if name == "ls":  # np.linalg.lstsq takes one matrix at a time
+                results = [within_ls(CenteredPanel(y=y[i], x=x[i], shape=shape)) for i in range(s)]
             elif name == "esl":
-                results = _esls(x, y, start, c, cps[0].shape)
+                results = _esls(x, y, start, c, shape)
             else:
-                results = _mestimators(x, y, name, c, start, cps[0].shape)
+                results = _mestimators(x, y, name, c, start, shape)
             for fits, fit in zip(out, results):
                 fits[name] = fit
     except EstimationError as err:
         if s == 1:
             return [err]
         return [entry for half in (slice(None, s // 2), slice(s // 2, None))
-                for entry in _fit_rest(cps[half], names, c, seeds[half], out[half],
+                for entry in _fit_rest(y[half], x[half], shape, names, c, seeds[half], out[half],
                                        None if start is None else start[half])]
     return out
 
 
 def _fit_one(cp, names, c, seed):
     """_fit on one centered panel; raises the EstimationError that stopped it."""
-    fits = _fit([cp], names, c, [seed])[0]
+    fits = _fit(cp.y[None], cp.x[None], cp.shape, names, c, [seed])[0]
     if isinstance(fits, EstimationError):
         raise fits
     return fits

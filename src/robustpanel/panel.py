@@ -7,7 +7,6 @@ beta is estimated by pooled regression of the centered y on the centered x.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,6 @@ def _frozen_array(a) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)  # a study builds thousands of panels of a few sizes
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     width = len(str(count - 1))
     return tuple(f"{prefix}{i:0{width}d}" for i in range(count))
@@ -104,7 +102,8 @@ class CenteredPanel:
     the panel's (N, T), which only the degrees of freedom of within LS and
     the (N, T) weights of a fit need.  Its arrays are read-only rows of a
     _centered stack, held without a copy: within_transform builds one from
-    a stack of one, and a study one per row of its centered chunk.
+    a stack of one.  A study hands its centered chunk to the fit kernels as
+    the stacked arrays themselves.
     """
 
     y: np.ndarray

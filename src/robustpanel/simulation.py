@@ -31,8 +31,9 @@ an array from its draws to its scores.  Every replication draws its
 panel, contamination and holdout from its own seeds, in the order a lone
 panel draws them, into (S, N, T) and (S, N, T, K) stacks (``_panels``,
 ``_contaminate``); the chunk is centered at once (``panel._centered``),
-fitted as one stack (``estimators._fit``) and scored in one pass per
-estimator (``panel._predictions``).  gen_panel, contaminate,
+its centered arrays are fitted as they are, as one stack
+(``estimators._fit``), and it is scored in one pass per estimator
+(``panel._predictions``).  gen_panel, contaminate,
 gen_holdout_panel, within_transform and predict are stacks of one over
 the same kernels, so a chunk member is its lone panel bit for bit.  ``run_experiment`` is the
 one study driver: it runs every cell of an experiment config and derives
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import BlockPolicyError, EstimationError
 from .estimators import _fit
-from .panel import ESTIMATOR_NAMES, CenteredPanel, PanelData, _centered, _predictions
+from .panel import ESTIMATOR_NAMES, PanelData, _centered, _predictions
 from .tuning import GRID_BLOCK_CELLS
 
 ERROR_DISTS = ("normal", "t5", "chisq4", "cauchy", "none")
@@ -316,8 +317,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
             if r in faults:
                 raise faults[r]  # a centered column outside the float range,
             PanelData(test_y[r], test_x[r])  # or a non-finite holdout value
-        cps = [CenteredPanel(y=y[r], x=x[r], shape=(n, t)) for r in range(len(reps))]
-        results = _fit(cps, names, "auto", [seed[2] for seed in seeds])
+        results = _fit(y, x, (n, t), names, "auto", [seed[2] for seed in seeds])
         done = [r for r, fits in enumerate(results) if not isinstance(fits, EstimationError)]
         failures += [(first + r, "%s: %s" % (type(fits).__name__, fits))
                      for r, fits in enumerate(results) if r not in done]

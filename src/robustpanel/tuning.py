@@ -24,16 +24,16 @@ of a chunk of study replications, and ``select_c_grid`` and
 ``esl_select_c`` are stacks of one.  huber's search takes its whole
 tau_hat curve from one sort of each member's |e| (see _tau_grid), with no
 pass over (members x grid points x cells).  tukey's and esl's evaluate
-every member's whole grid in array passes over (members x grid points x
-cells), walked in blocks of at most GRID_BLOCK_CELLS cells (see _blocks)
-so that their temporaries stay small: whole members while they fit, else
-one member's grid rows at a time.  A member's rows are blocked the same
-way in any stack, so its numbers do not depend on its stack-mates.
-esl's search flags a whole stack at once and takes xi and V_hat from one
-evaluation of exp(-e^2 / c) per member, grid point and cell (see
-_esl_sandwich).  A search returns values only and raises NoValidTuning
-when any member has no valid c; ``estimators._fit`` then isolates that
-member's panel.
+every member's whole grid in array passes over (grid points x cells),
+walked in blocks of one member's grid rows, at most GRID_BLOCK_CELLS
+cells each (see _blocks), so that their temporaries stay small.  A
+member's rows are blocked the same way in any stack, so its numbers do
+not depend on its stack-mates.  esl's search flags a whole stack at once
+and takes xi and V_hat from one evaluation of exp(-e^2 / c) per member,
+grid point and cell (see _esl_sandwich); its grids come from one
+stacked _esl_grids, of which default_esl_grid is a stack of one.  A
+search returns values only and raises NoValidTuning when any member has
+no valid c; ``estimators._fit`` then isolates that member's panel.
 ``efficiency_factor`` and ``esl_cov`` are one-point calls into the same
 kernels, and ``xi`` sums the same per-cell loss in the same order as the
 search, so the two agree bit for bit.  Both searches break ties toward
@@ -52,6 +52,22 @@ from .scale import _mad
 HUBER_GRID = 0.05 * np.arange(1, 61)
 TUKEY_GRID = 1.0 + 0.2 * np.arange(46)
 GRID_BLOCK_CELLS = 2**14  # cells per block of a grid kernel: 128 KB per temporary
+LOG_SINGULAR = np.log(1e-12)  # log |det| below which a K x K system counts as singular
+
+
+def _esl_grids(sigma):
+    """default_esl_grid of every member of the (S,) MAD scales `sigma`, as
+    an (S, 50) stack.  float_power squares through pow(), as the scalar
+    ** 2 does, where ** 2 on an array multiplies; the two can differ in the
+    last bit.  Raises ZeroScale when a member's smallest candidate
+    underflows to zero, naming the scale of the first such member.
+    """
+    s2 = np.float_power(sigma, 2)
+    small = ~(0.1 * s2 > 0.0)
+    if small.any():
+        raise ZeroScale("MAD scale %g of the residuals is too small to square; rescale y"
+                        % sigma[small.argmax()])
+    return np.geomspace(0.1 * s2, 100.0 * s2, 50, axis=-1)
 
 
 def default_esl_grid(sigma_mad):
@@ -59,31 +75,22 @@ def default_esl_grid(sigma_mad):
 
     The constant enters the exponential-squared loss as exp(-e^2 / c), so
     candidates must live on the squared scale of the residuals.  Raises
-    ZeroScale when the smallest candidate underflows to zero.
+    ZeroScale when the smallest candidate underflows to zero.  A stack of
+    one of _esl_grids.
     """
     if not sigma_mad > 0:
         raise ValueError("sigma_mad must be positive")
-    s2 = float(sigma_mad) ** 2
-    if not 0.1 * s2 > 0.0:
-        raise ZeroScale(
-            "MAD scale %g of the residuals is too small to square; rescale y" % sigma_mad
-        )
-    return np.geomspace(0.1 * s2, 100.0 * s2, 50)
+    return _esl_grids(np.array([float(sigma_mad)]))[0]
 
 
 def _blocks(s, g, nt):
-    """(member slice, row slice) blocks of an (s, g, nt) stack of grid rows,
-    each of at most GRID_BLOCK_CELLS cells but never less than one row:
-    whole members while one member's g rows fit, else one member at a time
-    in runs of consecutive rows.  A member's rows are split the same way in
-    any stack, so its row sums and products do not depend on its
+    """(member, row slice) blocks of an (s, g, nt) stack of grid rows: one
+    member per block, its g rows in runs of at most GRID_BLOCK_CELLS // nt
+    (never less than one row).  Every member's rows are split the same way
+    in any stack, so its row sums and products do not depend on its
     stack-mates."""
-    members = GRID_BLOCK_CELLS // max(g * nt, 1)
-    if members:
-        return [(slice(i, min(i + members, s)), slice(0, g)) for i in range(0, s, members)]
     rows = max(1, GRID_BLOCK_CELLS // nt)
-    return [(slice(i, i + 1), slice(j, min(j + rows, g)))
-            for i in range(s) for j in range(0, g, rows)]
+    return [(i, slice(j, min(j + rows, g))) for i in range(s) for j in range(0, g, rows)]
 
 
 def _tau_grid(e, family, grid):
@@ -117,13 +124,12 @@ def _tau_grid(e, family, grid):
     else:
         num = np.empty((s, grid.size))
         den = np.empty((s, grid.size))
-        for members, rows in _blocks(s, grid.size, nt):
+        for i, rows in _blocks(s, grid.size, nt):
             c = grid[rows, None]
-            block = e[members, None, :]
             # float_power squares through pow(), as a scalar ** 2 does, where
             # ** 2 on an array multiplies; the two can differ in the last bit
-            num[members, rows] = np.float_power(np.sum(_psi_prime(family, c, block), axis=-1), 2)
-            den[members, rows] = nt * np.sum(_psi(family, c, block) ** 2, axis=-1)
+            num[i, rows] = np.float_power(np.sum(_psi_prime(family, c, e[i]), axis=-1), 2)
+            den[i, rows] = nt * np.sum(_psi(family, c, e[i]) ** 2, axis=-1)
     defined = den != 0.0
     tau = np.divide(num, den, out=np.zeros(den.shape), where=defined)
     return tau, defined
@@ -272,15 +278,14 @@ def _esl_sandwich(x, e, grid, keep):
         a = _esl_v(grid.max(), e)[0]  # |e|, clamped where every exp(-e^2 / c) is 0
         a2, signed = a * a, np.copysign(a, e, out=a)  # a's buffer becomes sign(e) |e|
         ones_a2 = np.stack((np.ones(a2.shape), a2), axis=2)  # w @ ones_a2 = (sum w, sum w e^2)
-        for members, rows in _blocks(s, g, nt):
-            w = np.exp(-a2[members, None, :] / grid[members, rows, None])
-            for i, wi in enumerate(w, members.start):  # one member unless its grid is small
-                loss[i, rows] = np.sum(1.0 - np.compress(keep[i], wi, axis=-1), axis=-1)
-            sums[members, rows] = w @ ones_a2[members]
-            w *= signed[members, None, :]  # psi
-            mean_scores[members, rows] = w @ x[members] / nt
+        for i, rows in _blocks(s, g, nt):
+            w = np.exp(-a2[i] / grid[i, rows, None])
+            loss[i, rows] = np.sum(1.0 - np.compress(keep[i], w, axis=-1), axis=-1)
+            sums[i, rows] = w @ ones_a2[i]
+            w *= signed[i]  # psi
+            mean_scores[i, rows] = w @ x[i] / nt
             np.square(w, out=w)
-            sq[members, rows] = w @ outer[members] / nt
+            sq[i, rows] = w @ outer[i] / nt
         kappa = (sums[..., 0] - 2.0 * sums[..., 1] / grid) / nt
         sq = sq.reshape(s, g, k, k)
         sq -= mean_scores[..., :, None] * mean_scores[..., None, :]
@@ -293,7 +298,7 @@ def _esl_sandwich(x, e, grid, keep):
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where kappa or M vanish
         log_abs_kappa = np.log(np.abs(kappa))
         defined = in_range & (trace_scale > 0.0) & (
-            k * log_abs_kappa + log_det_m[:, None] >= np.log(1e-12) + k * np.log(trace_scale))
+            k * log_abs_kappa + log_det_m[:, None] >= LOG_SINGULAR + k * np.log(trace_scale))
         log_det_v = np.where(sign_s > 0,
                              log_det_s - 2.0 * (log_det_m[:, None] + k * log_abs_kappa), -np.inf)
     return kappa, cross, sq, log_det_v, defined, loss

@@ -34,7 +34,7 @@ from robustpanel.estimators import (
     sandwich_se,
 )
 from robustpanel.losses import LossSpec, psi, psi_prime, rho, weight
-from robustpanel.panel import FitResult, PanelData, within_ls, within_transform
+from robustpanel.panel import CenteredPanel, FitResult, PanelData, within_ls, within_transform
 from robustpanel.scale import initial_scale, mad_scale
 from robustpanel.tuning import HUBER_GRID
 
@@ -113,9 +113,11 @@ class TestIrls:
         # range).  Along any direction _huber_minimizer's alpha is least on a
         # dense grid of phi(alpha) = sum rho(u - alpha v), and phi' changes
         # sign there.  Along a Newton direction (v scaled so that the
-        # quadratic model at alpha = 0 is least at 1) _huber_line_search
-        # takes alpha = 1 exactly where no cell changes side of +-c, and
-        # searches elsewhere.
+        # quadratic model at alpha = 0 is least at 1) _huber_newton takes
+        # the whole step where no cell changes side of +-c, and searches
+        # elsewhere: at K = 1 with the design x = newton, from beta = 0 at
+        # sigma = 1, its step H^-1 g is 1 up to rounding, and its new beta is
+        # how far it goes along newton.
         rng = np.random.default_rng(seed)
         s, n = 60, 12
         u, v = 3.0 * rng.standard_normal((s, n)), rng.standard_normal((s, n))
@@ -123,13 +125,18 @@ class TestIrls:
         u[::4, 0], u[1::4, 0] = np.inf, -np.inf
         c = rng.uniform(0.05, 3.0, s)
         u[::3, 1], u[1::3, 1] = c[::3], -c[1::3]  # on a kink at alpha = 0
+        u[:3, 2] = 0.5 * c[:3]
+        u[:3, 3] = -u[:3, 2]
         inner = np.abs(u) <= c[:, None]
         down = -(v * np.clip(u, -c[:, None], c[:, None])).sum(axis=1)  # phi'(0)
         curve = (v * v * inner).sum(axis=1)
         # 0 where v has no Newton scale, which leaves no descent either
         scale = np.where((down < 0) & (curve > 0), -down / np.maximum(curve, 1e-300), 0.0)
         newton = v * scale[:, None]
-        newton[:3] *= -1.0  # no descent
+        # no descent: moving only the cells at +-c/2, and both alike, the
+        # first three members stand at their minimizer (X' psi = 0)
+        newton[:3] = 0.0
+        newton[:3, 2:4] = 1.0
         # phi falls without bound along this one (its cell at u = inf pulls
         # harder than the clipped cells resist), and the running sum of the
         # slope, with the inf cell's rises at its unreached kinks, must not
@@ -158,14 +165,16 @@ class TestIrls:
                 assert deriv(i, w, alpha[i] - eps) <= tol
                 assert deriv(i, w, alpha[i] + eps) >= -tol
 
-        check(v, *estimators._huber_minimizer(u, v, c))
-        alpha, taken = estimators._huber_line_search(u, newton, c)
-        check(newton, alpha, taken)
+        down = -(v * np.clip(u, -c[:, None], c[:, None])).sum(axis=1)  # at member 3's u and c
+        check(v, *estimators._huber_minimizer(u, v, c, down))
+        new, taken = estimators._huber_newton(newton[:, :, None], np.zeros((s, 1)), u,
+                                              np.ones(s), c)
+        check(newton, new[:, 0], taken)
         assert not taken[:3].any()
         side = lambda a: np.sign(a) * (np.abs(a) > c[:, None])
         fast = taken & (side(u) == side(u - newton)).all(axis=1)
         assert fast.any() and (taken & ~fast).any()
-        assert (alpha[fast] == 1.0).all()
+        assert_allclose(new[fast, 0], 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("family", ["huber", "tukey", "esl"])
     def test_carried_weights_match_recomputed_ones(self, family, monkeypatch):
@@ -651,9 +660,10 @@ class TestFitEstimatorDispatch:
         seen = []
         real = sim._fit
 
-        def recording(cps, names, c, seeds):
-            fits = real(cps, names, c, seeds)
-            seen.extend((cp, seed, f[name].beta) for cp, seed, f in zip(cps, seeds, fits))
+        def recording(y, x, shape, names, c, seeds):
+            fits = real(y, x, shape, names, c, seeds)
+            seen.extend((CenteredPanel(y=y[i], x=x[i], shape=shape), seed, f[name].beta)
+                        for i, (seed, f) in enumerate(zip(seeds, fits)))
             return fits
 
         monkeypatch.setattr(sim, "_fit", recording)
@@ -679,7 +689,8 @@ class TestFitEstimatorDispatch:
             sim.gen_panel(dataclasses.replace(dgp, seed=s)),
             dataclasses.replace(scheme, seed=100 + s))) for s in range(12)]
         seeds = list(range(200, 212))
-        stacked = estimators._fit(cps, (name,), "auto", seeds)
+        stacked = estimators._fit(np.stack([cp.y for cp in cps]), np.stack([cp.x for cp in cps]),
+                                  cps[0].shape, (name,), "auto", seeds)
         for cp, seed, fits in zip(cps, seeds, stacked):
             lone, member = fit_estimator(cp, name, seed=seed), fits[name]
             assert lone.beta.tobytes() == member.beta.tobytes()

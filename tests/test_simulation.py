@@ -218,8 +218,8 @@ class TestRunMc:
         calls = {"n": 0}
         real = sim._fit
 
-        def flaky(cps, names, c, seeds):  # the first replication fails
-            fits = real(cps, names, c, seeds)
+        def flaky(y, x, shape, names, c, seeds):  # the first replication fails
+            fits = real(y, x, shape, names, c, seeds)
             calls["n"] += 1
             if calls["n"] == 1:
                 fits[0] = NoValidTuning("synthetic failure for the test")
@@ -233,8 +233,8 @@ class TestRunMc:
         assert "synthetic failure" in report.failures[0][1]
 
     def test_degraded_flag(self, monkeypatch):
-        def broken(cps, names, c, seeds):
-            return [NoValidTuning("always fails") for _ in cps]
+        def broken(y, x, shape, names, c, seeds):
+            return [NoValidTuning("always fails") for _ in seeds]
 
         monkeypatch.setattr(sim, "_fit", broken)
         report = run_mc(DgpConfig(20, 2), None, ["tukey"], 10, 3)
@@ -276,7 +276,8 @@ class TestRunMc:
             seeds = sim._seeds(315, (s,), 4)
             panel = contaminate(gen_panel(dataclasses.replace(dgp, seed=seeds[0])),
                                 dataclasses.replace(scheme, seed=seeds[1]))
-            fits = sim._fit([within_transform(panel)], names, "auto", [seeds[2]])[0]
+            cp = within_transform(panel)
+            fits = sim._fit(cp.y[None], cp.x[None], cp.shape, names, "auto", [seeds[2]])[0]
             for name in names:
                 want[name] += not fits[name].converged
         assert report.n_failed == 0

@@ -11,6 +11,7 @@ from robustpanel.errors import NoValidTuning, ZeroScale
 from robustpanel.losses import LossSpec, psi, psi_prime, weight
 from robustpanel.panel import PanelData, within_transform
 from robustpanel.tuning import (
+    GRID_BLOCK_CELLS,
     HUBER_GRID,
     TUKEY_GRID,
     default_esl_grid,
@@ -21,6 +22,7 @@ from robustpanel.tuning import (
     select_c_grid,
     xi,
     _blocks,
+    _esl_grids,
 )
 
 from conftest import synth_panel
@@ -436,10 +438,10 @@ class TestGridKernels:
                 assert_allclose(state.detv_values[j], np.linalg.slogdet(v)[1], rtol=1e-10)
 
     def test_stacked_esl_search_matches_lone_panels(self):
-        # Three members in one block of the sandwich: one whose residuals at
-        # beta0 = 0 are its exactly centered y, 16 of 24 of them 0, so its
-        # MAD is 0 and it flags nothing; and two whose pseudo-outlier
-        # counts m differ.
+        # A stack of three members, each compared with its lone panel: one
+        # whose residuals at beta0 = 0 are its exactly centered y, 16 of 24
+        # of them 0, so its MAD is 0 and it flags nothing; and two whose
+        # pseudo-outlier counts m differ.
         from robustpanel.scale import mad_scale
         from robustpanel.tuning import _esl_search
 
@@ -488,6 +490,34 @@ def test_default_esl_grid_scales_with_sigma():
     assert len(g1) == 50
     assert g1[0] == pytest.approx(0.1) and g1[-1] == pytest.approx(100.0)
     assert_allclose(g2, 9.0 * g1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("s, g, nt", [(40, 50, 6), (4, 50, 150), (40, 50, 240), (1, 50, 25000)])
+def test_blocks_hold_one_member_in_the_same_row_runs(s, g, nt):
+    # every block holds one member, whose rows run as they do in a stack of one
+    runs = [rows for _, rows in _blocks(1, g, nt)]
+    assert _blocks(s, g, nt) == [(i, rows) for i in range(s) for rows in runs]
+    assert [r.start for r in runs] == [0] + [r.stop for r in runs[:-1]] and runs[-1].stop == g
+    assert all((r.stop - r.start) * nt <= GRID_BLOCK_CELLS or r.stop - r.start == 1 for r in runs)
+
+
+def test_stacked_esl_grids_match_lone_grids_bit_for_bit():
+    # Each member's grid is the one a lone member gets, and the one the
+    # scalar formula gives, which squares a Python float through pow().
+    # About one MAD in a thousand squares to another last bit as a product
+    # (an array's ** 2); those make up the first stack.
+    rng = np.random.default_rng(5)
+    mads = 10.0 ** rng.uniform(-17.0, 17.0, 100_000)
+    hard = np.array([v for v in mads.tolist() if v ** 2 != v * v][:40])
+    assert len(hard) == 40
+    for sigma in [hard] + [10.0 ** rng.uniform(-17.0, 17.0, 40) for _ in range(20)]:
+        grids = _esl_grids(sigma)
+        assert grids.shape == (40, 50)
+        for grid, v in zip(grids, sigma.tolist()):
+            assert grid.tobytes() == default_esl_grid(v).tobytes()
+            assert grid.tobytes() == np.geomspace(0.1 * v**2, 100.0 * v**2, 50).tobytes()
+    with pytest.raises(ZeroScale, match="MAD scale 1e-170 "):
+        _esl_grids(np.array([1.0, 1e-170, 1e-200]))
 
 
 def test_default_esl_grid_rejects_a_scale_that_squares_to_zero():
