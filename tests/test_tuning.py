@@ -45,8 +45,11 @@ class TestEfficiencyFactor:
         assert tau == pytest.approx(4.0, abs=1e-14)
 
     def test_tukey_total_rejection_undefined(self):
-        tau, defined = efficiency_factor([8.0, -9.0, 11.0], LossSpec("tukey", 2.0))
-        assert tau == 0.0 and not defined
+        # the second: cells exactly at the smallest subnormal c, whose
+        # sqrt(3)/2 multiple rounds back to c itself
+        for e, c in (([8.0, -9.0, 11.0], 2.0), ([5e-324, -5e-324], 5e-324)):
+            tau, defined = efficiency_factor(e, LossSpec("tukey", c))
+            assert tau == 0.0 and not defined
 
     def test_huber_closed_form_inside(self):
         rng = np.random.default_rng(1)
@@ -61,6 +64,15 @@ class TestEfficiencyFactor:
         tau, defined = efficiency_factor(e, LossSpec("huber", 1.345))
         assert defined
         assert 0.85 <= tau <= 1.00
+
+    @pytest.mark.parametrize("family", ["huber", "tukey", "esl"])
+    def test_nan_residual_raises_and_inf_takes_psi_limits(self, family):
+        spec = LossSpec(family, 1.0)
+        for bad in ([], [np.nan, 1.0, 2.0]):
+            with pytest.raises(ValueError, match="no residuals|nan"):
+                efficiency_factor(bad, spec)
+        assert efficiency_factor([np.inf, -1.0, 2.0], spec) == efficiency_factor(
+            [1e300, -1.0, 2.0], spec)
 
     @pytest.mark.parametrize("family,c", [("huber", 1.0), ("tukey", 4.0), ("esl", 2.0)])
     def test_invariant_to_psi_rescaling(self, family, c):
@@ -123,6 +135,18 @@ class TestSelectCGrid:
         p = panel_with_residuals(resid)
         curve = select_c_grid(p, "huber", np.zeros(1), 1.0, [1.0, 2.0, 3.0])
         assert curve.c_star == 1.0
+
+
+@pytest.mark.parametrize("grid", [[], [np.nan, 4.0], [-1.0, 4.0], [0.0, 1.0, 4.0], [1.0, np.inf]])
+@pytest.mark.parametrize("family", ["huber", "tukey", "esl"])
+def test_searches_reject_an_empty_grid_or_an_invalid_candidate(family, grid):
+    p = synth_panel(n=20, t=3, k=2, seed=1)
+    message = "positive and finite" if grid else "no candidate"
+    with pytest.raises(ValueError, match=message):
+        if family == "esl":
+            esl_select_c(p, np.zeros(2), grid)
+        else:
+            select_c_grid(p, family, np.zeros(2), 1.0, grid)
 
 
 class TestPseudoOutliers:
@@ -332,40 +356,66 @@ class TestGridKernels:
         if family == "tukey":  # the smallest constants reject every cell
             assert not curve.defined[0] and curve.defined[-1]
 
-    def test_huber_curve_from_one_sort_matches_the_cell_sums(self):
-        # huber's tau_hat comes from one sort of |e| per member: sum psi' is
-        # the count of |e| <= c and sum psi^2 a cumulative sum of e^2 below c
-        # plus c^2 per cell above.  Against the moments summed cell by cell,
-        # on an unsorted grid, with cells exactly at |e| = c (counted
-        # inside), at +-inf and past the square root of the float range, all
-        # inside and all outside the grid, and at NT = 1.  A count is exact, and one cell counted on the wrong side
-        # moves tau_hat by far more than rounding, so the numerator must
-        # agree exactly and tau_hat to the rounding of the cumulative sum.
+    @pytest.mark.parametrize("family", ["huber", "tukey"])
+    def test_tau_curve_from_one_sort_matches_the_cell_sums(self, family):
+        # Both families' tau_hat come from one sort of |e| per member.
+        # huber's sum psi' is the count of |e| <= c and sum psi^2 a
+        # cumulative sum of e^2 below c plus c^2 per cell above; tukey's are
+        # power sums of |e| over the cells far inside c plus sums cell by
+        # cell over those near it.  Against the moments summed cell by cell,
+        # on an unsorted grid inside the family's range, with cells exactly
+        # at |e| = c (inside for huber, outside for tukey, whose psi and psi'
+        # vanish there), just inside c (where power sums of e^2 alone would
+        # cancel to noise: tau_hat off by 100% at NT = 1), at +-inf and past
+        # the square root of the float range, all inside and all outside the
+        # grid, at NT = 1, and scaled with the grid by 2^100, where tenth
+        # powers of |e| would pass the float range.  huber: a count is exact,
+        # and one cell counted on the wrong side moves tau_hat by far more
+        # than rounding, so the numerator must agree exactly and tau_hat to
+        # the rounding of the cumulative sum.  tukey: the same defined mask
+        # and argmax, and tau_hat to rounding (the largest gap on these
+        # inputs is 1.1e-14 relative).
         from robustpanel.tuning import _tau_grid
 
-        grid = np.array([1.5, 0.25, 3.0, 0.5, 0.05, 1.0, 0.75])
+        grid, kinks = {
+            "huber": ([1.5, 0.25, 3.0, 0.5, 0.05, 1.0, 0.75], [0.5, -0.5, 1.0, -3.0, 0.05]),
+            "tukey": ([3.0, 1.0, 9.8, 2.2, 1.4, 6.0, 4.6], [3.0, -2.2, 1.0, -9.8, 4.6]),
+        }[family]
+        grid = np.array(grid)
         rng = np.random.default_rng(8)
         e = 1.5 * rng.standard_normal((6, 11))
-        e[0, :5] = [0.5, -0.5, 1.0, -3.0, 0.05]  # on kinks
+        e[0, :5] = kinks  # on kinks
+        e[5, :2] = [-0.999999 * grid[0], 0.99 * grid[2]]  # just inside c, where (1 - v)^4 nears 0
         e[1, :4] = [np.inf, -np.inf, -0.25, 1e200]  # 1e200 squares past the float range
         e[2] = 0.01 * rng.standard_normal(11)  # inside at every c
         e[3] = np.copysign(50.0 + rng.random(11), rng.standard_normal(11))  # outside at every c
         e[4, :] = 0.0  # tau_hat undefined: no spread at all
-        for stack in (e, e[:, :1]):
-            nt = stack.shape[1]
+        for scale, stack in ((1.0, e), (1.0, e[:, :1]), (2.0**100, 2.0**100 * e)):
+            nt, g = stack.shape[1], scale * grid
             with np.errstate(all="raise"):
-                tau, defined = _tau_grid(stack, "huber", grid)
-            c = grid[:, None]
+                tau, defined = _tau_grid(stack, family, g)
+            c = g[:, None]
             for i, row in enumerate(stack):
+                if family == "tukey":
+                    specs = [LossSpec("tukey", cj) for cj in g]
+                    num = np.float_power([np.sum(psi_prime(spec, row)) for spec in specs], 2)
+                    den = nt * np.array([np.sum(psi(spec, row) ** 2) for spec in specs])
+                    assert np.array_equal(defined[i], den != 0.0)
+                    ref = np.divide(num, den, out=np.zeros(g.size), where=den != 0.0)
+                    assert_allclose(tau[i], ref, rtol=1e-13, atol=0.0)
+                    best = np.argmax(np.where(defined[i], tau[i], -np.inf))
+                    assert best == np.argmax(np.where(den != 0.0, ref, -np.inf))
+                    continue
                 num = np.float_power(np.sum((np.abs(row) <= c).astype(float), axis=1), 2)
                 den = nt * np.sum(np.clip(row, -c, c) ** 2, axis=1)
                 assert np.array_equal(defined[i], den != 0.0)
                 assert np.array_equal(tau[i] == 0.0, (num == 0.0) | (den == 0.0))
-                ref = np.divide(num, den, out=np.zeros(grid.size), where=den != 0.0)
+                ref = np.divide(num, den, out=np.zeros(g.size), where=den != 0.0)
                 assert_allclose(tau[i], ref, rtol=1e-14, atol=0.0)
                 on = den != 0.0
                 assert np.array_equal(np.round(tau[i, on] * den[on]), num[on])  # exact counts
-        assert not defined[4].any() and defined[3].all() and (tau[3] == 0.0).all()
+        assert not defined[4].any() and (tau[3] == 0.0).all()
+        assert defined[3].all() if family == "huber" else not defined[3].any()
 
     def test_esl_curves_are_xi_and_esl_cov_pointwise(self):
         rng = np.random.default_rng(42)
@@ -411,15 +461,15 @@ class TestGridKernels:
         assert state.c_selected == grid[np.nanargmin(state.detv_values)]
 
     def test_row_blocks_match_one_point_calls(self):
-        # Enough cells that every grid is walked in at least three row
-        # blocks.  tau_hat and xi reduce each row on its own, so they are
-        # bit-equal to the one-point calls; log det V_hat goes through a
-        # BLAS matmul whose last bits depend on the number of rows in it.
+        # Enough cells that esl's grid is walked in at least three row
+        # blocks.  xi reduces each row on its own, and tau_hat reads each
+        # grid point off one sort whatever the grid, so both are bit-equal
+        # to the one-point calls; log det V_hat goes through a BLAS matmul
+        # whose last bits depend on the number of rows in it.
         cp = within_transform(synth_panel(n=2000, t=4, k=2, seed=3))
         nt = cp.y.size
         grid = default_esl_grid(1.0)
-        for g in (HUBER_GRID, TUKEY_GRID, grid):
-            assert len(_blocks(1, g.size, nt)) >= 3
+        assert len(_blocks(1, grid.size, nt)) >= 3
         beta0 = np.array([2.45, -1.15])
         resid = cp.y - cp.x @ beta0
         for family, fgrid in (("huber", HUBER_GRID), ("tukey", TUKEY_GRID)):
@@ -518,6 +568,14 @@ def test_stacked_esl_grids_match_lone_grids_bit_for_bit():
             assert grid.tobytes() == np.geomspace(0.1 * v**2, 100.0 * v**2, 50).tobytes()
     with pytest.raises(ZeroScale, match="MAD scale 1e-170 "):
         _esl_grids(np.array([1.0, 1e-170, 1e-200]))
+
+
+@pytest.mark.parametrize("sigma_mad", [0.0, -1.0, np.nan, np.inf, 1e155, 1e200])
+def test_default_esl_grid_rejects_a_scale_out_of_range(sigma_mad):
+    # the largest candidate 100 sigma_mad^2 must stay in the float range
+    with pytest.raises(ValueError, match="sigma_mad"):
+        default_esl_grid(sigma_mad)
+    assert np.isfinite(default_esl_grid(1e153)).all()
 
 
 def test_default_esl_grid_rejects_a_scale_that_squares_to_zero():
