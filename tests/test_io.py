@@ -1,6 +1,12 @@
+import csv
+import random
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from robustpanel import io
 from robustpanel.errors import (
     ConfigError,
     DataError,
@@ -24,6 +30,7 @@ from robustpanel.estimators import fit_estimator
 from robustpanel.panel import PanelData
 
 from conftest import synth_panel
+from oracles import read_panel_rows
 
 
 def write_lines(path, lines):
@@ -137,7 +144,8 @@ class TestReadPanelCsv:
         assert read_panel_csv(path).y.shape == (2, 2)
 
     # A repeated (unit, time) pair among the rows read comes before the
-    # first short row or non-numeric cell; reading stops at that fault.
+    # first short row, long row or non-numeric cell; reading stops at that
+    # fault.  Blank fields past the header's last column are no fault.
     @pytest.mark.parametrize("rows, error, message", [
         pytest.param(["a,1,1,1", "a,1,2,2", "b,1,3"], DuplicateCell,
                      "duplicate row for unit 'a', time '1' (rows 2 and 3)",
@@ -157,6 +165,12 @@ class TestReadPanelCsv:
         pytest.param(["b,2,1,1", "", " ,  , , ", "b,2,2,2", "a,1,oops,1"], DuplicateCell,
                      "duplicate row for unit 'b', time '2' (rows 2 and 5)",
                      id="blank-rows-between-repeats"),
+        pytest.param(["a,1,1,1", "a,2,2,2,9", "a,1,3,3"], DataError,
+                     "row 3 has 5 fields but the header has 4",
+                     id="long-row-before-repeat"),
+        pytest.param(["a,1,1,1,", "a,2,2,2, ,", "a,1,3,3"], DuplicateCell,
+                     "duplicate row for unit 'a', time '1' (rows 2 and 4)",
+                     id="blank-trailing-fields-read"),
     ])
     def test_fault_order(self, tmp_path, rows, error, message):
         path = write_lines(tmp_path / "p.csv", ["unit,time,y,x1"] + rows)
@@ -164,6 +178,91 @@ class TestReadPanelCsv:
             read_panel_csv(path)
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+
+# Cells beside plain repr output: padding, an underscore, a subnormal,
+# an Arabic-Indic digit, and U+001F/U+001C, which str.strip removes but
+# float() alone rejects.
+SPELLINGS = [" 2.5 ", "1_0", "-0.0", "5e-324", "\x1f1.5\x1c", "\u0661"]
+BAD_CELLS = ["oops", "", " ", "1.5.2", "0x1p3"]
+
+
+@st.composite
+def panel_files(draw):
+    """A panel CSV of up to three reader chunks, as (header, records), with
+    blank, short, long, non-numeric, repeated and missing rows placed at
+    random or at the rows around a chunk edge."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))  # the cells; draws place the faults
+    chunk = io.CHUNK_ROWS
+    k = draw(st.integers(1, 2))
+    header = draw(st.permutations(["unit", "time", "y"] + ["x%d" % (j + 1) for j in range(k)]
+                                  + draw(st.sampled_from([[], ["note"]]))))
+    width = len(header)
+    t = draw(st.integers(2, 4))
+    n = rnd.randint(2, 3 * chunk // t)  # up to three chunks of rows, uniformly
+    records = []
+    for i in range(n):
+        for s in range(t):
+            row = {"unit": "u%d" % i, "time": "t%d" % s, "note": "n"}
+            if rnd.random() < 0.05:
+                row["unit"] = " %s " % row["unit"]
+            row.update(("x%d" % j if j else "y", rnd.choice(SPELLINGS) if rnd.random() < 0.02
+                        else repr(rnd.uniform(-1e3, 1e3))) for j in range(k + 1))
+            records.append([row[name] for name in header])
+    if draw(st.booleans()):
+        rnd.shuffle(records)
+    for _ in range(draw(st.integers(0, 6))):
+        edge = chunk * rnd.randint(1, (len(records) - 1) // chunk or 1)
+        at = min(len(records) - 1, edge + rnd.randint(-2, 1) if draw(st.booleans())
+                 else rnd.randrange(len(records)))
+        kind = draw(st.sampled_from(["blank", "blank_full_width", "short", "long", "long_blank",
+                                     "non_numeric", "repeat", "missing"]))
+        row = records[at] + [""] * (width - len(records[at]))  # an earlier fault may be short
+        if kind == "blank":
+            records.insert(at, [])
+        elif kind == "blank_full_width":
+            records.insert(at, [" "] * width)
+        elif kind == "short":
+            records[at] = row[:rnd.randrange(1, width)]
+        elif kind == "long":
+            records[at] = row + rnd.choice([["9"], ["", "x"]])
+        elif kind == "long_blank":
+            records[at] = row + rnd.choice([[""], [" ", ""]])
+        elif kind == "non_numeric":
+            row[header.index(rnd.choice(["y"] + ["x%d" % (j + 1) for j in range(k)]))] = \
+                rnd.choice(BAD_CELLS)
+            records[at] = row
+        elif kind == "repeat":  # the earlier row of the pair near it, or in the chunk before
+            other = rnd.choice([max(0, at - rnd.randint(1, 3)), rnd.randrange(len(records)),
+                                at - at % chunk - 1 - rnd.randint(0, 1) if at >= chunk else 0])
+            for name in ("unit", "time"):
+                row[header.index(name)] = (records[other] + [""] * width)[header.index(name)]
+            records[at] = row
+        else:
+            del records[at]
+    return header, records
+
+
+def _outcome(read, path):
+    """Everything a read returns, bit for bit, or its error's type and message."""
+    try:
+        panel = read(path)
+    except DataError as err:
+        return type(err), str(err)
+    return (panel.y.shape, panel.y.tobytes(), panel.x.shape, panel.x.tobytes(),
+            panel.unit_labels, panel.period_labels)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(panel_files())
+def test_chunked_read_matches_row_by_row_oracle(tmp_path_factory, file):
+    header, records = file
+    path = str(tmp_path_factory.mktemp("chunks") / "panel.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(records)
+    assert _outcome(read_panel_csv, path) == _outcome(read_panel_rows, path)
 
 
 class TestWritePanelCsv:
@@ -204,6 +303,18 @@ class TestWritePanelCsv:
         back = read_panel_csv(path)
         assert np.array_equal(back.y, panel.y)
         assert np.array_equal(back.x, panel.x)
+
+    def test_round_trip_awkward_labels(self, tmp_path):
+        labels = ("", "a\nb", "c\rd", 'say "hi"', "north, east", "\u00e9")
+        panel = PanelData(np.arange(36.0).reshape(6, 6), np.ones((6, 6, 1)),
+                          unit_labels=labels, period_labels=labels)
+        path = tmp_path / "labels.csv"
+        write_panel_csv(panel, str(path))
+        assert b'"c\rd",' in path.read_bytes()
+        back = read_panel_csv(str(path))
+        assert back.unit_labels == labels
+        assert back.period_labels == labels
+        assert np.array_equal(back.y, panel.y)
 
     def test_round_trip_large(self, tmp_path):
         panel = synth_panel(n=700, t=3, k=2, seed=4)  # 6,300 floats
