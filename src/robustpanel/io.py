@@ -5,13 +5,15 @@ The on-disk panel schema is a flat CSV with header ``unit,time,y,x1..xK``
 first appearance; nothing is sorted behind the caller's back.
 
 The reader takes CHUNK_ROWS rows at a time and parses each column of a
-chunk in one pass of C-level loops (``map``, ``float``, ``np.fromiter``);
-a chunk that holds a blank, short, long or non-numeric row is walked row
-by row up to that row, and only the rows before it are parsed.  Reading
-stops at the first row with fewer fields than the header, with a
-non-blank field past the header's last column, or with a non-numeric
-value cell; a repeated (unit, time) pair among the rows read is reported
-before that fault, and a missing pair after it.
+chunk in one pass of C-level loops (``map``, ``float``, ``np.fromiter``).
+A chunk that fails that pass is tidied in one row loop (blank rows and
+blank trailing fields dropped, the chunk cut at its first short or long
+row) and parsed column-wise again; only a non-numeric cell sends it row
+by row, to find that cell.  Reading stops at the first row with fewer
+fields than the header, with a non-blank field past the header's last
+column, or with a non-numeric value cell; a repeated (unit, time) pair
+among the rows read is reported before that fault, and a missing pair
+after it.
 
 One row writer serves the panel and weights files.  It formats each unit
 and period label once, through ``csv`` so that a label holding a
@@ -65,11 +67,17 @@ def read_panel_csv(path):
     (unit, time) pair among the rows read, the faulty row's own pair
     included when its fault is a non-numeric cell, is reported before
     that fault, and a missing pair after it.  The file is UTF-8, with or
-    without a byte-order mark.
+    without a byte-order mark; bytes that are not, or a line csv cannot
+    parse, stop the reading there with a DataError naming the file,
+    unless a fault came before them.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _parse_panel(csv.reader(fh), path)
+            reader = csv.reader(fh)
+            return _parse_panel(reader, path)
+    except csv.Error as err:
+        raise DataError("%s is not readable CSV at line %d: %s"
+                        % (path, reader.line_num, err)) from None
     except OSError as err:
         raise DataError("cannot read %s: %s" % (path, err)) from None
     except UnicodeDecodeError as err:
@@ -101,73 +109,70 @@ def _parse_panel(reader, path):
 
     units, periods = {}, {}  # label -> index, in first-appearance order
     unit_idx, period_idx, row_nos = array("q"), array("q"), array("q")
-    columns = [array("d") for _ in value_cols]  # y, x1..xK
-
-    def take(run, row_no, parsed):
-        unit_idx.frombytes(_indices(units, map(operator.itemgetter(unit_col), run)).tobytes())
-        period_idx.frombytes(_indices(periods, map(operator.itemgetter(time_col), run)).tobytes())
-        row_nos.extend(range(row_no, row_no + len(run)))
-        for column, new in zip(columns, parsed):
-            column.frombytes(new.tobytes())
+    # y, x1..xK of each row in turn, in one buffer: one buffer per column left a
+    # 1M-cell read peaking 8 MB higher, glibc keeping freed heap resident
+    values = array("d")
 
     fault = None  # the first short, long or non-numeric row
     row_no = 2  # of the chunk's first row
-    for rows in iter(lambda: list(itertools.islice(reader, CHUNK_ROWS)), []):
-        at = 0  # rows before it are taken or skipped
+    for rows, error in _chunks(reader):
+        nos = range(row_no, row_no + len(rows))
+        row_no += len(rows)
         parsed = _parse_columns(rows, width, value_cols)
-        if parsed is not None:  # most chunks hold no bad row
-            take(rows, row_no, parsed)
-            at = len(rows)
-        while fault is None and at < len(rows):
-            bad = next((i for i in range(at, len(rows)) if len(rows[i]) != width
-                        or _bad_cell(rows[i], value_cols) is not None), len(rows))
-            take(rows[at:bad], row_no + at, _parse_columns(rows[at:bad], width, value_cols))
-            if bad == len(rows):
-                break
-            row, at = rows[bad], bad + 1
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) < width or any(map(str.strip, row[width:])):
-                fault = (MissingColumn if len(row) < width else DataError)(
-                    "row %d has %d fields but the header has %d" % (row_no + bad, len(row), width))
-            elif len(row) > width:  # blank trailing fields: read the row without them
-                rows[bad], at = row[:width], bad
-            else:  # the pair goes in first: a bad cell on a repeating row reports the repeat
-                take([row], row_no + bad, ())
-                j = _bad_cell(row, value_cols)
-                fault = NonNumericCell("row %d, column %s: %r is not numeric"
-                                       % (row_no + bad, names[2 + j], row[value_cols[j]].strip()))
+        if parsed is None:  # a blank, short, long or non-numeric row
+            rows, nos, fault = _tidy(rows, nos, width)
+            parsed = _parse_columns(rows, width, value_cols)
+        if parsed is None:  # a non-numeric cell comes before any fault _tidy found
+            i, j = _first_bad_cell(rows, value_cols)
+            fault = NonNumericCell("row %d, column %s: %r is not numeric"
+                                   % (nos[i], names[2 + j], rows[i][value_cols[j]].strip()))
+            # its row's pair goes in too: a bad cell on a repeating row reports the repeat
+            parsed = _parse_columns(rows[:i], width, value_cols)
+            rows, nos = rows[:i + 1], nos[:i + 1]
+        unit_idx.frombytes(_indices(units, map(operator.itemgetter(unit_col), rows)).tobytes())
+        period_idx.frombytes(_indices(periods, map(operator.itemgetter(time_col), rows)).tobytes())
+        row_nos.extend(nos)
+        values.frombytes(np.column_stack(parsed).tobytes())
         if fault is not None:
             break
-        row_no += len(rows)
+        if error is not None:  # the rows before it held no fault
+            raise error
 
     n, t = len(units), len(periods)
     cells = np.frombuffer(unit_idx, dtype=np.int64) * t + np.frombuffer(period_idx, dtype=np.int64)
     del unit_idx, period_idx  # each buffer goes once used: together they set the peak
-    order = np.argsort(cells, kind="stable")  # equal keys stay in file order
-    ranked = cells[order]
-    repeats = order[1:][ranked[1:] == ranked[:-1]]
-    if repeats.size:  # report the earliest repeat in file order
-        repeat = int(repeats.min())
-        first = int(order[np.searchsorted(ranked, cells[repeat])])
-        i, s = divmod(int(cells[repeat]), t)
-        raise DuplicateCell("duplicate row for unit %r, time %r (rows %d and %d)"
-                            % (list(units)[i], list(periods)[s],
-                               row_nos[first], row_nos[repeat]))
-    del order, ranked, repeats, row_nos
-    if fault is not None:
-        raise fault
-    if cells.size < n * t:
+    # n * t pairs read are all present exactly when none repeats: at 1M cells
+    # 1 MB of flags tells that, where a sort takes 16 MB
+    balanced = cells.size == n * t
+    if balanced:
         present = np.zeros(n * t, dtype=bool)
         present[cells] = True
-        i, s = divmod(int(np.argmin(present)), t)
+        balanced = bool(present.all())
+        del present
+    if not balanced:  # sorted, the pairs read give the first repeat and the first gap
+        order = np.argsort(cells, kind="stable")  # equal keys stay in file order
+        ranked = cells[order]
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if repeats.size:  # report the earliest repeat in file order
+            repeat = int(repeats.min())
+            first = int(order[np.searchsorted(ranked, cells[repeat])])
+            i, s = divmod(int(cells[repeat]), t)
+            raise DuplicateCell("duplicate row for unit %r, time %r (rows %d and %d)"
+                                % (list(units)[i], list(periods)[s],
+                                   row_nos[first], row_nos[repeat]))
+        gaps = np.flatnonzero(ranked != np.arange(ranked.size))  # no repeat: ranked[m] >= m
+        missing = int(gaps[0]) if gaps.size else ranked.size
+        del order, ranked, repeats, gaps
+    del row_nos
+    if fault is not None:
+        raise fault
+    if not balanced:
+        i, s = divmod(missing, t)
         raise UnbalancedPanel("missing row for unit %r, time %r"
                               % (list(units)[i], list(periods)[s]))
     flat = np.empty((n * t, k + 1))
-    for j in range(k + 1):  # each column goes once placed
-        flat[cells, j] = np.frombuffer(columns[j])
-        columns[j] = None
-    del cells
+    flat[cells] = np.frombuffer(values).reshape(-1, k + 1)
+    del cells, values
     return PanelData(flat[:, 0].reshape(n, t), flat[:, 1:].reshape(n, t, k),
                      unit_labels=tuple(units), period_labels=tuple(periods))
 
@@ -180,6 +185,40 @@ def _indices(labels, cells):
     labels.update(zip(itertools.filterfalse(labels.__contains__, dict.fromkeys(stripped)),
                       itertools.count(len(labels))))
     return np.fromiter(map(labels.__getitem__, stripped), np.int64, len(stripped))
+
+
+def _chunks(reader):
+    """The reader's rows, CHUNK_ROWS to a list, each list paired with None;
+    the last is paired with the csv or decoding error that stopped the
+    reading, if one did, and holds the rows read before it."""
+    while True:
+        rows = []
+        try:
+            rows.extend(itertools.islice(reader, CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError) as err:
+            yield rows, err
+            return
+        if not rows:
+            return
+        yield rows, None
+
+
+def _tidy(rows, nos, width):
+    """The ``rows`` before the first short or long one, less blank rows and
+    less blank fields past ``width``, with their row numbers from ``nos``;
+    then that row's fault, or None."""
+    kept, kept_nos = [], []
+    for row, no in zip(rows, nos):
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) != width:
+            if len(row) < width or any(map(str.strip, row[width:])):
+                return kept, kept_nos, (MissingColumn if len(row) < width else DataError)(
+                    "row %d has %d fields but the header has %d" % (no, len(row), width))
+            row = row[:width]
+        kept.append(row)
+        kept_nos.append(no)
+    return kept, kept_nos, None
 
 
 def _parse_columns(rows, width, value_cols):
@@ -195,14 +234,15 @@ def _parse_columns(rows, width, value_cols):
         return None
 
 
-def _bad_cell(row, value_cols):
-    """The position in ``value_cols`` of the row's first non-numeric cell, or None."""
-    for j, col in enumerate(value_cols):
-        try:
-            float(row[col].strip())
-        except ValueError:
-            return j
-    return None
+def _first_bad_cell(rows, value_cols):
+    """The row and the position in ``value_cols`` of the first non-numeric
+    value cell of ``rows``, which holds one."""
+    for i, row in enumerate(rows):
+        for j, col in enumerate(value_cols):
+            try:
+                float(row[col].strip())
+            except ValueError:
+                return i, j
 
 
 def _csv_fields(labels):

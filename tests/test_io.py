@@ -1,5 +1,6 @@
 import csv
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ class TestReadPanelCsv:
         ])
         assert read_panel_csv(path).y.shape == (2, 2)
 
+    def test_sparse_file_is_checked_in_memory_of_its_rows(self, tmp_path):
+        # each row its own unit and period: 2,000 rows name N x T = 4M pairs
+        path = write_lines(tmp_path / "p.csv", ["unit,time,y,x1"]
+                           + ["u%d,t%d,1,1" % (i, i) for i in range(2000)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnbalancedPanel, match="missing row for unit 'u0', time 't1'"):
+                read_panel_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21  # one flag per pair would take 4 MB
+
     # A repeated (unit, time) pair among the rows read comes before the
     # first short row, long row or non-numeric cell; reading stops at that
     # fault.  Blank fields past the header's last column are no fault.
@@ -178,6 +192,37 @@ class TestReadPanelCsv:
             read_panel_csv(path)
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+    # A line csv cannot parse (here a field past csv's 131,072-character
+    # limit) and bytes that are not UTF-8 stop the reading where they lie,
+    # in the same chunk as a fault before them or not: the earlier fault
+    # wins, and a repeat before them does not.
+    @pytest.mark.parametrize("lines, error, message", [
+        pytest.param(["a,1,1,1", "b,1,%s,1" % ("z" * 131_073)], DataError,
+                     "{path} is not readable CSV at line 3: "
+                     "field larger than field limit (131072)",
+                     id="oversized-field"),
+        pytest.param(["a,1,oops,1", "b,1,%s,1" % ("z" * 131_073)], NonNumericCell,
+                     "row 2, column y: 'oops' is not numeric",
+                     id="non-numeric-then-oversized-field"),
+        pytest.param(["a,1,1,1", "a,1,2,2", "b,1,%s,1" % ("z" * 131_073)], DataError,
+                     "{path} is not readable CSV at line 4: "
+                     "field larger than field limit (131072)",
+                     id="repeat-then-oversized-field"),
+        pytest.param(["a,1,oops,1"] + ["u%d,1,%r,%r" % (i, 1 / 3, 2 / 3) for i in range(230)]
+                     + ["\udcff,1,1,1"], NonNumericCell,
+                     "row 2, column y: 'oops' is not numeric",
+                     id="non-numeric-then-bad-byte-past-8-KiB"),
+    ])
+    def test_reading_stops_at_unreadable_text(self, tmp_path, lines, error, message):
+        path = tmp_path / "p.csv"
+        path.write_bytes("\n".join(["unit,time,y,x1"] + lines + [""])
+                         .encode("utf-8", "surrogateescape"))
+        assert len(lines) < io.CHUNK_ROWS  # the fault and the bad text share a chunk
+        with pytest.raises(DataError) as caught:
+            read_panel_csv(str(path))
+        assert type(caught.value) is error
+        assert str(caught.value) == message.format(path=path)
 
 
 # Cells beside plain repr output: padding, an underscore, a subnormal,
@@ -254,12 +299,14 @@ def _outcome(read, path):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(panel_files())
-def test_chunked_read_matches_row_by_row_oracle(tmp_path_factory, file):
+@given(panel_files(), st.sampled_from(["\n", "\r\r\n"]))
+def test_chunked_read_matches_row_by_row_oracle(tmp_path_factory, file, line_end):
+    # "\r\r\n", csv's default line end put through Windows text mode, puts
+    # a blank row after every row, so every chunk takes the tidying loop
     header, records = file
     path = str(tmp_path_factory.mktemp("chunks") / "panel.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow(header)
         writer.writerows(records)
     assert _outcome(read_panel_csv, path) == _outcome(read_panel_rows, path)
