@@ -20,15 +20,18 @@ designs.  ``_fit``, the one dispatcher, takes those two arrays and fits
 every member at once: the simulation studies hand it the centered arrays
 of a chunk of replications, and ``fit_esl``, ``fit_estimator``,
 ``fit_mestimator``, ``irls_fit`` and ``high_breakdown_init`` are stacks
-of one.  Each member runs the steps it would run alone: its start draws
-from its own random stream, and IRLS and the esl outer loop set a member
-aside once it settles.  No member's
-numbers depend on its stack-mates: row sums, and batched matmul, solve and
-eigh, act member by member.  A kernel raises the EstimationError of any
-member that meets one, and returns values only; ``_fit`` alone turns a
-failure into one panel's result, by fitting a stack that raised again in
-halves, row-slice views that keep the start and the fits it finished (see
-_fit).
+of one.  ls is a stacked kernel too (``panel._ls``, whose stack of one is
+``within_ls``).  Each member runs the steps it would run alone: its start
+draws from its own random stream, and IRLS and the esl outer loop set a
+member aside once it settles.  No member's numbers depend on its
+stack-mates: row sums, and batched matmul, solve and eigh, act member by
+member.  A kernel returns one record of arrays per estimator and stack
+(``panel._Fits``); a FitResult is built only where one panel is fitted,
+as row 0 of a record.  A kernel raises the EstimationError of any member
+that meets one, and returns values only; ``_fit`` alone turns a failure
+into one panel's result, by fitting a stack that raised again in halves,
+row-slice views that keep the start, while the stack keeps the records
+it finished (see _fit).
 
 ``_reweight`` is the one reweighting step: every IRLS iterate and the
 start's polish take it, at weights its caller computed.  For Huber's
@@ -51,8 +54,8 @@ import numpy as np
 
 from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, UnstableCurvature
 from .losses import LossSpec, _psi, _psi_prime, _psi_weight, _weight, psi, psi_prime
-from .panel import (ESTIMATOR_NAMES, CenteredPanel, FitResult, _as_centered, _coefficients,
-                    _in_float_range, within_ls)
+from .panel import (ESTIMATOR_NAMES, _as_centered, _coefficients, _Fits, _fit_result,
+                    _in_float_range, _ls, _xb, within_ls)
 from .scale import _mad, _scales
 from .tuning import (HUBER_GRID, LOG_SINGULAR, TUKEY_GRID, _blocks, _esl_grids, _esl_search,
                      _tau_search)
@@ -72,11 +75,6 @@ class IrlsConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-def _xb(x, b):
-    """x @ b for every member: (S, NT, K) by (S, K) -> (S, NT)."""
-    return (x @ b[:, :, None])[:, :, 0]
 
 
 def _rows(live, s):
@@ -272,17 +270,15 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     along their direction, so the objective never rises.  The loss is
     evaluated once per step and cell: the psi that _settled reads at the
     new iterate and the weights that the next step solves at come from one
-    losses._psi_weight call.  Returns (beta, w, iterations, converged) at
-    each member's last iterate, w its loss weights there; raises
-    SingularWeightedDesign when a member's weights leave its design
+    losses._psi_weight call.  Returns the record (see panel._Fits) of each
+    member's last iterate at its c and sigma, with its loss weights there;
+    raises SingularWeightedDesign when a member's weights leave its design
     singular.
     """
-    beta = np.array(beta, dtype=float)
-    w = np.zeros(y.shape)
-    iterations = np.zeros(len(beta), dtype=int)
-    converged = np.zeros(len(beta), dtype=bool)
+    fits = _Fits(np.array(beta, dtype=float), sigma, np.zeros(len(beta), dtype=int),
+                 np.zeros(len(beta), dtype=bool), c, np.zeros(y.shape))
     live = np.arange(len(beta))
-    xa, ya, ca, sa, ba = x, y, c, sigma[:, None], beta
+    xa, ya, ca, sa, ba = x, y, c, sigma[:, None], fits.beta
     # a residual past the float range once standardized is +-inf, where
     # every weight takes its limit
     with np.errstate(over="ignore"):
@@ -301,25 +297,16 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
             if it < max_iter and not done.any():
                 continue
             stop = done | (it == max_iter)
-            beta[live[stop]] = ba[stop]
-            w[live[stop]] = wa[stop]
-            iterations[live[stop]] = it
-            converged[live[stop]] = done[stop]
+            fits.beta[live[stop]] = ba[stop]
+            fits.weights[live[stop]] = wa[stop]
+            fits.iterations[live[stop]] = it
+            fits.converged[live[stop]] = done[stop]
             keep = ~stop
             live = live[keep]
             if not live.size:
                 break
             xa, ya, ca, sa, ba, ua, wa = (a[keep] for a in (xa, ya, ca, sa, ba, ua, wa))
-    return beta, w, iterations, converged
-
-
-def _results(family, beta, sigma, iterations, converged, c, w, shape):
-    """A FitResult per member of a stack, from per-member arrays; w holds
-    the loss's weights at each member's last residuals."""
-    return [FitResult(estimator=family, beta=beta[i], sigma_hat=float(sigma[i]),
-                      iterations=int(iterations[i]), converged=bool(converged[i]),
-                      c_selected=float(c[i]), weights=w[i].reshape(shape))
-            for i in range(len(beta))]
+    return fits
 
 
 def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
@@ -336,15 +323,14 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     cp = _as_centered(panel)
     beta_init = _coefficients(beta_init, cp.x.shape[1], "beta_init")
     c, sigma = np.array([spec.c]), np.array([float(sigma)])
-    beta, w, iterations, converged = _irls(
-        cp.x[None], cp.y[None], spec.family, c, beta_init[None], sigma, config.max_iter)
-    return _results(spec.family, beta, sigma, iterations, converged, c, w, cp.shape)[0]
+    fits = _irls(cp.x[None], cp.y[None], spec.family, c, beta_init[None], sigma, config.max_iter)
+    return _fit_result(spec.family, fits, cp.shape, None)
 
 
-def _mestimators(x, y, family, c, beta0, shape):
+def _mestimators(x, y, family, c, beta0):
     """Steps 2-4 of fit_mestimator for every member of a stack, from its
     start beta0: the residual scale, c (the grid search unless c is fixed)
-    and IRLS.  Returns a FitResult per member."""
+    and IRLS.  Returns their record (see panel._Fits)."""
     resid = y - _xb(x, beta0)
     sigma = _scales(resid.copy(), "initial")
     if c == "auto":
@@ -354,8 +340,7 @@ def _mestimators(x, y, family, c, beta0, shape):
         cs = grid[_tau_search(e, family, grid)[2]]
     else:
         cs = np.full(len(beta0), LossSpec(family, c).c)  # LossSpec checks a fixed c
-    beta, w, iterations, converged = _irls(x, y, family, cs, beta0, sigma, IrlsConfig().max_iter)
-    return _results(family, beta, sigma, iterations, converged, cs, w, shape)
+    return _irls(x, y, family, cs, beta0, sigma, IrlsConfig().max_iter)
 
 
 def fit_mestimator(panel, family, c="auto", beta_init=None):
@@ -377,7 +362,8 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
         beta0 = within_ls(cp).beta
     else:
         beta0 = _coefficients(beta_init, cp.x.shape[1], "beta_init")
-    return _mestimators(cp.x[None], cp.y[None], family, c, beta0[None], cp.shape)[0]
+    return _fit_result(family, _mestimators(cp.x[None], cp.y[None], family, c, beta0[None]),
+                       cp.shape, None)
 
 
 def _n_subsets(k):
@@ -528,14 +514,14 @@ def fit_esl(panel, seed=0):
     the relative change in c are negligible.  The reported sigma_hat is
     the MAD scale at which the final selection was made.
     """
-    return _fit_one(_as_centered(panel), ("esl",), "auto", seed)["esl"]
+    return _fit_one(_as_centered(panel), "esl", "auto", seed)
 
 
-def _esls(x, y, start, c, shape):
+def _esls(x, y, start, c):
     """The outer loop of fit_esl for every member of a stack, from its
     high-breakdown fit `start`; a fixed `c` (from fit_estimator) skips the
-    selection step.  A member leaves the loop at its own pass.  Returns a
-    FitResult per member."""
+    selection step.  A member leaves the loop at its own pass.  Returns
+    their record (see panel._Fits)."""
     s = len(start)
     beta = np.array(start, dtype=float)
     if c == "auto":
@@ -551,12 +537,11 @@ def _esls(x, y, start, c, shape):
         else:
             sigma_mad[live] = _scales(y[sub] - _xb(x[sub], beta[sub]), "mad")
             c_sel[live] = LossSpec("esl", c).c  # LossSpec rejects one that is not positive
-        new, nw, iterations, converged = _irls(
-            x[sub], y[sub], "esl", c_sel[sub], beta[sub], np.ones(live.size),
-            IrlsConfig().max_iter)
-        step = new - beta[sub]
-        total[live] += iterations
-        beta[live], w[live], inner[live] = new, nw, converged
+        fits = _irls(x[sub], y[sub], "esl", c_sel[sub], beta[sub], np.ones(live.size),
+                     IrlsConfig().max_iter)
+        step = fits.beta - beta[sub]
+        total[live] += fits.iterations
+        beta[live], w[live], inner[live] = fits.beta, fits.weights, fits.converged
         again = np.abs(c_sel[live] - prev_c[live]) / c_sel[live] < 0.01  # never on the first pass
         if again.any():
             done = live[again]
@@ -569,7 +554,7 @@ def _esls(x, y, start, c, shape):
         if not live.size:
             break
     # the last pass's fit, at the MAD scale of its selection and with every pass's iterations
-    return _results("esl", beta, sigma_mad, total, inner & outer, c_sel, w, shape)
+    return _Fits(beta, sigma_mad, total, inner & outer, c_sel, w)
 
 
 @dataclass(frozen=True)
@@ -620,74 +605,83 @@ def _fit(y, x, shape, names, c, seeds):
     panels of one (N, T) `shape`, the (S, NT) responses y and (S, NT, K)
     designs x, the member i from seeds[i]: the one name -> procedure map.
 
-    Returns one entry per member: {name: FitResult}, or the
-    EstimationError that stopped that member's fit.  The kernels raise at
+    Returns ({name: record}, {member: EstimationError}): each estimator's
+    record of the stack (see panel._Fits), and the error that stopped each
+    member that failed, whose rows of every record are meaningless.  When
+    every member fails, a name may have no record.  The kernels raise at
     any member's EstimationError; a stack that raises is fitted again as
-    two halves, recursively, down to the failing member alone, whose entry
-    is its error (see _fit_rest).  No member's numbers depend on its
-    stack-mates, so every entry is the one the panel gives alone.  Every
-    robust estimator of a member starts from its one high_breakdown_init at
-    its seed, drawn once (never when every name is ls).  huber and tukey
-    start from it rather than the printed LS start: under concentrated
-    contamination the LS start leaves the redescending fit in the
-    contaminated local minimum (the outliers look like the fit and the
-    clean data like outliers).
+    two halves, recursively, down to the failing member alone (see
+    _fit_rest).  No member's numbers depend on its stack-mates, so every
+    row is the one the panel gives alone.  Every robust estimator of a
+    member starts from its one high_breakdown_init at its seed, drawn once
+    (never when every name is ls).  huber and tukey start from it rather
+    than the printed LS start: under concentrated contamination the LS
+    start leaves the redescending fit in the contaminated local minimum
+    (the outliers look like the fit and the clean data like outliers).
     """
     for name in names:
         if name not in ESTIMATOR_NAMES:
             raise ValueError("unknown estimator %r" % (name,))
-    return _fit_rest(y, x, shape, names, c, seeds, [{} for _ in seeds], None)
+    return _fit_rest(y, x, shape, names, c, seeds, None)
 
 
-def _fit_rest(y, x, shape, names, c, seeds, out, start):
-    """_fit from the first of `names` that the entries `out` lack, at the
-    members' starts `start` (None until drawn).  A stack that raises hands
-    each half its row slices of y and x, of the start and of the fits
-    already finished, so a half refits only the estimators from the one
-    that raised onward."""
-    s = len(y)
+def _fit_rest(y, x, shape, names, c, seeds, start):
+    """_fit of `names`, at the members' starts `start` (None until drawn).
+    A stack that raises keeps the records it finished and hands each half
+    its row slices of y, x and the start, so a half fits only the
+    estimators from the one that raised onward.  Only then are the halves'
+    rows written into records sized for the whole stack; a stack that does
+    not split returns its kernels' records as they are."""
+    s, fits = len(y), {}
     try:
         for name in names:
-            if name in out[0]:
-                continue
             if name != "ls" and start is None:
                 start = _starts(x, y, seeds)
-            if name == "ls":  # np.linalg.lstsq takes one matrix at a time
-                results = [within_ls(CenteredPanel(y=y[i], x=x[i], shape=shape)) for i in range(s)]
+            if name == "ls":
+                fits[name] = _ls(x, y, shape)
             elif name == "esl":
-                results = _esls(x, y, start, c, shape)
+                fits[name] = _esls(x, y, start, c)
             else:
-                results = _mestimators(x, y, name, c, start, shape)
-            for fits, fit in zip(out, results):
-                fits[name] = fit
+                fits[name] = _mestimators(x, y, name, c, start)
+        return fits, {}
     except EstimationError as err:
         if s == 1:
-            return [err]
-        return [entry for half in (slice(None, s // 2), slice(s // 2, None))
-                for entry in _fit_rest(y[half], x[half], shape, names, c, seeds[half], out[half],
-                                       None if start is None else start[half])]
-    return out
+            return {}, {0: err}
+    rest, failures = [name for name in names if name not in fits], {}
+    for lo, hi in ((0, s // 2), (s // 2, s)):
+        part, failed = _fit_rest(y[lo:hi], x[lo:hi], shape, rest, c, seeds[lo:hi],
+                                 None if start is None else start[lo:hi])
+        failures.update((lo + i, err) for i, err in failed.items())
+        for name, rows in part.items():  # a half whose members all failed has none
+            whole = fits.setdefault(name, _Fits(*(
+                a if a is None else np.zeros_like(a, shape=(s, *a.shape[1:])) for a in rows)))
+            for full, half in zip(whole, rows):
+                if full is not None:
+                    full[lo:hi] = half
+    return fits, failures
 
 
-def _fit_one(cp, names, c, seed):
-    """_fit on one centered panel; raises the EstimationError that stopped it."""
-    fits = _fit(cp.y[None], cp.x[None], cp.shape, names, c, [seed])[0]
-    if isinstance(fits, EstimationError):
-        raise fits
-    return fits
+def _fit_one(cp, name, c, seed):
+    """_fit of one estimator on one centered panel, as a FitResult; raises
+    the EstimationError that stopped it."""
+    fits, failures = _fit(cp.y[None], cp.x[None], cp.shape, (name,), c, [seed])
+    if failures:
+        raise failures[0]
+    return _fit_result(name, fits[name], cp.shape, None)
 
 
 def fit_estimator(panel, estimator, c="auto", seed=0):
     """Fit one named estimator and attach its standard errors.
 
-    ls: within-group least squares with classical standard errors.
+    ls: within_ls, within-group least squares with classical standard
+    errors.
     huber / tukey: M-fit started from high_breakdown_init(panel, seed),
     with sandwich standard errors.
     esl: exponential-squared fit with sandwich standard errors.
     """
     cp = _as_centered(panel)
-    fit = _fit_one(cp, (estimator,), c, seed)[estimator]
     if estimator == "ls":
-        return fit
+        return within_ls(cp)
+    fit = _fit_one(cp, estimator, c, seed)
     cov = sandwich_se(cp, fit, LossSpec(estimator, fit.c_selected))
     return dataclasses.replace(fit, std_errors=cov.std_errors)

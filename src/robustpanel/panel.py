@@ -7,7 +7,8 @@ beta is estimated by pooled regression of the centered y on the centered x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,10 +101,11 @@ class CenteredPanel:
     ``y`` is the (NT,) centered response and ``x`` the (NT, K) centered
     design, unit-major: cell i * T + s is unit i in period s.  ``shape`` is
     the panel's (N, T), which only the degrees of freedom of within LS and
-    the (N, T) weights of a fit need.  Its arrays are read-only rows of a
-    _centered stack, held without a copy: within_transform builds one from
-    a stack of one.  A study hands its centered chunk to the fit kernels as
-    the stacked arrays themselves.
+    the (N, T) weights of a fit need.  Its arrays are the read-only row of
+    a _centered stack of one, held without a copy (see within_transform).
+    Only the functions that fit one panel take one; a study hands its
+    centered chunk to the stacked fit kernels as the arrays themselves and
+    builds none.
     """
 
     y: np.ndarray
@@ -144,6 +146,31 @@ class FitResult:
             if w.min() < 0.0 or w.max() > 1.0 + 1e-12:
                 raise ValueError("weights must lie in [0, 1]")
             object.__setattr__(self, "weights", w)
+
+
+class _Fits(NamedTuple):
+    """One estimator's fits of a stack of S panels, as the stacked kernels
+    return them: coefficients (S, K), the scale of record, iterations and
+    converged flags (S,), and for the M-estimators the tuning constants
+    (S,) and the loss weights at the last residuals (S, NT), None for ls.
+    A FitResult is row 0 of one (see _fit_result)."""
+
+    beta: np.ndarray
+    sigma: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    c: np.ndarray | None
+    weights: np.ndarray | None
+
+
+def _fit_result(estimator: str, fits: _Fits, shape: tuple, std_errors) -> FitResult:
+    """The FitResult of the first member of a stack's record `fits`, its
+    weights laid out as the (N, T) `shape`."""
+    return FitResult(estimator=estimator, beta=fits.beta[0], sigma_hat=float(fits.sigma[0]),
+                     iterations=int(fits.iterations[0]), converged=bool(fits.converged[0]),
+                     std_errors=std_errors,
+                     c_selected=None if fits.c is None else float(fits.c[0]),
+                     weights=None if fits.weights is None else fits.weights[0].reshape(shape))
 
 
 def _centered(y: np.ndarray, x: np.ndarray):
@@ -220,33 +247,47 @@ def _in_float_range(compute, what: str) -> np.ndarray:
     return values
 
 
+def _xb(x, b):
+    """x @ b for every member: (S, NT, K) by (S, K) -> (S, NT)."""
+    return (x @ b[:, :, None])[:, :, 0]
+
+
+def _ls_dof(n: int, t: int, k: int) -> int:
+    """The residual degrees of freedom NT - N - K of within LS, or
+    DegeneratePanel when there are none."""
+    dof = n * t - n - k
+    if dof <= 0:
+        raise DegeneratePanel(f"no residual degrees of freedom: NT - N - K = {dof} "
+                              f"(N={n}, T={t}, K={k})")
+    return dof
+
+
+def _ls(x: np.ndarray, y: np.ndarray, shape: tuple) -> _Fits:
+    """Within LS of every member of a stack of centered panels of one
+    (N, T) `shape`, (S, NT, K) designs x and (S, NT) responses y: each
+    member's coefficients by _solve_ls (np.linalg.lstsq takes one matrix at
+    a time), then the residuals and sigma_hat, the residual root mean
+    square over _ls_dof, of all of them at once.  The rank of every member
+    is checked before the degrees of freedom."""
+    beta = np.array([_solve_ls(xi, yi) for xi, yi in zip(x, y)])
+    r = y - _xb(x, beta)
+    # a batched matmul sums each member's squares as r @ r does
+    sigma = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0] / _ls_dof(*shape, x.shape[2]))
+    return _Fits(beta, sigma, np.ones(len(y), dtype=int), np.ones(len(y), dtype=bool), None, None)
+
+
 def within_ls(panel: PanelData | CenteredPanel) -> FitResult:
     """Within-group least squares: beta = (sum xdd xdd')^-1 (sum xdd ydd).
 
     sigma_hat is the residual root mean square with the LS degrees-of-freedom
     correction NT - N - K; std_errors are the classical
-    sigma_hat * sqrt(diag((sum xdd xdd')^-1)).
+    sigma_hat * sqrt(diag((sum xdd xdd')^-1)).  A stack of one of _ls.
     """
     cp = _as_centered(panel)
-    (n, t), k = cp.shape, cp.x.shape[1]
-    beta = _solve_ls(cp.x, cp.y)
-    resid = cp.y - cp.x @ beta
-    dof = n * t - n - k
-    if dof <= 0:
-        raise DegeneratePanel(
-            f"no residual degrees of freedom: NT - N - K = {dof} (N={n}, T={t}, K={k})"
-        )
-    sigma = float(np.sqrt(resid @ resid / dof))
-    se = _in_float_range(lambda: sigma * np.sqrt(np.diag(np.linalg.inv(cp.x.T @ cp.x))),
+    fits = _ls(cp.x[None], cp.y[None], cp.shape)
+    se = _in_float_range(lambda: fits.sigma[0] * np.sqrt(np.diag(np.linalg.inv(cp.x.T @ cp.x))),
                          "standard errors")
-    return FitResult(
-        estimator="ls",
-        beta=beta,
-        sigma_hat=sigma,
-        iterations=1,
-        converged=True,
-        std_errors=se,
-    )
+    return _fit_result("ls", fits, cp.shape, se)
 
 
 def _coefficients(beta, k: int, name: str) -> np.ndarray:

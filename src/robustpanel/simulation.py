@@ -32,7 +32,8 @@ panel, contamination and holdout from its own seeds, in the order a lone
 panel draws them, into (S, N, T) and (S, N, T, K) stacks (``_panels``,
 ``_contaminate``); the chunk is centered at once (``panel._centered``),
 its centered arrays are fitted as they are, as one stack
-(``estimators._fit``), and it is scored in one pass per estimator
+(``estimators._fit``), which returns each estimator's fits as arrays, and
+it is scored from those arrays in one pass per estimator
 (``panel._predictions``).  gen_panel, contaminate,
 gen_holdout_panel, within_transform and predict are stacks of one over
 the same kernels, so a chunk member is its lone panel bit for bit.  ``run_experiment`` is the
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockPolicyError, EstimationError
+from .errors import BlockPolicyError
 from .estimators import _fit
-from .panel import ESTIMATOR_NAMES, PanelData, _centered, _predictions
+from .panel import ESTIMATOR_NAMES, PanelData, _centered, _ls_dof, _predictions
 from .tuning import GRID_BLOCK_CELLS
 
 ERROR_DISTS = ("normal", "t5", "chisq4", "cauchy", "none")
@@ -279,10 +280,11 @@ def _seeds(master_seed, key, n=1):
 
 
 def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
-    """run_mc, and with n_test rmse_prediction_study.  The scheme and the
-    estimator names are checked before any chunk, so S = 0 checks them too;
-    every chunk is drawn, contaminated, centered, fitted and scored as
-    stacks of arrays."""
+    """run_mc, and with n_test rmse_prediction_study.  The scheme, the
+    estimator names and, with ls among them, its degrees of freedom are
+    checked before any chunk, so S = 0 checks them too; every chunk is
+    drawn, contaminated, centered, fitted and scored as stacks of arrays,
+    each estimator's fits read from its record (see panel._Fits) as arrays."""
     if not estimators:
         raise ValueError("estimators must be nonempty")
     if not _is_whole(s_total, 0):
@@ -294,6 +296,8 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
     for name in names:
         if name not in ESTIMATOR_NAMES:
             raise ValueError("unknown estimator %r" % (name,))
+    if "ls" in names:
+        _ls_dof(n, t, len(dgp.beta))
     beta_true = np.asarray(dgp.beta, dtype=float)
     se = {name: [] for name in names}
     nonconverged = dict.fromkeys(names, 0)
@@ -317,15 +321,14 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
             if r in faults:
                 raise faults[r]  # a centered column outside the float range,
             PanelData(test_y[r], test_x[r])  # or a non-finite holdout value
-        results = _fit(y, x, (n, t), names, "auto", [seed[2] for seed in seeds])
-        done = [r for r, fits in enumerate(results) if not isinstance(fits, EstimationError)]
-        failures += [(first + r, "%s: %s" % (type(fits).__name__, fits))
-                     for r, fits in enumerate(results) if r not in done]
+        fits, failed = _fit(y, x, (n, t), names, "auto", [seed[2] for seed in seeds])
+        failures += [(first + r, "%s: %s" % (type(err).__name__, err)) for r, err in failed.items()]
+        done = np.delete(np.arange(len(seeds)), list(failed))
         if n_test:
             test_y, test_x = test_y[done], test_x[done]
-        for name in names:
-            nonconverged[name] += sum(not results[r][name].converged for r in done)
-            betas = np.reshape([results[r][name].beta for r in done], (len(done), beta_true.size))
+        for name, fit in fits.items():  # a name has no record when every member failed
+            nonconverged[name] += int(np.count_nonzero(~fit.converged[done]))
+            betas = fit.beta[done]
             with np.errstate(over="ignore"):  # an error past the float range is inf
                 se[name].append(np.sum((betas - beta_true) ** 2, axis=1))
                 if n_test:

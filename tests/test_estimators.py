@@ -210,7 +210,7 @@ class TestIrls:
         monkeypatch.setattr(estimators, "_weighted_solve", counted)
         fit = estimators._irls(x, y, family, c, start, sigma, IrlsConfig().max_iter)
         assert solved  # every family reaches a weighted LS step
-        assert fit[2][0] == 1 and fit[3][0] and len(set(fit[2])) > 1
+        assert fit.iterations[0] == 1 and fit.converged[0] and len(set(fit.iterations)) > 1
         for i in range(s):
             xi, yi, b, spec = x[i:i + 1], y[i:i + 1], start[i:i + 1], LossSpec(family, c[i])
             u = (yi - estimators._xb(xi, b)) / sigma[i]
@@ -225,7 +225,8 @@ class TestIrls:
                 if done:
                     break
             alone = (b[0], weight(spec, u)[0], it, done)
-            for stacked, lone in zip(fit, alone):
+            for stacked, lone in zip((fit.beta, fit.weights, fit.iterations, fit.converged),
+                                     alone):
                 assert np.asarray(stacked[i]).tobytes() == np.asarray(lone).tobytes()
 
     @pytest.mark.parametrize("family", ["huber", "tukey", "esl"])
@@ -661,10 +662,10 @@ class TestFitEstimatorDispatch:
         real = sim._fit
 
         def recording(y, x, shape, names, c, seeds):
-            fits = real(y, x, shape, names, c, seeds)
-            seen.extend((CenteredPanel(y=y[i], x=x[i], shape=shape), seed, f[name].beta)
-                        for i, (seed, f) in enumerate(zip(seeds, fits)))
-            return fits
+            fits, failed = real(y, x, shape, names, c, seeds)
+            seen.extend((CenteredPanel(y=y[i], x=x[i], shape=shape), seed, fits[name].beta[i])
+                        for i, seed in enumerate(seeds) if i not in failed)
+            return fits, failed
 
         monkeypatch.setattr(sim, "_fit", recording)
         sim.run_mc(sim.DgpConfig(120, 2), sim.ContaminationScheme("concentrated_leverage", 24),
@@ -679,24 +680,33 @@ class TestFitEstimatorDispatch:
             assert np.array_equal(public.beta, beta)
 
 
-    @pytest.mark.parametrize("name", ["huber", "tukey", "esl"])
+    @pytest.mark.parametrize("name", ["ls", "huber", "tukey", "esl"])
     def test_lone_fit_equals_its_member_of_a_stack(self, name):
         # The studies fit a stack of panels at once; fit_estimator is a
         # stack of one, and each member's fit is the lone one, bit for bit.
+        # ls has no tuning constant and no weights.
         dgp = sim.DgpConfig(n_units=120, n_periods=2)
         scheme = sim.ContaminationScheme(kind="concentrated_leverage", m=24)
         cps = [within_transform(sim.contaminate(
             sim.gen_panel(dataclasses.replace(dgp, seed=s)),
             dataclasses.replace(scheme, seed=100 + s))) for s in range(12)]
         seeds = list(range(200, 212))
-        stacked = estimators._fit(np.stack([cp.y for cp in cps]), np.stack([cp.x for cp in cps]),
-                                  cps[0].shape, (name,), "auto", seeds)
-        for cp, seed, fits in zip(cps, seeds, stacked):
-            lone, member = fit_estimator(cp, name, seed=seed), fits[name]
-            assert lone.beta.tobytes() == member.beta.tobytes()
-            assert lone.weights.tobytes() == member.weights.tobytes()
-            assert (lone.iterations, lone.converged, lone.c_selected, lone.sigma_hat) == (
-                member.iterations, member.converged, member.c_selected, member.sigma_hat)
+        fits, failed = estimators._fit(np.stack([cp.y for cp in cps]),
+                                       np.stack([cp.x for cp in cps]), cps[0].shape, (name,),
+                                       "auto", seeds)
+        assert not failed
+        stacked = fits[name]
+        for i, (cp, seed) in enumerate(zip(cps, seeds)):
+            lone = fit_estimator(cp, name, seed=seed)
+            assert lone.beta.tobytes() == stacked.beta[i].tobytes()
+            assert (lone.iterations, lone.converged, lone.sigma_hat) == (
+                stacked.iterations[i], stacked.converged[i], stacked.sigma[i])
+            if name == "ls":
+                assert lone.c_selected is None and lone.weights is None
+                assert stacked.c is None and stacked.weights is None
+            else:
+                assert lone.weights.tobytes() == stacked.weights[i].reshape(cp.shape).tobytes()
+                assert lone.c_selected == stacked.c[i]
 
 
 class TestPinnedDigests:

@@ -203,6 +203,17 @@ class TestRunMc:
             assert np.array_equal(a.se_samples[name], b.se_samples[name])
         assert a.mse == b.mse
 
+    @pytest.mark.parametrize("s_total", [0, 3])
+    def test_ls_degrees_of_freedom_checked_before_any_chunk(self, s_total, monkeypatch):
+        # (N, T, K) = (2, 2, 2) leaves ls no residual degrees of freedom: the
+        # study raises what within_ls raises before it fits anything, at any S
+        drawn = []
+        monkeypatch.setattr(estimators, "_starts", lambda *args: drawn.append(args))
+        with pytest.raises(DegeneratePanel) as got:
+            run_mc(DgpConfig(2, 2), None, ["huber", "ls"], s_total, 0)
+        assert str(got.value) == "no residual degrees of freedom: NT - N - K = 0 (N=2, T=2, K=2)"
+        assert not drawn
+
     @pytest.mark.parametrize("s_total", [2.5, -1, True])
     def test_validates_s_total(self, s_total):
         with pytest.raises(ValueError):
@@ -219,11 +230,11 @@ class TestRunMc:
         real = sim._fit
 
         def flaky(y, x, shape, names, c, seeds):  # the first replication fails
-            fits = real(y, x, shape, names, c, seeds)
+            fits, failed = real(y, x, shape, names, c, seeds)
             calls["n"] += 1
             if calls["n"] == 1:
-                fits[0] = NoValidTuning("synthetic failure for the test")
-            return fits
+                failed[0] = NoValidTuning("synthetic failure for the test")
+            return fits, failed
 
         monkeypatch.setattr(sim, "_fit", flaky)
         report = run_mc(DgpConfig(20, 2), None, ["ls"], 30, 3)
@@ -234,7 +245,7 @@ class TestRunMc:
 
     def test_degraded_flag(self, monkeypatch):
         def broken(y, x, shape, names, c, seeds):
-            return [NoValidTuning("always fails") for _ in seeds]
+            return {}, {i: NoValidTuning("always fails") for i in range(len(seeds))}
 
         monkeypatch.setattr(sim, "_fit", broken)
         report = run_mc(DgpConfig(20, 2), None, ["tukey"], 10, 3)
@@ -277,9 +288,10 @@ class TestRunMc:
             panel = contaminate(gen_panel(dataclasses.replace(dgp, seed=seeds[0])),
                                 dataclasses.replace(scheme, seed=seeds[1]))
             cp = within_transform(panel)
-            fits = sim._fit(cp.y[None], cp.x[None], cp.shape, names, "auto", [seeds[2]])[0]
+            fits, failed = sim._fit(cp.y[None], cp.x[None], cp.shape, names, "auto", [seeds[2]])
+            assert not failed
             for name in names:
-                want[name] += not fits[name].converged
+                want[name] += not fits[name].converged[0]
         assert report.n_failed == 0
         assert report.n_nonconverged == want
         assert sum(want.values()) > 0  # the count is not trivially zero here
