@@ -33,18 +33,18 @@ into one panel's result, by fitting a stack that raised again in halves,
 row-slice views that keep the start, while the stack keeps the records
 it finished (see _fit).
 
-``_reweight`` is the one reweighting step: every IRLS iterate and the
-start's polish take it, at weights its caller computed.  For Huber's
-convex loss it takes a Newton step where the Hessian allows one and an
-IRLS step elsewhere, each carried to the exact minimizer of the objective
-along its direction (see _huber_newton and _huber_minimizer); the
-weighted LS step is one batched K x K solve (see _weighted_solve); every
-loop stops on one scale-free rule (see _settled).  IRLS evaluates the
-loss once per step and cell for its own use: one losses._psi_weight call
-gives the psi of the stopping rule and the weights of the next step.
-Huber's Newton step evaluates psi and psi' again at the same residuals;
-threading psi through to it would hold one more (S, NT) array through
-every step of tukey's and esl's IRLS too, and raise their peak memory.
+The weighted LS step is one batched K x K solve at weights its caller
+computed (see _weighted_solve): every IRLS iterate of tukey and esl, and
+the start's polish, is one.  For Huber's convex loss ``_huber_step``
+takes a Newton step where the Hessian allows one and the weighted LS step
+elsewhere, and one exact line search carries either along its direction
+(see _huber_search and _huber_minimizer).  Every loop stops on one
+scale-free rule (see _settled).  IRLS evaluates the loss once per step
+and cell for its own use: one losses._psi_weight call gives the psi of
+the stopping rule and the weights of the next step.  Huber's step
+evaluates psi and psi' again at the same residuals; threading psi
+through to it would hold one more (S, NT) array through every step of
+tukey's and esl's IRLS too, and raise their peak memory.
 """
 
 import dataclasses
@@ -182,79 +182,74 @@ def _huber_minimizer(u, v, c, deriv0):
     return alpha, past[at, k] & np.isfinite(deriv0) & (deriv0 < 0.0)
 
 
-def _huber_newton(x, beta, u, sigma, c):
-    """A Newton step on every member's Huber objective sum rho(r / sigma), at
-    its own c and sigma, sized by an exact line search.
+def _huber_search(x, beta, u, sigma, c, step, psi, whole):
+    """Every member's Huber step from beta along `step`, at its own c and
+    sigma, carried as far as lowers the objective sum rho(r / sigma) most,
+    from psi = psi(u) at its standardized residuals u.
+
+    The step moves u by v = X step / sigma, along which the objective's
+    slope at 0 is phi'(0) = -v' psi(u).  With `whole` (a Newton step) a
+    member takes the whole step where no cell changes side of +-c between
+    u and u - v, for there the quadratic model of the step is exact and
+    least at it; every other member goes to the exact minimizer along v
+    (see _huber_minimizer).  So the objective never rises.  Returns
+    (beta_new, found); a member whose step is no descent direction, or
+    whose minimizer is not found, keeps beta and reads False.
+    """
+    def side(w):  # -1, 0 or 1: below -c, within +-c or above c
+        return (w > c[:, None]).view(np.int8) - (w < -c[:, None]).view(np.int8)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        v = _xb(x, step) / sigma[:, None]
+        deriv0 = -(v * psi).sum(axis=1)
+        alpha, found = np.ones(len(u)), np.isfinite(deriv0) & (deriv0 < 0.0)
+        rest = np.flatnonzero(found & (side(u) != side(u - v)).any(axis=1) if whole else found)
+        if rest.size:
+            alpha[rest], found[rest] = _huber_minimizer(u[rest], v[rest], c[rest], deriv0[rest])
+        return np.where(found[:, None], beta + alpha[:, None] * step, beta), found
+
+
+def _huber_step(x, y, c, beta, u, sigma, w):
+    """The next Huber iterate of every member from beta, whose standardized
+    residuals are u and whose loss weights there are w, at its own c and
+    sigma: a Newton step where the Hessian allows one and the weighted LS
+    step elsewhere, each searched along its direction (see _huber_search).
 
     The Hessian is H = X_in' X_in over the cells with |u| <= c and the
-    gradient X' psi(u), psi(u) = clip(u, -c, c).  When H is well
-    conditioned (smallest eigenvalue above 1e-10 of the largest) the
-    direction sigma H^-1 g, v = X H^-1 g in standardized residuals, is
-    taken as far as lowers the objective most: the whole step where no
-    cell changes side of +-c between u and u - v, for there the quadratic
-    model of the step is exact and least at it; elsewhere to the exact
-    minimizer along v (see _huber_minimizer).  So the objective never
-    rises.  psi(u) is evaluated once, for g and for the slope phi'(0) =
-    -v' psi(u) that the descent test and the minimizer read.  Returns
-    (beta_new, taken); a member whose H is ill conditioned or whose
-    direction is no descent keeps beta and takes an IRLS step instead.
+    gradient X' psi(u), psi(u) = clip(u, -c, c), evaluated once for g and
+    the search.  When H is well conditioned (smallest eigenvalue above
+    1e-10 of the largest) the direction is sigma H^-1 g, whose whole step
+    the search may take.  A member whose H is ill conditioned, whose Newton
+    direction is no descent or whose minimizer along it is not found takes
+    the weighted LS step at w instead (see _weighted_solve), carried to the
+    minimizer along it, or whole where that is not found.  Returns
+    (beta_new, {member: SingularWeightedDesign}), the latter only from
+    members that reach the weighted solve.
     """
     # psi' is 0 or 1, so X' diag(psi') X is X_in' X_in
     inner = _psi_prime("huber", c[:, None], u)
     lam, vec = np.linalg.eigh((x.transpose(0, 2, 1) * inner[:, None, :]) @ x)
     todo = np.flatnonzero(lam[:, 0] > 1e-10 * lam[:, -1])
     new, taken = beta.copy(), np.zeros(len(beta), dtype=bool)
-    if not todo.size:
-        return new, taken
-    sub = _rows(todo, len(beta))
-    x, beta, u, sigma, c, lam, vec = (a[sub] for a in (x, beta, u, sigma, c, lam, vec))
-
-    def side(w):  # -1, 0 or 1: below -c, within +-c or above c
-        return (w > c[:, None]).view(np.int8) - (w < -c[:, None]).view(np.int8)
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        clipped = _psi("huber", c[:, None], u)
-        grad = clipped[:, None, :] @ x @ vec
-        step = (vec @ (grad[:, 0, :] * (sigma[:, None] / lam))[:, :, None])[:, :, 0]
-        v = _xb(x, step) / sigma[:, None]
-        deriv0 = -(v * clipped).sum(axis=1)
-        del clipped  # so that the search's (S, 2 NT) buffers do not join it
-        alpha, ok = np.ones(len(u)), np.isfinite(deriv0) & (deriv0 < 0.0)
-        rest = np.flatnonzero(ok & (side(u) != side(u - v)).any(axis=1))
-        if rest.size:
-            alpha[rest], ok[rest] = _huber_minimizer(u[rest], v[rest], c[rest], deriv0[rest])
-    new[todo[ok]] = beta[ok] + alpha[ok, None] * step[ok]
-    taken[todo] = ok
-    return new, taken
-
-
-def _reweight(x, y, family, c, beta, u, sigma, w):
-    """The next iterate of every member from beta, whose standardized
-    residuals are u and whose loss weights there are w, at its own c and
-    sigma: for the redescending tukey and esl the weighted LS solve at w
-    (see _weighted_solve); for huber a Newton step (see _huber_newton) and,
-    where that is not taken, the weighted LS step at w carried to the
-    minimizer of the convex objective along it (see _huber_minimizer).  The
-    one reweighting step of IRLS and of the start's polish; the caller
-    computes w (IRLS together with psi, see _irls).  Returns (beta_new,
-    {member: SingularWeightedDesign})."""
-    if family != "huber":
-        return _weighted_solve(x, y, w)
-    new, taken = _huber_newton(x, beta, u, sigma, c)
-    if taken.all():
-        return new, {}
+    if todo.size:
+        sub = _rows(todo, len(beta))
+        xs, us, ss, cs, lam, vec = (a[sub] for a in (x, u, sigma, c, lam, vec))
+        with np.errstate(invalid="ignore", over="ignore"):
+            clipped = _psi("huber", cs[:, None], us)
+            grad = clipped[:, None, :] @ xs @ vec
+            step = (vec @ (grad[:, 0, :] * (ss[:, None] / lam))[:, :, None])[:, :, 0]
+        new[todo], taken[todo] = _huber_search(xs, beta[sub], us, ss, cs, step, clipped, True)
     rest = np.flatnonzero(~taken)
+    if not rest.size:
+        return new, {}
     sub = _rows(rest, len(beta))
-    irls, failures = _weighted_solve(x[sub], y[sub], w[sub])
+    xs, bs, us, ss, cs = (a[sub] for a in (x, beta, u, sigma, c))
+    irls, failures = _weighted_solve(xs, y[sub], w[sub])
     # the IRLS step's curvature X'WX overstates huber's X_in' X_in, so the
     # minimizer along it often lies past it
-    step = irls - beta[sub]
-    v = _xb(x[sub], step) / sigma[sub, None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        deriv0 = -(v * _psi("huber", c[sub, None], u[sub])).sum(axis=1)
-    alpha, found = _huber_minimizer(u[sub], v, c[sub], deriv0)
-    new[sub] = irls
-    new[rest[found]] = beta[rest[found]] + alpha[found, None] * step[found]
+    searched, found = _huber_search(xs, bs, us, ss, cs, irls - bs, _psi("huber", cs[:, None], us),
+                                    False)
+    new[rest] = np.where(found[:, None], searched, irls)
     return new, {rest[i]: err for i, err in failures.items()}
 
 
@@ -262,7 +257,8 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     """IRLS at a fixed loss and fixed scale for every member of a stack, at
     its own c and sigma (S,), from beta (S, K).
 
-    Repeats the reweighting step of _reweight, at the standardized
+    Repeats the reweighting step, _huber_step for huber and the weighted
+    LS solve (see _weighted_solve) for tukey and esl, at the standardized
     residuals u = (y_it - x_it' beta) / sigma, until a member's
     coefficients settle (see _settled) or max_iter is reached; a settled
     member leaves the active stack, so each runs the iterations it would
@@ -285,7 +281,8 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
         ua = (ya - _xb(xa, ba)) / sa
         wa = _weight(family, ca[:, None], ua)
         for it in range(1, max_iter + 1):
-            new, singular = _reweight(xa, ya, family, ca, ba, ua, sa[:, 0], wa)
+            new, singular = (_huber_step(xa, ya, ca, ba, ua, sa[:, 0], wa) if family == "huber"
+                             else _weighted_solve(xa, ya, wa))
             if singular:
                 raise next(iter(singular.values()))
             resid = ya - _xb(xa, new)
@@ -312,7 +309,7 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
 def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     """Iteratively reweighted LS at a fixed loss and fixed scale.
 
-    Repeats the reweighting step of _reweight, at the standardized
+    Repeats the reweighting step of _irls, at the standardized
     residuals u = (y_it - x_it' beta) / sigma, until the coefficients
     settle (see _settled) or config.max_iter is reached.  Huber's steps end
     at the minimizer of its convex objective along their direction, so the
@@ -467,11 +464,10 @@ def _starts(x, y, seeds):
 
     live = np.flatnonzero(sigma > 0)
     if live.size:
-        c = np.full(live.size, TUKEY_REFERENCE_C)
         with np.errstate(over="ignore"):  # +-inf residuals take their limit weight
             u = (y[live] - _xb(x[live], starts[live])) / sigma[live, None]
-            polished, singular = _reweight(x[live], y[live], "tukey", c, starts[live], u,
-                                           sigma[live], _weight("tukey", c[:, None], u))
+            polished, singular = _weighted_solve(x[live], y[live],
+                                                 _weight("tukey", TUKEY_REFERENCE_C, u))
         keep = np.ones(live.size, dtype=bool)
         keep[list(singular)] = False  # a singular polish keeps the elemental winner
         starts[live[keep]] = polished[keep]
@@ -489,12 +485,12 @@ def high_breakdown_init(panel, seed=0):
     the full sample.  On a larger panel every candidate is ranked on one
     random HB_SCORE_CELLS subsample and only the best HB_RESCORE are scored
     on the full sample, as in FAST-LTS and fast-S, so time and memory stay
-    linear in the cells.  The winner is polished by one reweighting step
-    (see _reweight) of Tukey's loss (c = 4.685) at its MAD scale, unless
-    that scale is 0 or the weights leave the design singular.  A subset
-    still singular is skipped; if every one is, the panel cannot support
-    even an elemental fit and DegenerateDesign is raised.  A stack of one
-    of _starts.
+    linear in the cells.  The winner is polished by one weighted LS step
+    (see _weighted_solve) at Tukey's weights (c = 4.685) at its MAD
+    scale, unless that scale is 0 or the weights leave the design
+    singular.  A subset still singular is skipped; if every one is, the
+    panel cannot support even an elemental fit and DegenerateDesign is
+    raised.  A stack of one of _starts.
     """
     cp = _as_centered(panel)
     return _starts(cp.x[None], cp.y[None], [seed])[0]

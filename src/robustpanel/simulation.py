@@ -273,13 +273,13 @@ class SimulationReport:
         return self.n_failed > 0.05 * (self.n_failed + successes)
 
 
-def _seeds(master_seed, key, n=1):
+def _seeds(master_seed, key, n):
     """The first n words of SeedSequence(master_seed, spawn_key=key), as ints."""
     state = np.random.SeedSequence(master_seed, spawn_key=key).generate_state(n)
     return [int(v) for v in state]
 
 
-def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
+def _study(dgp, scheme, estimators, s_total, master_seed, n_test):
     """run_mc, and with n_test rmse_prediction_study.  The scheme, the
     estimator names and, with ls among them, its degrees of freedom are
     checked before any chunk, so S = 0 checks them too; every chunk is
@@ -346,7 +346,7 @@ def _study(dgp, scheme, estimators, s_total, master_seed, n_test=None):
 def run_mc(dgp, scheme, estimators, s_total, master_seed):
     """Estimation-error study: S replications of generate, contaminate,
     fit; records the squared coefficient error of every estimator."""
-    return _study(dgp, scheme, estimators, s_total, master_seed)
+    return _study(dgp, scheme, estimators, s_total, master_seed, None)
 
 
 def rmse_prediction_study(dgp, scheme, estimators, s_total, n_test, master_seed):
@@ -355,7 +355,7 @@ def rmse_prediction_study(dgp, scheme, estimators, s_total, n_test, master_seed)
     under own-means intercept recovery."""
     if not _is_whole(n_test, 2):
         raise ValueError("n_test must be a whole number of at least 2, got %r" % (n_test,))
-    return _study(dgp, scheme, estimators, s_total, master_seed, n_test=n_test)
+    return _study(dgp, scheme, estimators, s_total, master_seed, n_test)
 
 
 def run_experiment(config):
@@ -385,7 +385,7 @@ def run_experiment(config):
             for mi, m in enumerate(study.m_levels):
                 yield "outlier_study", (kind, m), rmse_prediction_study(
                     train, ContaminationScheme(kind=kind, m=m), names, s_total,
-                    study.n_test, _seeds(master, (1, ki, mi))[0])
+                    study.n_test, _seeds(master, (1, ki, mi), 1)[0])
     study = config.consistency_study
     if study is not None:
         axes = (("n", [(n, study.t_fixed) for n in study.n_values]),
@@ -394,11 +394,11 @@ def run_experiment(config):
             for pi, (n, t) in enumerate(points):
                 yield "consistency_study", (axis, n, t), run_mc(
                     dgp(n, t, config.error_dist), None, names, s_total,
-                    _seeds(master, (2, ai, pi))[0])
+                    _seeds(master, (2, ai, pi), 1)[0])
     study = config.error_dist_study
     if study is not None:
-        base = _seeds(master, (3,))[0]
+        base = _seeds(master, (3,), 1)[0]
         for di, dist in enumerate(ERROR_DISTS[:-1]):  # every law but the "none" hook
             for pi, (n, t) in enumerate(study.pairs):
                 yield "error_dist_study", (dist, n, t), run_mc(
-                    dgp(n, t, dist), None, names, s_total, _seeds(base, (di, pi))[0])
+                    dgp(n, t, dist), None, names, s_total, _seeds(base, (di, pi), 1)[0])

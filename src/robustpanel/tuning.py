@@ -55,6 +55,7 @@ HUBER_GRID = 0.05 * np.arange(1, 61)
 TUKEY_GRID = 1.0 + 0.2 * np.arange(46)
 GRID_BLOCK_CELLS = 2**14  # cells per block of a grid kernel: 128 KB per temporary
 LOG_SINGULAR = np.log(1e-12)  # log |det| below which a K x K system counts as singular
+TAU_C_MAX = 1e100  # largest huber or tukey constant of tau_hat: (c NT)^2 stays in the float range
 
 
 def _esl_grids(sigma):
@@ -193,21 +194,30 @@ def _tau_grid(e, family, grid):
     3e-13 relative of a long-double cell by cell sum on panels of 6 to 240
     cells, as the cell by cell float sums do, and it is exactly 0,
     undefined, where every cell is rejected.
+
+    Raises ValueError when a constant exceeds TAU_C_MAX (1e100).  Past
+    about 1e154 c^2 leaves the float range: huber's psi^2 of a clipped
+    cell and tukey's top^2 overflow, and tukey's (|e| / top)^2 underflow
+    to 0 at residuals of order 1.  Up to TAU_C_MAX huber's sum psi^2, at
+    most c^2 NT, stays in range times NT at any NT a panel can hold.
     """
-    nt = e.shape[1]
+    nt, cmax = e.shape[1], grid.max()
+    if cmax > TAU_C_MAX:
+        raise ValueError("tuning constant %g is above %g, past which tau_hat leaves the float "
+                         "range" % (cmax, TAU_C_MAX))
     a = np.abs(e)
     a.sort(axis=1)
     if family == "huber":
         inside = np.stack([np.searchsorted(row, grid, side="right") for row in a])
-        np.square(np.minimum(a, grid.max(), out=a), out=a)
+        np.square(np.minimum(a, cmax, out=a), out=a)
         return _tau(inside, _power_sums(a, inside, 1)[0] + grid * grid * (nt - inside), nt)
     inside = np.stack([np.searchsorted(row, grid, side="left") for row in a])
     # the far cells, v <= 3/4, never more than those inside: at the
     # smallest subnormal c, sqrt(0.75) c rounds back to c
     far = np.minimum(inside, np.stack(
         [np.searchsorted(row, np.sqrt(0.75) * grid, side="right") for row in a]))
-    top = np.ldexp(1.0, np.frexp(grid.max())[1])  # the power of two above the grid's top
-    u = np.divide(np.minimum(a, grid.max(), out=a), top, out=a)
+    top = np.ldexp(1.0, np.frexp(cmax)[1])  # the power of two above the grid's top
+    u = np.divide(np.minimum(a, cmax, out=a), top, out=a)
     p2, p4, p6, p8, p10 = _power_sums(np.square(u), far, 5)
     t = top / grid
     r = t * t
@@ -221,8 +231,10 @@ def efficiency_factor(std_residuals, loss):
 
     Returns ``(value, defined)``; (0.0, False) under total rejection.  A
     nan residual raises ValueError; +-inf ones take psi's limits.  huber
-    and tukey go through the grid kernel with a grid of one; esl, which
-    has no grid search of its own, is evaluated at its one point directly.
+    and tukey go through the grid kernel with a grid of one, and raise
+    ValueError for a constant above TAU_C_MAX (1e100), past which tau_hat
+    leaves the float range; esl, which has no grid search of its own, is
+    evaluated at its one point directly.
     """
     e = np.asarray(std_residuals, dtype=float).ravel()
     if e.size == 0:
@@ -266,7 +278,8 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
     `panel` may be raw or already within-centered; residuals are
     (y_dd - x_dd beta_current) / sigma.  Raises NoValidTuning when the
     factor is undefined at every grid point, and ValueError when the grid
-    is empty or holds a candidate that is not positive and finite.
+    is empty or holds a candidate that is not positive and finite, or one
+    above TAU_C_MAX (1e100), past which tau_hat leaves the float range.
     """
     if family not in ("huber", "tukey"):
         raise ValueError("grid tuning applies to huber or tukey, got %r" % (family,))

@@ -46,6 +46,14 @@ def contaminated_copy(panel, cells, values):
 
 
 class TestIrls:
+    def test_rejects_no_iterations_and_a_scale_that_is_not_positive(self):
+        p = synth_panel(n=10, t=2, k=1, seed=0)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            IrlsConfig(max_iter=0)
+        for sigma in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                irls_fit(p, LossSpec("huber", 1.345), np.zeros(1), sigma)
+
     def test_fixed_point_of_exact_fit(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((10, 3, 2))
@@ -107,17 +115,19 @@ class TestIrls:
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_huber_line_search_against_a_grid(self, seed):
+    def test_huber_line_search_against_a_grid(self, seed, monkeypatch):
         # Random stacks of residuals u, directions v and constants c, with
         # cells at v = 0, at u = +-c and at u = +-inf (IRLS past the float
         # range).  Along any direction _huber_minimizer's alpha is least on a
         # dense grid of phi(alpha) = sum rho(u - alpha v), and phi' changes
         # sign there.  Along a Newton direction (v scaled so that the
-        # quadratic model at alpha = 0 is least at 1) _huber_newton takes
-        # the whole step where no cell changes side of +-c, and searches
+        # quadratic model at alpha = 0 is least at 1) _huber_step takes the
+        # whole step where no cell changes side of +-c, and searches
         # elsewhere: at K = 1 with the design x = newton, from beta = 0 at
-        # sigma = 1, its step H^-1 g is 1 up to rounding, and its new beta is
-        # how far it goes along newton.
+        # sigma = 1 (so y = u), its step H^-1 g is 1 up to rounding, and its
+        # new beta is how far it goes along newton.  A member whose Newton
+        # step is not taken reaches the weighted LS solve, which here
+        # returns nan, so its new beta is nan.
         rng = np.random.default_rng(seed)
         s, n = 60, 12
         u, v = 3.0 * rng.standard_normal((s, n)), rng.standard_normal((s, n))
@@ -167,8 +177,12 @@ class TestIrls:
 
         down = -(v * np.clip(u, -c[:, None], c[:, None])).sum(axis=1)  # at member 3's u and c
         check(v, *estimators._huber_minimizer(u, v, c, down))
-        new, taken = estimators._huber_newton(newton[:, :, None], np.zeros((s, 1)), u,
-                                              np.ones(s), c)
+        monkeypatch.setattr(estimators, "_weighted_solve",
+                            lambda x, y, w: (np.full((len(x), x.shape[2]), np.nan), {}))
+        new, singular = estimators._huber_step(newton[:, :, None], u, c, np.zeros((s, 1)), u,
+                                               np.ones(s), np.ones((s, n)))
+        taken = ~np.isnan(new[:, 0])
+        assert not singular
         check(newton, new[:, 0], taken)
         assert not taken[:3].any()
         side = lambda a: np.sign(a) * (np.abs(a) > c[:, None])
@@ -215,8 +229,11 @@ class TestIrls:
             xi, yi, b, spec = x[i:i + 1], y[i:i + 1], start[i:i + 1], LossSpec(family, c[i])
             u = (yi - estimators._xb(xi, b)) / sigma[i]
             for it in range(1, IrlsConfig().max_iter + 1):
-                new, singular = estimators._reweight(xi, yi, family, c[i:i + 1], b, u,
-                                                     sigma[i:i + 1], weight(spec, u))
+                if family == "huber":
+                    new, singular = estimators._huber_step(xi, yi, c[i:i + 1], b, u,
+                                                           sigma[i:i + 1], weight(spec, u))
+                else:
+                    new, singular = estimators._weighted_solve(xi, yi, weight(spec, u))
                 assert not singular
                 resid = yi - estimators._xb(xi, new)
                 u = resid / sigma[i]
@@ -601,6 +618,16 @@ class TestSandwich:
         )
         with pytest.raises(UnstableCurvature):
             sandwich_se(PanelData(y, x), fit, LossSpec("esl", 1.0))
+
+    def test_rejects_a_fit_whose_scale_is_not_positive(self):
+        # huber's and tukey's moments standardize by sigma_hat; esl's do not
+        p = synth_panel(n=20, t=3, k=2, seed=5)
+        fit = fit_mestimator(p, "huber")
+        spec = LossSpec("huber", fit.c_selected)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            sandwich_se(p, dataclasses.replace(fit, sigma_hat=0.0), spec)
+        esl = dataclasses.replace(fit, estimator="esl", sigma_hat=0.0)
+        assert np.isfinite(sandwich_se(p, esl, LossSpec("esl", 4.0)).matrix).all()
 
     def test_symmetric_nonnegative_diagonal(self):
         p = synth_panel(n=50, t=4, k=3, seed=43, beta=(2.4, -1.2, 0.7))

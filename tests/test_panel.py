@@ -10,6 +10,7 @@ from robustpanel.errors import DegeneratePanel, SingularDesign
 from robustpanel.estimators import fit_mestimator, irls_fit
 from robustpanel.losses import LossSpec
 from robustpanel.panel import (
+    FitResult,
     PanelData,
     fixed_effects,
     predict,
@@ -69,6 +70,31 @@ class TestPanelData:
         x = np.zeros((2, 2, 1))
         with pytest.raises(DegeneratePanel):
             PanelData(y, x, unit_labels=("a", "a"))
+        with pytest.raises(DegeneratePanel, match="period labels must be distinct"):
+            PanelData(y, x, period_labels=("t1", "t1"))
+
+    def test_one_dimensional_y_and_no_regressor_rejected(self):
+        with pytest.raises(DegeneratePanel, match="y must be 2-dimensional"):
+            PanelData(np.zeros(4), np.zeros((4, 1, 1)))
+        with pytest.raises(DegeneratePanel, match="need at least 1 regressor"):
+            PanelData(np.zeros((2, 2)), np.zeros((2, 2, 0)))
+
+
+class TestFitResult:
+    FIT = dict(estimator="huber", beta=np.zeros(2), sigma_hat=1.0, iterations=3, converged=True)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("estimator", "lasso", "unknown estimator name 'lasso'"),
+        ("beta", np.array([0.0, np.inf]), "beta must be finite"),
+        ("beta", np.array([np.nan, 0.0]), "beta must be finite"),
+        ("sigma_hat", -1.0, "sigma_hat must be nonnegative"),
+        ("sigma_hat", np.nan, "sigma_hat must be nonnegative"),
+        ("weights", np.array([[0.5, -0.1]]), "weights must lie in \\[0, 1\\]"),
+        ("weights", np.array([[1.5, 0.5]]), "weights must lie in \\[0, 1\\]"),
+    ])
+    def test_invalid_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            FitResult(**{**self.FIT, field: value})
 
 
 class TestWithinTransform:

@@ -81,6 +81,13 @@ def test_empty_input_rejected():
         mad_scale([])
 
 
+@pytest.mark.parametrize("fn", [initial_scale, mad_scale])
+@pytest.mark.parametrize("bad", [[np.inf], [1.0, -np.inf, 2.0], [0.5, np.nan]])
+def test_nonfinite_input_rejected(fn, bad):
+    with pytest.raises(ValueError, match="residuals must be finite"):
+        fn(bad)
+
+
 # Few distinct values make heavy ties; the infinities and NaN also come from
 # the general float strategy, but rarely.
 CELLS = st.one_of(

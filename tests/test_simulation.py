@@ -194,6 +194,11 @@ class TestRunMc:
         assert report.mse["ls"] == pytest.approx(0.0, abs=1e-20)
         assert report.n_failed == 0 and not report.degraded
 
+    def test_no_estimator_rejected(self):
+        for s_total in (0, 1):
+            with pytest.raises(ValueError, match="estimators must be nonempty"):
+                run_mc(DgpConfig(10, 2), None, [], s_total, 0)
+
     def test_deterministic(self):
         dgp = DgpConfig(40, 2)
         scheme = ContaminationScheme("random_vertical", 8)

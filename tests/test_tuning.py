@@ -13,6 +13,7 @@ from robustpanel.panel import PanelData, within_transform
 from robustpanel.tuning import (
     GRID_BLOCK_CELLS,
     HUBER_GRID,
+    TAU_C_MAX,
     TUKEY_GRID,
     default_esl_grid,
     efficiency_factor,
@@ -128,6 +129,14 @@ class TestSelectCGrid:
         with pytest.raises(NoValidTuning):
             select_c_grid(p, "tukey", np.zeros(1), 1.0, [1.0, 2.0])
 
+    def test_rejects_another_family_and_a_scale_that_is_not_positive(self):
+        p = panel_with_residuals(np.array([[1.0, -1.0], [0.5, -0.5]]))
+        with pytest.raises(ValueError, match="grid tuning applies to huber or tukey, got 'esl'"):
+            select_c_grid(p, "esl", np.zeros(1), 1.0, [1.0])
+        for sigma in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                select_c_grid(p, "huber", np.zeros(1), sigma, HUBER_GRID)
+
     def test_tie_break_smallest_c(self):
         # all residuals inside every Huber c: tau = n / sum(e^2) for each,
         # a flat curve, so the smallest grid point must win
@@ -149,7 +158,42 @@ def test_searches_reject_an_empty_grid_or_an_invalid_candidate(family, grid):
             select_c_grid(p, family, np.zeros(2), 1.0, grid)
 
 
+@pytest.mark.parametrize("family", ["huber", "tukey"])
+@pytest.mark.parametrize("c", [1.5e154, 1e200])
+def test_tau_rejects_a_constant_whose_square_leaves_the_float_range(family, c):
+    # Past about 1.3e154 c^2 overflows: huber's tau_hat read nan and won a
+    # grid, and tukey's read 0, undefined, at residuals well inside c.
+    with pytest.raises(ValueError, match="tuning constant .* is above 1e\\+100"):
+        efficiency_factor([0.5, -1.5, np.inf, 2.0], LossSpec(family, c))
+    p = panel_with_residuals(np.array([[1.0, -1.0], [0.5, -0.5]]))
+    for grid in ([1.0, c], [c]):
+        with pytest.raises(ValueError, match="tuning constant .* is above 1e\\+100"):
+            select_c_grid(p, family, np.zeros(1), 1.0, grid)
+
+
+@pytest.mark.parametrize("family", ["huber", "tukey"])
+def test_tau_at_the_largest_constant(family):
+    # At TAU_C_MAX every finite cell is inside c, so tau_hat is NT / sum e^2;
+    # a cell at +-inf is clipped to c by huber, which adds c^2 to sum psi^2,
+    # and rejected by tukey.  No step overflows (a RuntimeWarning fails here).
+    e = np.array([0.5, -1.5, 2.0])  # sum e^2 = 6.5
+    for cells, tau_huber, tau_tukey in ((e, 3 / 6.5, 3 / 6.5),
+                                        (np.append(e, np.inf), 9 / (4 * (6.5 + 1e200)),
+                                         9 / (4 * 6.5))):
+        tau, defined = efficiency_factor(cells, LossSpec(family, TAU_C_MAX))
+        assert defined
+        assert tau == pytest.approx(tau_huber if family == "huber" else tau_tukey, rel=1e-12)
+    p = panel_with_residuals(np.array([[1.0, -1.0], [0.5, -0.5]]))
+    curve = select_c_grid(p, family, np.zeros(1), 1.0, [1.0, TAU_C_MAX])
+    assert curve.defined.all()
+
+
 class TestPseudoOutliers:
+    def test_rejects_a_scale_that_is_not_positive(self):
+        for sigma_mad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="sigma_mad must be positive"):
+                pseudo_outlier_set(np.ones(4), sigma_mad)
+
     def test_no_exceedance(self):
         out = pseudo_outlier_set(np.full((2, 2), 0.1), 1.0)
         assert np.array_equal(out, np.zeros((2, 2), dtype=bool))
@@ -175,6 +219,14 @@ class TestPseudoOutliers:
 
 
 class TestXi:
+    def test_rejects_a_count_inconsistent_with_nt(self):
+        for nt in (0, -2):
+            with pytest.raises(ValueError, match="nt must be positive"):
+                xi(1.0, np.zeros(0), 0, nt)
+        for m, cells in ((-1, 2), (3, 2), (0, 5)):  # m + retained cells past nt = 4
+            with pytest.raises(ValueError, match="inconsistent with nt"):
+                xi(1.0, np.zeros(cells), m, 4)
+
     def test_zero_loss_excluded_boundary(self):
         assert xi(1.0, np.zeros(4), 0, 4) == 0.0
 
