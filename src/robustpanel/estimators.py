@@ -57,7 +57,7 @@ from .losses import LossSpec, _psi, _psi_prime, _psi_weight, _weight, psi, psi_p
 from .panel import (ESTIMATOR_NAMES, _as_centered, _coefficients, _Fits, _fit_result,
                     _in_float_range, _ls, _xb, within_ls)
 from .scale import _mad, _scales
-from .tuning import (HUBER_GRID, LOG_SINGULAR, TUKEY_GRID, _blocks, _esl_grids, _esl_search,
+from .tuning import (HUBER_GRID, TUKEY_GRID, _blocks, _esl_grids, _esl_search, _nonsingular,
                      _tau_search)
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for the start's polish
@@ -102,21 +102,22 @@ def _settled(x, step, bounded, fitted):
 def _weighted_solve(x, y, w):
     """Solve every member's weighted normal equations X'WX b = X'Wy at once.
 
-    Each K x K system is scaled to a unit diagonal (Jacobi equilibration)
-    before one batched solve, so that neither its conditioning nor the
-    singularity test of _solvable, which then reads log|det| >
-    log 1e-12, depends on the units of the regressors.  A system that
-    fails the test falls back to least squares on that member's
-    sqrt-weighted design, which solves it unless the design is rank
-    deficient.  Returns (beta, {member: SingularWeightedDesign}).
+    A system counts as singular by the one rule of tuning._nonsingular,
+    log|det X'WX| against the sum of the logs of its diagonal, and each is
+    scaled to a unit diagonal (Jacobi equilibration) before one batched
+    solve, so that neither the test nor the conditioning of the solve
+    depends on the units of the regressors.  A system that fails the test
+    falls back to least squares on that member's sqrt-weighted design,
+    which solves it unless the design is rank deficient.  Returns (beta,
+    {member: SingularWeightedDesign}).
     """
     xwt = x.transpose(0, 2, 1) * w[:, None, :]
     a = xwt @ x
-    diag = np.diagonal(a, axis1=1, axis2=2)
-    inv = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # a zero column stays singular
+    diag = np.diagonal(a, axis1=1, axis2=2)  # a view: read before a is scaled
+    ok = _nonsingular(np.linalg.slogdet(a)[1], diag)
+    inv = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # a zero column is singular already
     a *= inv[:, :, None]
     a *= inv[:, None, :]
-    ok = np.linalg.slogdet(a)[1] > LOG_SINGULAR
     if not ok.all():
         a[~ok] = np.identity(x.shape[2])
     beta = np.linalg.solve(a, (xwt @ y[:, :, None]) * inv[:, :, None])[:, :, 0] * inv
@@ -217,19 +218,22 @@ def _huber_step(x, y, c, beta, u, sigma, w):
 
     The Hessian is H = X_in' X_in over the cells with |u| <= c and the
     gradient X' psi(u), psi(u) = clip(u, -c, c), evaluated once for g and
-    the search.  When H is well conditioned (smallest eigenvalue above
-    1e-10 of the largest) the direction is sigma H^-1 g, whose whole step
-    the search may take.  A member whose H is ill conditioned, whose Newton
-    direction is no descent or whose minimizer along it is not found takes
-    the weighted LS step at w instead (see _weighted_solve), carried to the
-    minimizer along it, or whole where that is not found.  Returns
+    the search.  When H is not singular by the one rule of
+    tuning._nonsingular (log|det H| against the sum of the logs of its
+    diagonal, which does not depend on the units of the regressors), the
+    direction is sigma H^-1 g, formed from H's eigendecomposition, whose
+    whole step the search may take.  A member whose H is singular, whose
+    Newton direction is no descent or whose minimizer along it is not found
+    takes the weighted LS step at w instead (see _weighted_solve), carried
+    to the minimizer along it, or whole where that is not found.  Returns
     (beta_new, {member: SingularWeightedDesign}), the latter only from
     members that reach the weighted solve.
     """
     # psi' is 0 or 1, so X' diag(psi') X is X_in' X_in
     inner = _psi_prime("huber", c[:, None], u)
-    lam, vec = np.linalg.eigh((x.transpose(0, 2, 1) * inner[:, None, :]) @ x)
-    todo = np.flatnonzero(lam[:, 0] > 1e-10 * lam[:, -1])
+    h = (x.transpose(0, 2, 1) * inner[:, None, :]) @ x
+    lam, vec = np.linalg.eigh(h)
+    todo = np.flatnonzero(_nonsingular(np.linalg.slogdet(h)[1], np.diagonal(h, axis1=1, axis2=2)))
     new, taken = beta.copy(), np.zeros(len(beta), dtype=bool)
     if todo.size:
         sub = _rows(todo, len(beta))
@@ -392,28 +396,19 @@ def _elemental_subsets(rng, nt, k, rows):
     return idx
 
 
-def _solvable(a):
-    """Which (K, K) systems of the stack `a` are not singular: |det a| >
-    1e-12 max|a|^K, compared in log space so that neither side overflows or
-    underflows when the regressors change units."""
-    k = a.shape[-1]
-    _, logdet = np.linalg.slogdet(a)
-    log_scale = k * np.log(np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300))
-    return logdet > LOG_SINGULAR + log_scale
-
-
 def _mad_rows(betas, x, y):
     """MAD scale of the residuals y - x beta for every candidate of every
     member, (S, G, K) betas on (S, n, K) x and (S, n) y, scored in blocks
-    (see _blocks) that _mad overwrites; +inf where they leave the float
-    range, so that such a candidate never ranks first."""
+    (see _blocks) that _mad overwrites; +inf where any residual or the MAD
+    leaves the float range, so that such a candidate never ranks first."""
     mads = np.empty(betas.shape[:2])
     xt = x.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, rows in _blocks(len(betas), betas.shape[1], y.shape[1]):
             resid = betas[i, rows] @ xt[i]
             np.subtract(y[i], resid, out=resid)
-            mads[i, rows] = _mad(resid)
+            finite = np.isfinite(resid).all(axis=1)
+            mads[i, rows] = np.where(finite, _mad(resid), np.inf)
     return np.where(np.isfinite(mads), mads, np.inf)
 
 
@@ -438,7 +433,9 @@ def _starts(x, y, seeds):
         rng, drawn, redo = np.random.default_rng(seed), 0, np.arange(n)
         while redo.size:  # the first n subsets, then rounds that redraw the singular ones
             idx[i, redo] = _elemental_subsets(rng, nt, k, redo.size)
-            ok[i, redo] = _solvable(x[i][idx[i, redo]])
+            subsets = x[i][idx[i, redo]]  # a subset's rows are cells and its columns regressors
+            ok[i, redo] = _nonsingular(np.linalg.slogdet(subsets)[1],
+                                       np.abs(subsets).max(axis=1))
             drawn += redo.size
             redo = np.flatnonzero(~ok[i])[:HB_SUBSAMPLES - drawn]
         if nt > HB_SCORE_CELLS:
@@ -479,18 +476,20 @@ def high_breakdown_init(panel, seed=0):
 
     Draws _n_subsets(K) random K-point subsets of the centered
     observations (see _elemental_subsets), redrawing each singular one
-    until all are solvable or HB_SUBSAMPLES have been drawn in all, solves
-    each exactly and keeps the candidate whose residuals have the smallest
-    MAD scale.  Up to HB_SCORE_CELLS cells every candidate is scored on
-    the full sample.  On a larger panel every candidate is ranked on one
-    random HB_SCORE_CELLS subsample and only the best HB_RESCORE are scored
-    on the full sample, as in FAST-LTS and fast-S, so time and memory stay
-    linear in the cells.  The winner is polished by one weighted LS step
-    (see _weighted_solve) at Tukey's weights (c = 4.685) at its MAD
-    scale, unless that scale is 0 or the weights leave the design
-    singular.  A subset still singular is skipped; if every one is, the
-    panel cannot support even an elemental fit and DegenerateDesign is
-    raised.  A stack of one of _starts.
+    (by the rule of tuning._nonsingular, with the largest |entry| of each
+    regressor in the subset as its column size) until all are solvable or
+    HB_SUBSAMPLES have been drawn in all, solves each exactly and keeps the
+    candidate whose residuals have the smallest MAD scale; one with a
+    residual past the float range never wins.  Up to HB_SCORE_CELLS cells
+    every candidate is scored on the full sample.  On a larger panel every
+    candidate is ranked on one random HB_SCORE_CELLS subsample and only the
+    best HB_RESCORE are scored on the full sample, as in FAST-LTS and
+    fast-S, so time and memory stay linear in the cells.  The winner is
+    polished by one weighted LS step (see _weighted_solve) at Tukey's
+    weights (c = 4.685) at its MAD scale, unless that scale is 0 or the
+    weights leave the design singular.  A subset still singular is
+    skipped; if every one is, the panel cannot support even an elemental
+    fit and DegenerateDesign is raised.  A stack of one of _starts.
     """
     cp = _as_centered(panel)
     return _starts(cp.x[None], cp.y[None], [seed])[0]

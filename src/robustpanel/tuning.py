@@ -40,6 +40,14 @@ one-point calls into the same kernels, and ``xi`` sums the same per-cell
 loss in the same order as the search, so the two agree bit for bit.
 Both searches break ties toward the smallest grid point, and both reject
 an empty grid or a candidate that is not positive and finite.
+
+Every K x K system the robust fits solve counts as singular by one rule,
+_nonsingular: log|det a| - sum_j log s_j <= log 1e-12, with s_j the size
+of column j.  Here it tests esl's information matrix, and in the
+estimators the weighted solve, huber's Hessian and the start's elemental
+subsets.  The rule is compared in log space and measures each system
+against its own column sizes, so it does not depend on the units of any
+regressor.
 """
 
 from dataclasses import dataclass
@@ -54,8 +62,24 @@ from .scale import _mad
 HUBER_GRID = 0.05 * np.arange(1, 61)
 TUKEY_GRID = 1.0 + 0.2 * np.arange(46)
 GRID_BLOCK_CELLS = 2**14  # cells per block of a grid kernel: 128 KB per temporary
-LOG_SINGULAR = np.log(1e-12)  # log |det| below which a K x K system counts as singular
+LOG_SINGULAR = np.log(1e-12)  # log |det| / prod(column sizes) at which a system is singular
 TAU_C_MAX = 1e100  # largest huber or tukey constant of tau_hat: (c NT)^2 stays in the float range
+
+
+def _nonsingular(log_det, sizes):
+    """Which K x K systems a are not singular, from log|det a| (`log_det`)
+    and the (..., K) sizes s_j of their columns: the one rule of every
+    system the fits solve, log|det a| - sum_j log s_j > LOG_SINGULAR.
+
+    s_j is the diagonal entry a_jj of a cross-product matrix and the
+    largest |entry| of column j of an elemental subset.  Changing the units
+    of regressor j moves log|det a| and log s_j alike, so the test does
+    not depend on the units of any regressor, and in log space neither side
+    overflows or underflows.  A zero column has det a = 0 and counts as
+    singular: -inf - (-inf) is nan, which fails the comparison.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return log_det - np.log(sizes).sum(axis=-1) > LOG_SINGULAR
 
 
 def _esl_grids(sigma):
@@ -63,14 +87,20 @@ def _esl_grids(sigma):
     an (S, 50) stack.  float_power squares through pow(), as the scalar
     ** 2 does, where ** 2 on an array multiplies; the two can differ in the
     last bit.  Raises ZeroScale when a member's smallest candidate
-    underflows to zero, naming the scale of the first such member.
+    underflows to zero and NoValidTuning when its largest one leaves the
+    float range, naming the scale of the first such member.
     """
-    s2 = np.float_power(sigma, 2)
-    small = ~(0.1 * s2 > 0.0)
-    if small.any():
-        raise ZeroScale("MAD scale %g of the residuals is too small to square; rescale y"
-                        % sigma[small.argmax()])
-    return np.geomspace(0.1 * s2, 100.0 * s2, 50, axis=-1)
+    # 100 s2 past the float range is reported below; and near the top of
+    # the range geomspace's 10^log10(c) can overflow where c does not, when
+    # it returns the end point itself
+    with np.errstate(over="ignore"):
+        s2 = np.float_power(sigma, 2)
+        for bad, error, size in ((~(0.1 * s2 > 0.0), ZeroScale, "small"),
+                                 (~(100.0 * s2 < np.inf), NoValidTuning, "large")):
+            if bad.any():
+                raise error("MAD scale %g of the residuals is too %s to square; rescale y"
+                            % (sigma[bad.argmax()], size))
+        return np.geomspace(0.1 * s2, 100.0 * s2, 50, axis=-1)
 
 
 def default_esl_grid(sigma_mad):
@@ -84,14 +114,11 @@ def default_esl_grid(sigma_mad):
     """
     if not 0.0 < sigma_mad < np.inf:
         raise ValueError("sigma_mad must be positive and finite")
-    sigma = np.array([float(sigma_mad)])
-    # near the top of the float range geomspace's 10^log10(c) can overflow
-    # where c does not; it returns the end point itself
     with np.errstate(over="ignore"):
-        if 100.0 * np.float_power(sigma[0], 2) == np.inf:
+        if 100.0 * np.float_power(sigma_mad, 2) == np.inf:
             raise ValueError("sigma_mad %g is too large: 100 sigma_mad^2 leaves the float range"
                              % sigma_mad)
-        return _esl_grids(sigma)[0]
+    return _esl_grids(np.array([float(sigma_mad)]))[0]
 
 
 def _candidates(grid):
@@ -343,13 +370,14 @@ def _esl_sandwich(x, e, grid, keep):
     grid (see _blocks) come from one (rows, NT) @ (NT, K^2) matmul.  I is
     negative definite near e = 0; only its square enters V_hat.
 
-    I(c) counts as numerically singular when |det I| falls below
-    1e-12 ((2/c) trace(M) / K)^K, the trace scale of the information with
-    kappa replaced by its unit bound (|psi'| <= 1); the factor 2/c cancels
-    from both sides.  Using kappa itself as the yardstick would cancel out
-    of the ratio, and a root of kappa, which the search must skip, would
-    go undetected.  Both sides are compared as logarithms, so neither
-    overflows or underflows as K grows or the regressors change units.
+    I(c) counts as numerically singular by the one rule of _nonsingular:
+    |det I| is measured against the product of its column sizes with
+    kappa replaced by its unit bound (|psi'| <= 1), the diagonal of
+    (2/c) M, and the factor 2/c cancels from both sides.  Using kappa
+    itself as the yardstick would cancel out of the ratio, and a root of
+    kappa, which the search must skip, would go undetected.  So the test
+    does not depend on the units of any regressor, and in log space
+    neither side overflows or underflows as K grows.
 
     The loss is evaluated once per cell and c: w = exp(-e^2 / c), which is
     1 - rho.  kappa = (sum w - (2/c) sum w e^2) / NT, both sums from one
@@ -397,14 +425,14 @@ def _esl_sandwich(x, e, grid, keep):
     sq[~in_range] = 0.0  # keeps slogdet quiet; those c are undefined anyway
 
     _, log_det_m = np.linalg.slogdet(cross)
-    trace_scale = np.trace(cross, axis1=1, axis2=2)[:, None] / k
     sign_s, log_det_s = np.linalg.slogdet(sq)
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where kappa or M vanish
         log_abs_kappa = np.log(np.abs(kappa))
-        defined = in_range & (trace_scale > 0.0) & (
-            k * log_abs_kappa + log_det_m[:, None] >= LOG_SINGULAR + k * np.log(trace_scale))
         log_det_v = np.where(sign_s > 0,
                              log_det_s - 2.0 * (log_det_m[:, None] + k * log_abs_kappa), -np.inf)
+    # log|det I(c)| less K log(2/c), against the diagonal of M (see above)
+    defined = in_range & _nonsingular(k * log_abs_kappa + log_det_m[:, None],
+                                      np.diagonal(cross, axis1=1, axis2=2)[:, None, :])
     return kappa, cross, sq, log_det_v, defined, loss
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import tempfile
 
 import pytest
@@ -22,7 +23,7 @@ from robustpanel.simulation import (
     gen_panel,
 )
 
-from conftest import synth_panel
+from conftest import far_leverage_panel, huge_scale_panel, synth_panel
 
 OK_CSV = "unit,time,y,x1\na,1,1,1\na,2,2,3\nb,1,3,2\nb,2,5,7\n"
 # MAD scale about 5e-301: its square underflows to 0
@@ -55,7 +56,7 @@ class TestFitCommand:
         )
         assert code == 0
         assert err == ""
-        report = json.loads(open(out).read())
+        report = json.loads(pathlib.Path(out).read_text())
         assert report["estimator"] == "ls"
         assert len(report["beta"]) == 2
         assert len(report["std_errors"]) == 2
@@ -75,7 +76,7 @@ class TestFitCommand:
             capsys,
         )
         assert code == 0
-        report = json.loads(open(out).read())
+        report = json.loads(pathlib.Path(out).read_text())
         assert report["c_selected"] is not None
         assert report["iterations"] >= 1
         weights_path = str(tmp_path / "report_weights.csv")
@@ -92,7 +93,7 @@ class TestFitCommand:
             capsys,
         )
         assert code == 0
-        assert json.loads(open(out).read())["c_selected"] == 1.345
+        assert json.loads(pathlib.Path(out).read_text())["c_selected"] == 1.345
 
     def test_bad_estimator_is_usage_error(self, panel_csv, capsys):
         code, _, err = run(
@@ -114,7 +115,7 @@ class TestFitCommand:
             ["fit", "--input", path, "--estimator", "tukey", "--out", out], capsys,
         )
         assert code == 0, err
-        beta = json.loads(open(out).read())["beta"]
+        beta = json.loads(pathlib.Path(out).read_text())["beta"]
         assert abs(beta[0] - 2.4) < 0.5 and abs(beta[1] + 1.2) < 0.5
 
     @pytest.mark.parametrize("estimator", ["huber", "esl"])
@@ -241,6 +242,25 @@ class TestFitCommand:
                     "tiny_scale": "ZeroScale"}.get(case, "x1") in err
         else:
             assert err == ""
+
+    @pytest.mark.parametrize("estimator", ["huber", "tukey", "esl"])
+    def test_elemental_fits_past_the_float_range_are_no_fault(self, tmp_path, capsys,
+                                                               estimator):
+        # some elemental fits leave residuals at +-inf with a finite MAD
+        path = str(tmp_path / "panel.csv")
+        write_panel_csv(far_leverage_panel(), path)
+        code, _, err = run(["fit", "--input", path, "--estimator", estimator,
+                            "--out", str(tmp_path / "r.json")], capsys)
+        assert (code, err) == (0, "")
+
+    def test_a_scale_too_large_for_the_esl_grid_is_one_error_line(self, tmp_path, capsys):
+        path = str(tmp_path / "panel.csv")
+        write_panel_csv(huge_scale_panel(), path)
+        code, _, err = run(["fit", "--input", path, "--estimator", "esl",
+                            "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 3
+        assert err == ("error: NoValidTuning: MAD scale 2.72334e+153 of the residuals is too "
+                       "large to square; rescale y\n")
 
     @pytest.mark.parametrize("text,estimator,code,error", [
         # N = T = K = 2: no residual degrees of freedom for LS
@@ -385,8 +405,8 @@ class TestSimulateCommand:
             assert run(["simulate", "--config", cfg, "--out-dir", d], capsys)[0] == 0
         for name in ("mse_table.csv", "rmse_table.csv",
                      "consistency_curves.csv", "se_samples.csv"):
-            first = open(os.path.join(dirs[0], name), "rb").read()
-            second = open(os.path.join(dirs[1], name), "rb").read()
+            first = pathlib.Path(dirs[0], name).read_bytes()
+            second = pathlib.Path(dirs[1], name).read_bytes()
             assert first == second, name
 
     def test_se_samples_follow_config_beta_and_gamma(self, tmp_path, capsys):

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import synth_panel
+from conftest import far_leverage_panel, synth_panel
 import robustpanel.estimators as estimators
 import robustpanel.simulation as sim
 from robustpanel.errors import (
     DegenerateDesign,
     RobustPanelError,
+    SingularDesign,
     SingularWeightedDesign,
     UnstableCurvature,
 )
@@ -34,7 +35,8 @@ from robustpanel.estimators import (
     sandwich_se,
 )
 from robustpanel.losses import LossSpec, psi, psi_prime, rho, weight
-from robustpanel.panel import CenteredPanel, FitResult, PanelData, within_ls, within_transform
+from robustpanel.panel import (ESTIMATOR_NAMES, CenteredPanel, FitResult, PanelData, within_ls,
+                               within_transform)
 from robustpanel.scale import initial_scale, mad_scale
 from robustpanel.tuning import HUBER_GRID
 
@@ -516,6 +518,25 @@ class TestHighBreakdownInit:
         # rows of residuals are held.
         assert self.peak_bytes_per_cell(5_000) <= 1_000
 
+    def test_a_candidate_with_residuals_past_the_float_range_scores_inf(self):
+        # the second candidate's residuals hold one -inf but have a finite MAD
+        x = np.array([[[1.0], [2.0], [1e300], [3.0], [0.5]]])
+        mads = estimators._mad_rows(np.array([[[1.0], [1e10]]]), x, np.zeros((1, 5)))
+        assert np.isfinite(mads[0, 0]) and mads[0, 1] == np.inf
+
+    @pytest.mark.parametrize("name", ["huber", "tukey", "esl"])
+    def test_a_start_never_leaves_residuals_past_the_float_range(self, name):
+        # Some elemental fits of this panel have residuals at +-inf and a
+        # finite MAD.  Were one of them the start, the residual scale of
+        # the fit would meet residuals that are not finite (a ValueError,
+        # which _fit does not isolate).
+        panel = far_leverage_panel()
+        cp = within_transform(panel)
+        assert np.isfinite(cp.y - cp.x @ high_breakdown_init(cp, seed=0)).all()
+        fit = fit_estimator(panel, name)
+        assert fit.converged
+        assert np.isfinite(fit.beta).all() and np.isfinite(fit.std_errors).all()
+
 
 class TestFitEsl:
     def test_clean_panel_tracks_ls(self):
@@ -629,6 +650,23 @@ class TestSandwich:
         esl = dataclasses.replace(fit, estimator="esl", sigma_hat=0.0)
         assert np.isfinite(sandwich_se(p, esl, LossSpec("esl", 4.0)).matrix).all()
 
+    def test_a_variance_past_the_float_range_is_a_singular_design(self):
+        # sigma_hat^2 raises OverflowError on a Python float
+        p = synth_panel(n=20, t=3, k=2, seed=5)
+        fit = FitResult(estimator="huber", beta=within_ls(p).beta, sigma_hat=1e200,
+                        iterations=1, converged=True)
+        with pytest.raises(SingularDesign, match="sandwich covariances"):
+            sandwich_se(p, fit, LossSpec("huber", 1.345))
+
+    def test_equal_regressors_are_a_singular_design(self):
+        # X'X is exactly singular, so np.linalg.inv raises LinAlgError
+        p = synth_panel(n=20, t=3, k=1, seed=5)
+        x = np.concatenate((p.x, p.x), axis=2)
+        fit = FitResult(estimator="huber", beta=np.zeros(2), sigma_hat=1.0, iterations=1,
+                        converged=True)
+        with pytest.raises(SingularDesign, match="sandwich covariances"):
+            sandwich_se(PanelData(p.y, x), fit, LossSpec("huber", 1.345))
+
     def test_symmetric_nonnegative_diagonal(self):
         p = synth_panel(n=50, t=4, k=3, seed=43, beta=(2.4, -1.2, 0.7))
         fit = fit_mestimator(p, "huber")
@@ -734,6 +772,42 @@ class TestFitEstimatorDispatch:
             else:
                 assert lone.weights.tobytes() == stacked.weights[i].reshape(cp.shape).tobytes()
                 assert lone.c_selected == stacked.c[i]
+
+
+class TestRegressorUnits:
+    # Column j of x in units geomspace(sqrt(r), 1 / sqrt(r), K)[j], a scale
+    # ratio of r between the first and last: slope j divides by that factor
+    # and its standard error with it, and no iteration count, converged
+    # flag or tuning constant moves.  Every K x K system the robust fits
+    # solve is tested for singularity against its own column sizes (see
+    # tuning._nonsingular); within LS's rank test holds to r = 1e12.
+    PANELS = {
+        "leverage": lambda: sim.contaminate(
+            sim.gen_panel(sim.DgpConfig(n_units=120, n_periods=2, seed=3)),
+            sim.ContaminationScheme(kind="concentrated_leverage", m=24, seed=4)),
+        "three regressors": lambda: sim.gen_panel(sim.DgpConfig(
+            n_units=50, n_periods=3, beta=(2.4, -1.2, 0.7), gamma=(2.0, 4.0, 1.0), seed=5)),
+        "cauchy": lambda: sim.gen_panel(sim.DgpConfig(n_units=200, n_periods=3,
+                                                      error_dist="cauchy", seed=6)),
+    }
+
+    @pytest.mark.parametrize("label", list(PANELS))
+    def test_fits_do_not_depend_on_the_units_of_a_regressor(self, label):
+        panel = self.PANELS[label]()
+        k = panel.x.shape[-1]
+        for name in ESTIMATOR_NAMES:
+            base = fit_estimator(panel, name, seed=1)
+            for r in (1e6, 1e9, 1e12):
+                units = np.geomspace(np.sqrt(r), 1.0 / np.sqrt(r), k)
+                fit = fit_estimator(PanelData(panel.y, panel.x * units), name, seed=1)
+                assert_allclose(fit.beta * units, base.beta, rtol=1e-12, err_msg=name)
+                assert_allclose(fit.std_errors * units, base.std_errors, rtol=1e-10,
+                                err_msg=name)
+                assert (fit.iterations, fit.converged) == (base.iterations, base.converged)
+                if name == "esl":  # on the squared scale of the residuals
+                    assert fit.c_selected == pytest.approx(base.c_selected, rel=1e-12)
+                else:
+                    assert fit.c_selected == base.c_selected
 
 
 class TestPinnedDigests:

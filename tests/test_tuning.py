@@ -620,6 +620,11 @@ def test_stacked_esl_grids_match_lone_grids_bit_for_bit():
             assert grid.tobytes() == np.geomspace(0.1 * v**2, 100.0 * v**2, 50).tobytes()
     with pytest.raises(ZeroScale, match="MAD scale 1e-170 "):
         _esl_grids(np.array([1.0, 1e-170, 1e-200]))
+    # the mirror at the top: the fit path's grid, unlike default_esl_grid,
+    # reports a scale whose 100 sigma^2 leaves the float range as no valid c
+    with pytest.raises(NoValidTuning, match="MAD scale 2e[+]153 .* too large to square"):
+        _esl_grids(np.array([1.0, 2e153, 1e200]))
+    assert np.isfinite(_esl_grids(np.array([1e153]))).all()
 
 
 @pytest.mark.parametrize("sigma_mad", [0.0, -1.0, np.nan, np.inf, 1e155, 1e200])
