@@ -49,7 +49,9 @@ class BlockPolicyError(DataError):
 
 
 class SingularDesign(EstimationError):
-    """The centered regressor cross-product is rank deficient."""
+    """The centered regressor cross-product X'X is singular: |det X'X| is
+    below 1e-12 of the product of its diagonal (panel._nonsingular), or a
+    term built on its inverse leaves the float range."""
 
 
 class SingularWeightedDesign(EstimationError):

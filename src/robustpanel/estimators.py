@@ -24,8 +24,8 @@ of one.  ls is a stacked kernel too (``panel._ls``, whose stack of one is
 ``within_ls``).  Each member runs the steps it would run alone: its start
 draws from its own random stream, and IRLS and the esl outer loop set a
 member aside once it settles.  No member's numbers depend on its
-stack-mates: row sums, and batched matmul, solve and eigh, act member by
-member.  A kernel returns one record of arrays per estimator and stack
+stack-mates: row sums, and batched matmul, slogdet and solve, act member
+by member.  A kernel returns one record of arrays per estimator and stack
 (``panel._Fits``); a FitResult is built only where one panel is fitted,
 as row 0 of a record.  A kernel raises the EstimationError of any member
 that meets one, and returns values only; ``_fit`` alone turns a failure
@@ -38,11 +38,14 @@ computed (see _weighted_solve): every IRLS iterate of tukey and esl, and
 the start's polish, is one.  For Huber's convex loss ``_huber_step``
 takes a Newton step where the Hessian allows one and the weighted LS step
 elsewhere, and one exact line search carries either along its direction
-(see _huber_search and _huber_minimizer).  Every loop stops on one
-scale-free rule (see _settled).  IRLS evaluates the loss once per step
-and cell for its own use: one losses._psi_weight call gives the psi of
-the stopping rule and the weights of the next step.  Huber's step
-evaluates psi and psi' again at the same residuals; threading psi
+(see _huber_search and _huber_minimizer).  Both systems, like within
+LS's, are solved by panel._solve, the one equilibrated solve, and count
+as singular by its one rule, whatever the units of the regressors.
+Every loop stops on one scale-free rule (see _settled).  IRLS evaluates
+the loss once per step and cell for its own use: one losses._psi_weight
+call gives the psi of the stopping rule and the weights of the next
+step.  Huber's step evaluates psi and psi' once more at the same
+residuals, for its gradient and both of its searches; threading psi
 through to it would hold one more (S, NT) array through every step of
 tukey's and esl's IRLS too, and raise their peak memory.
 """
@@ -55,10 +58,9 @@ import numpy as np
 from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, UnstableCurvature
 from .losses import LossSpec, _psi, _psi_prime, _psi_weight, _weight, psi, psi_prime
 from .panel import (ESTIMATOR_NAMES, _as_centered, _coefficients, _Fits, _fit_result,
-                    _in_float_range, _ls, _xb, within_ls)
+                    _in_float_range, _ls, _nonsingular, _solve, _xb, within_ls)
 from .scale import _mad, _scales
-from .tuning import (HUBER_GRID, TUKEY_GRID, _blocks, _esl_grids, _esl_search, _nonsingular,
-                     _tau_search)
+from .tuning import HUBER_GRID, TUKEY_GRID, _blocks, _esl_grids, _esl_search, _tau_search
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for the start's polish
 HB_SUBSAMPLES = 500  # most elemental subsets drawn by high_breakdown_init; see _n_subsets
@@ -100,27 +102,15 @@ def _settled(x, step, bounded, fitted):
 
 
 def _weighted_solve(x, y, w):
-    """Solve every member's weighted normal equations X'WX b = X'Wy at once.
-
-    A system counts as singular by the one rule of tuning._nonsingular,
-    log|det X'WX| against the sum of the logs of its diagonal, and each is
-    scaled to a unit diagonal (Jacobi equilibration) before one batched
-    solve, so that neither the test nor the conditioning of the solve
-    depends on the units of the regressors.  A system that fails the test
-    falls back to least squares on that member's sqrt-weighted design,
-    which solves it unless the design is rank deficient.  Returns (beta,
-    {member: SingularWeightedDesign}).
+    """Solve every member's weighted normal equations X'WX b = X'Wy at once
+    (see panel._solve, whose singularity rule does not depend on the units
+    of the regressors).  A system that fails the rule falls back to least
+    squares on that member's sqrt-weighted design, which solves it unless
+    the design is rank deficient.  Returns (beta, {member:
+    SingularWeightedDesign}).
     """
     xwt = x.transpose(0, 2, 1) * w[:, None, :]
-    a = xwt @ x
-    diag = np.diagonal(a, axis1=1, axis2=2)  # a view: read before a is scaled
-    ok = _nonsingular(np.linalg.slogdet(a)[1], diag)
-    inv = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # a zero column is singular already
-    a *= inv[:, :, None]
-    a *= inv[:, None, :]
-    if not ok.all():
-        a[~ok] = np.identity(x.shape[2])
-    beta = np.linalg.solve(a, (xwt @ y[:, :, None]) * inv[:, :, None])[:, :, 0] * inv
+    beta, ok = _solve(xwt @ x, (xwt @ y[:, :, None])[:, :, 0])
     failures = {}
     for i in np.flatnonzero(~ok):
         root = np.sqrt(w[i])
@@ -218,40 +208,36 @@ def _huber_step(x, y, c, beta, u, sigma, w):
 
     The Hessian is H = X_in' X_in over the cells with |u| <= c and the
     gradient X' psi(u), psi(u) = clip(u, -c, c), evaluated once for g and
-    the search.  When H is not singular by the one rule of
-    tuning._nonsingular (log|det H| against the sum of the logs of its
-    diagonal, which does not depend on the units of the regressors), the
-    direction is sigma H^-1 g, formed from H's eigendecomposition, whose
-    whole step the search may take.  A member whose H is singular, whose
-    Newton direction is no descent or whose minimizer along it is not found
-    takes the weighted LS step at w instead (see _weighted_solve), carried
-    to the minimizer along it, or whole where that is not found.  Returns
+    both searches.  The Newton direction sigma H^-1 g comes from
+    panel._solve, and where H is not singular by its rule the search may
+    take the whole step.  A member whose H is singular, whose Newton
+    direction is no descent or whose minimizer along it is not found takes
+    the weighted LS step at w instead (see _weighted_solve), carried to the
+    minimizer along it, or whole where that is not found.  Returns
     (beta_new, {member: SingularWeightedDesign}), the latter only from
     members that reach the weighted solve.
     """
     # psi' is 0 or 1, so X' diag(psi') X is X_in' X_in
     inner = _psi_prime("huber", c[:, None], u)
-    h = (x.transpose(0, 2, 1) * inner[:, None, :]) @ x
-    lam, vec = np.linalg.eigh(h)
-    todo = np.flatnonzero(_nonsingular(np.linalg.slogdet(h)[1], np.diagonal(h, axis1=1, axis2=2)))
+    clipped = _psi("huber", c[:, None], u)
+    with np.errstate(invalid="ignore", over="ignore"):
+        step, ok = _solve((x.transpose(0, 2, 1) * inner[:, None, :]) @ x,
+                          sigma[:, None] * (clipped[:, None, :] @ x)[:, 0, :])
+    todo = np.flatnonzero(ok)
     new, taken = beta.copy(), np.zeros(len(beta), dtype=bool)
     if todo.size:
         sub = _rows(todo, len(beta))
-        xs, us, ss, cs, lam, vec = (a[sub] for a in (x, u, sigma, c, lam, vec))
-        with np.errstate(invalid="ignore", over="ignore"):
-            clipped = _psi("huber", cs[:, None], us)
-            grad = clipped[:, None, :] @ xs @ vec
-            step = (vec @ (grad[:, 0, :] * (ss[:, None] / lam))[:, :, None])[:, :, 0]
-        new[todo], taken[todo] = _huber_search(xs, beta[sub], us, ss, cs, step, clipped, True)
+        new[todo], taken[todo] = _huber_search(x[sub], beta[sub], u[sub], sigma[sub], c[sub],
+                                               step[sub], clipped[sub], True)
     rest = np.flatnonzero(~taken)
     if not rest.size:
         return new, {}
     sub = _rows(rest, len(beta))
-    xs, bs, us, ss, cs = (a[sub] for a in (x, beta, u, sigma, c))
+    xs, bs = x[sub], beta[sub]
     irls, failures = _weighted_solve(xs, y[sub], w[sub])
     # the IRLS step's curvature X'WX overstates huber's X_in' X_in, so the
     # minimizer along it often lies past it
-    searched, found = _huber_search(xs, bs, us, ss, cs, irls - bs, _psi("huber", cs[:, None], us),
+    searched, found = _huber_search(xs, bs, u[sub], sigma[sub], c[sub], irls - bs, clipped[sub],
                                     False)
     new[rest] = np.where(found[:, None], searched, irls)
     return new, {rest[i]: err for i, err in failures.items()}
@@ -317,10 +303,12 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     residuals u = (y_it - x_it' beta) / sigma, until the coefficients
     settle (see _settled) or config.max_iter is reached.  Huber's steps end
     at the minimizer of its convex objective along their direction, so the
-    objective never rises.  A stack of one of _irls.
+    objective never rises.  Raises ValueError when sigma is not positive
+    and finite or a coefficient of beta_init is not.  A stack of one of
+    _irls.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     cp = _as_centered(panel)
     beta_init = _coefficients(beta_init, cp.x.shape[1], "beta_init")
     c, sigma = np.array([spec.c]), np.array([float(sigma)])
@@ -476,7 +464,7 @@ def high_breakdown_init(panel, seed=0):
 
     Draws _n_subsets(K) random K-point subsets of the centered
     observations (see _elemental_subsets), redrawing each singular one
-    (by the rule of tuning._nonsingular, with the largest |entry| of each
+    (by the rule of panel._nonsingular, with the largest |entry| of each
     regressor in the subset as its column size) until all are solvable or
     HB_SUBSAMPLES have been drawn in all, solves each exactly and keeps the
     candidate whose residuals have the smallest MAD scale; one with a

@@ -41,11 +41,8 @@ loss in the same order as the search, so the two agree bit for bit.
 Both searches break ties toward the smallest grid point, and both reject
 an empty grid or a candidate that is not positive and finite.
 
-Every K x K system the robust fits solve counts as singular by one rule,
-_nonsingular: log|det a| - sum_j log s_j <= log 1e-12, with s_j the size
-of column j.  Here it tests esl's information matrix, and in the
-estimators the weighted solve, huber's Hessian and the start's elemental
-subsets.  The rule is compared in log space and measures each system
+esl's information matrix counts as singular by the one rule of every
+K x K system the fits solve, panel._nonsingular, which measures it
 against its own column sizes, so it does not depend on the units of any
 regressor.
 """
@@ -56,30 +53,14 @@ import numpy as np
 
 from .errors import NoValidTuning, ZeroScale
 from .losses import ESL, LossSpec, _esl_v, _psi, _psi_prime, _rho
-from .panel import _as_centered, _coefficients
+from .panel import _as_centered, _coefficients, _nonsingular
 from .scale import _mad
 
 HUBER_GRID = 0.05 * np.arange(1, 61)
 TUKEY_GRID = 1.0 + 0.2 * np.arange(46)
 GRID_BLOCK_CELLS = 2**14  # cells per block of a grid kernel: 128 KB per temporary
-LOG_SINGULAR = np.log(1e-12)  # log |det| / prod(column sizes) at which a system is singular
 TAU_C_MAX = 1e100  # largest huber or tukey constant of tau_hat: (c NT)^2 stays in the float range
-
-
-def _nonsingular(log_det, sizes):
-    """Which K x K systems a are not singular, from log|det a| (`log_det`)
-    and the (..., K) sizes s_j of their columns: the one rule of every
-    system the fits solve, log|det a| - sum_j log s_j > LOG_SINGULAR.
-
-    s_j is the diagonal entry a_jj of a cross-product matrix and the
-    largest |entry| of column j of an elemental subset.  Changing the units
-    of regressor j moves log|det a| and log s_j alike, so the test does
-    not depend on the units of any regressor, and in log space neither side
-    overflows or underflows.  A zero column has det a = 0 and counts as
-    singular: -inf - (-inf) is nan, which fails the comparison.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return log_det - np.log(sizes).sum(axis=-1) > LOG_SINGULAR
+TAU_TUKEY_SPAN = 1e30  # widest tukey grid of tau_hat, max c / min c: its tenth powers stay normal
 
 
 def _esl_grids(sigma):
@@ -207,8 +188,12 @@ def _tau_grid(e, family, grid):
     tukey's are of |e| / 2^k with 2^k the power of two above that top, all
     in [0, 1], so none leaves the float range whatever the grid; scaling by
     a power of two rounds nothing, so a grid point's tau_hat does not
-    depend on the rest of the grid while the grid spans less than 1e30
-    (past that, tenth powers at its smallest constants underflow).
+    depend on the rest of the grid, bit for bit, while the powers stay
+    normal floats.  At the grid's smallest c, |e| / top is at least
+    c / (2 max c), whose tenth power stays normal while the grid spans up
+    to about 3e30.  tau_hat at the smallest c measured up to 8e-12
+    relative off its value on a grid of one at a span of 1e31, up to 0.14
+    at 1e32 and a factor 3 from 1e33.
 
     huber's count is exact and its sum of squares equals the cell by cell
     sum to rounding.  tukey's expansion cancels: its terms add up to
@@ -222,16 +207,21 @@ def _tau_grid(e, family, grid):
     cells, as the cell by cell float sums do, and it is exactly 0,
     undefined, where every cell is rejected.
 
-    Raises ValueError when a constant exceeds TAU_C_MAX (1e100).  Past
-    about 1e154 c^2 leaves the float range: huber's psi^2 of a clipped
-    cell and tukey's top^2 overflow, and tukey's (|e| / top)^2 underflow
-    to 0 at residuals of order 1.  Up to TAU_C_MAX huber's sum psi^2, at
-    most c^2 NT, stays in range times NT at any NT a panel can hold.
+    Raises ValueError when a constant exceeds TAU_C_MAX (1e100), or when
+    a tukey grid's largest constant exceeds TAU_TUKEY_SPAN (1e30) times
+    its smallest (see above).  Past about 1e154 c^2 leaves the float
+    range: huber's psi^2 of a clipped cell and tukey's top^2 overflow, and
+    tukey's (|e| / top)^2 underflow to 0 at residuals of order 1.  Up to
+    TAU_C_MAX huber's sum psi^2, at most c^2 NT, stays in range times NT
+    at any NT a panel can hold.
     """
     nt, cmax = e.shape[1], grid.max()
     if cmax > TAU_C_MAX:
         raise ValueError("tuning constant %g is above %g, past which tau_hat leaves the float "
                          "range" % (cmax, TAU_C_MAX))
+    if family == "tukey" and cmax > TAU_TUKEY_SPAN * grid.min():
+        raise ValueError("tukey grid spans %g to %g, a ratio above %g, past which tau_hat's "
+                         "power sums underflow" % (grid.min(), cmax, TAU_TUKEY_SPAN))
     a = np.abs(e)
     a.sort(axis=1)
     if family == "huber":
@@ -304,14 +294,16 @@ def select_c_grid(panel, family, beta_current, sigma, grid):
 
     `panel` may be raw or already within-centered; residuals are
     (y_dd - x_dd beta_current) / sigma.  Raises NoValidTuning when the
-    factor is undefined at every grid point, and ValueError when the grid
-    is empty or holds a candidate that is not positive and finite, or one
-    above TAU_C_MAX (1e100), past which tau_hat leaves the float range.
+    factor is undefined at every grid point, and ValueError when sigma is
+    not positive and finite, a coefficient is not finite, or the grid is
+    empty or holds a candidate that is not positive and finite, or one
+    above TAU_C_MAX (1e100), past which tau_hat leaves the float range,
+    or when a tukey grid spans more than TAU_TUKEY_SPAN (1e30).
     """
     if family not in ("huber", "tukey"):
         raise ValueError("grid tuning applies to huber or tukey, got %r" % (family,))
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     cp = _as_centered(panel)
     beta = _coefficients(beta_current, cp.x.shape[1], "beta_current")
     with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in irls_fit
@@ -370,14 +362,14 @@ def _esl_sandwich(x, e, grid, keep):
     grid (see _blocks) come from one (rows, NT) @ (NT, K^2) matmul.  I is
     negative definite near e = 0; only its square enters V_hat.
 
-    I(c) counts as numerically singular by the one rule of _nonsingular:
-    |det I| is measured against the product of its column sizes with
-    kappa replaced by its unit bound (|psi'| <= 1), the diagonal of
-    (2/c) M, and the factor 2/c cancels from both sides.  Using kappa
-    itself as the yardstick would cancel out of the ratio, and a root of
-    kappa, which the search must skip, would go undetected.  So the test
-    does not depend on the units of any regressor, and in log space
-    neither side overflows or underflows as K grows.
+    I(c) counts as numerically singular by the one rule of
+    panel._nonsingular: |det I| is measured against the product of its
+    column sizes with kappa replaced by its unit bound (|psi'| <= 1), the
+    diagonal of (2/c) M, and the factor 2/c cancels from both sides.
+    Using kappa itself as the yardstick would cancel out of the ratio, and
+    a root of kappa, which the search must skip, would go undetected.  So
+    the test does not depend on the units of any regressor, and in log
+    space neither side overflows or underflows as K grows.
 
     The loss is evaluated once per cell and c: w = exp(-e^2 / c), which is
     1 - rho.  kappa = (sum w - (2/c) sum w e^2) / NT, both sums from one

@@ -380,13 +380,13 @@ class TestSimulateCommand:
                    for path in out_dir.iterdir()}
         assert digests == {
             "mse_table.csv":
-                "4badb733fd0e999d3fc644520733c79c03dfd3e6ca1ee0a25130e9220a0144d4",
+                "5bf190e2a6f03a815e3a512a43f266a84a7f0a62887eb48c38f3cd6b1c1b2b3a",
             "rmse_table.csv":
                 "8b2af2f1792b5122587224ea2db00c925c4424a41e9487984d5638ec50ac2086",
             "consistency_curves.csv":
-                "da8b7cc6d993e679d453d239a3d670b188204be963752d0ec1621847296d4f05",
+                "aeab37e57bacde3a6ae7559f301359e4a1c8b654247c7bb7282853bdbb946b78",
             "se_samples.csv":
-                "0583b01bef210d915db85065b37ba8888b7e5309dd2032fdcf6af6609dcc71f3",
+                "758f8a2f28e3400269ed6c006d88c25ac5bb096100afb6432d2d73b1b4fa25d8",
         }
 
     def test_out_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):

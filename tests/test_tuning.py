@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import robustpanel.simulation as sim
 from robustpanel.errors import NoValidTuning, ZeroScale
 from robustpanel.losses import LossSpec, psi, psi_prime, weight
-from robustpanel.panel import PanelData, within_transform
+from robustpanel.panel import PanelData, within_ls, within_transform
 from robustpanel.tuning import (
     GRID_BLOCK_CELLS,
     HUBER_GRID,
     TAU_C_MAX,
+    TAU_TUKEY_SPAN,
     TUKEY_GRID,
     default_esl_grid,
     efficiency_factor,
@@ -183,9 +185,28 @@ def test_tau_at_the_largest_constant(family):
         tau, defined = efficiency_factor(cells, LossSpec(family, TAU_C_MAX))
         assert defined
         assert tau == pytest.approx(tau_huber if family == "huber" else tau_tukey, rel=1e-12)
+    # a tukey grid reaches TAU_C_MAX from at most TAU_TUKEY_SPAN below it
     p = panel_with_residuals(np.array([[1.0, -1.0], [0.5, -0.5]]))
-    curve = select_c_grid(p, family, np.zeros(1), 1.0, [1.0, TAU_C_MAX])
+    low = 1.0 if family == "huber" else TAU_C_MAX / TAU_TUKEY_SPAN
+    curve = select_c_grid(p, family, np.zeros(1), 1.0, [low, TAU_C_MAX])
     assert curve.defined.all()
+
+
+def test_tukey_rejects_a_grid_wider_than_its_power_sums_support():
+    # tukey's power sums share the scale of the grid's top, so at the
+    # smallest c of a grid wider than TAU_TUKEY_SPAN their tenth powers
+    # underflow: tau_hat(1e-20), 7.75e40 on its own, would read -8.3e40,
+    # marked defined, on the grid [1e-20, 1e40].  Up to the limit a grid
+    # point's tau_hat does not depend on the rest of the grid.
+    panel = sim.gen_panel(sim.DgpConfig(25, 2, seed=4))
+    beta = within_ls(panel).beta
+    alone = select_c_grid(panel, "tukey", beta, 1e20, [1e-20])
+    with pytest.raises(ValueError, match="a ratio above 1e\\+30"):
+        select_c_grid(panel, "tukey", beta, 1e20, [1e-20, 1e40])
+    widest = select_c_grid(panel, "tukey", beta, 1e20, [1e-20, 1e-20 * TAU_TUKEY_SPAN])
+    assert widest.tau_hat[0] == alone.tau_hat[0] and widest.defined[0]
+    huber = select_c_grid(panel, "huber", beta, 1e20, [1e-20, 1e40])  # no power sums past P_2
+    assert huber.tau_hat[0] == select_c_grid(panel, "huber", beta, 1e20, [1e-20]).tau_hat[0]
 
 
 class TestPseudoOutliers:
