@@ -50,8 +50,11 @@ class BlockPolicyError(DataError):
 
 class SingularDesign(EstimationError):
     """The centered regressor cross-product X'X is singular: |det X'X| is
-    below 1e-12 of the product of its diagonal (panel._nonsingular), or a
-    term built on its inverse leaves the float range."""
+    below 1e-12 of the product of its diagonal (panel._nonsingular).  Every
+    estimator raises it on such a design, naming a near-null direction
+    (panel._gram), and a covariance raises it, naming the covariance, when
+    its X'X is singular or a value built on the inverse leaves the float
+    range (panel._covariance)."""
 
 
 class SingularWeightedDesign(EstimationError):

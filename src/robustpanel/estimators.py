@@ -12,7 +12,11 @@ constant and the starting point:
   IRLS update, iterated up to three times.
 
 ``sandwich_se`` provides asymptotic standard errors of the familiar
-(E psi^2 / (E psi')^2) * sigma^2 * (X''X'')^{-1} form for any of them.
+(E psi^2 / (E psi')^2) * sigma^2 * (X''X'')^{-1} form for any of them,
+the inverse taken through panel._covariance.  Every fit meets within
+LS's design rule (panel._gram) and raises SingularDesign on a design
+whose X'X it calls singular: ``_fit`` checks each stack once, after its
+start is drawn and before any tuning search.
 
 Every kernel works on a stack of panels of one shape, with a leading
 replication axis: (S, NT) centered responses and (S, NT, K) centered
@@ -57,8 +61,8 @@ import numpy as np
 
 from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, UnstableCurvature
 from .losses import LossSpec, _psi, _psi_prime, _psi_weight, _weight, psi, psi_prime
-from .panel import (ESTIMATOR_NAMES, _as_centered, _coefficients, _Fits, _fit_result,
-                    _in_float_range, _ls, _nonsingular, _solve, _xb, within_ls)
+from .panel import (ESTIMATOR_NAMES, _as_centered, _coefficients, _covariance, _Fits,
+                    _fit_result, _gram, _ls, _nonsingular, _solve, _xb, within_ls)
 from .scale import _mad, _scales
 from .tuning import HUBER_GRID, TUKEY_GRID, _blocks, _esl_grids, _esl_search, _tau_search
 
@@ -304,13 +308,15 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     settle (see _settled) or config.max_iter is reached.  Huber's steps end
     at the minimizer of its convex objective along their direction, so the
     objective never rises.  Raises ValueError when sigma is not positive
-    and finite or a coefficient of beta_init is not.  A stack of one of
+    and finite or a coefficient of beta_init is not, and SingularDesign
+    when the design is singular (see panel._gram).  A stack of one of
     _irls.
     """
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
     cp = _as_centered(panel)
     beta_init = _coefficients(beta_init, cp.x.shape[1], "beta_init")
+    _gram(cp.x[None])
     c, sigma = np.array([spec.c]), np.array([float(sigma)])
     fits = _irls(cp.x[None], cp.y[None], spec.family, c, beta_init[None], sigma, config.max_iter)
     return _fit_result(spec.family, fits, cp.shape, None)
@@ -342,15 +348,15 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
     residual scale of step 2 and the grid search of step 3 then run at
     the supplied coefficients.  The default (None) follows the printed
     procedure, whose LS start is cheap but inherits its sensitivity to
-    high-leverage contamination.
+    high-leverage contamination.  Either way a singular design raises
+    SingularDesign (see panel._gram).
     """
     if family not in ("huber", "tukey"):
         raise ValueError("family must be huber or tukey, got %r" % (family,))
     cp = _as_centered(panel)
-    if beta_init is None:
-        beta0 = within_ls(cp).beta
-    else:
-        beta0 = _coefficients(beta_init, cp.x.shape[1], "beta_init")
+    beta0 = (within_ls(cp).beta if beta_init is None
+             else _coefficients(beta_init, cp.x.shape[1], "beta_init"))
+    _gram(cp.x[None])  # within LS has checked the design already; a supplied start has not
     return _fit_result(family, _mestimators(cp.x[None], cp.y[None], family, c, beta0[None]),
                        cp.shape, None)
 
@@ -557,30 +563,28 @@ def sandwich_se(panel, fit, spec):
     The moments standardize residuals by fit.sigma_hat, except for
     exponential-squared fits, where the loss acts on raw residuals and
     sigma is fixed at 1 (the reported sigma_hat is the MAD scale of
-    record, not the IRLS scale).  Raises UnstableCurvature when the mean
-    psi' is not positive, since the asymptotic variance requires
-    E[psi'] > 0.
+    record, not the IRLS scale).  Raises ValueError unless that sigma is
+    positive and finite, UnstableCurvature when the mean psi' is not
+    positive, since the asymptotic variance requires E[psi'] > 0, and
+    SingularDesign when X''X'' is singular or the covariance leaves the
+    float range (see panel._covariance).
     """
     cp = _as_centered(panel)
-    sigma = 1.0 if fit.estimator == "esl" else fit.sigma_hat
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in irls_fit
+    sigma = np.float64(1.0 if fit.estimator == "esl" else fit.sigma_hat)
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
+    # +-inf residuals take psi's limits, as in irls_fit; a variance past the
+    # float range is inf or nan, and fails in _covariance
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         e = (cp.y - cp.x @ fit.beta) / sigma
-
-    psi_sq_mean = float(np.mean(psi(spec, e) ** 2))
-    psi_prime_mean = float(np.mean(psi_prime(spec, e)))
+        psi_sq_mean = np.mean(psi(spec, e) ** 2)
+        psi_prime_mean = np.mean(psi_prime(spec, e))
+        factor = psi_sq_mean / psi_prime_mean**2 * sigma**2
     if psi_prime_mean <= 0:
         raise UnstableCurvature(
             "mean psi' = %g is not positive; the curvature condition "
-            "E[psi'] > 0 fails at this fit" % psi_prime_mean
-        )
-
-    def cov():
-        m = psi_sq_mean / psi_prime_mean**2 * sigma**2 * np.linalg.inv(cp.x.T @ cp.x)
-        return 0.5 * (m + m.T)
-
-    return SandwichCovariance(_in_float_range(cov, "sandwich covariances"))
+            "E[psi'] > 0 fails at this fit" % psi_prime_mean)
+    return SandwichCovariance(_covariance(cp.x.T @ cp.x, factor, "sandwich covariances"))
 
 
 def _fit(y, x, shape, names, c, seeds):
@@ -614,12 +618,18 @@ def _fit_rest(y, x, shape, names, c, seeds, start):
     its row slices of y, x and the start, so a half fits only the
     estimators from the one that raised onward.  Only then are the halves'
     rows written into records sized for the whole stack; a stack that does
-    not split returns its kernels' records as they are."""
-    s, fits = len(y), {}
+    not split returns its kernels' records as they are.  Before its first
+    robust fit a stack, a half included, checks its design (see
+    panel._gram): after the start, so that the start's own DegenerateDesign
+    keeps its type, and before any tuning search, so that a singular design
+    is not reported as a tuning failure."""
+    s, fits, checked = len(y), {}, False
     try:
         for name in names:
-            if name != "ls" and start is None:
-                start = _starts(x, y, seeds)
+            if name != "ls" and not checked:
+                start = _starts(x, y, seeds) if start is None else start
+                _gram(x)
+                checked = True
             if name == "ls":
                 fits[name] = _ls(x, y, shape)
             elif name == "esl":

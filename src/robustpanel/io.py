@@ -251,10 +251,10 @@ def _csv_fields(labels):
     field, since csv writes a lone empty field as ``""``, and under a
     ``"\\r\\n"`` line end, since csv quotes a carriage return or a line
     feed only when the line terminator holds it."""
-    lines = []  # the writer's output, one line per label
-    csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(
-        zip(labels, itertools.repeat("")))
-    return [line[:-3] for line in lines]  # less the empty field and the line end
+    fields = []  # the writer's line of each label, less the empty field and the line end
+    csv.writer(types.SimpleNamespace(write=lambda line: fields.append(line[:-3])),
+               lineterminator="\r\n").writerows(zip(labels, itertools.repeat("")))
+    return fields
 
 
 def _write_cells(path, panel, names, table):
@@ -455,6 +455,7 @@ def fit_report_json(fit):
 
 
 def write_weights_csv(panel, fit, path):
-    """Per-observation weights of a fit; LS is unweighted, so all ones."""
-    w = fit.weights if fit.weights is not None else np.ones(panel.y.shape)
+    """Per-observation weights of a fit; LS is unweighted, so all ones,
+    written from one broadcast 1.0 rather than an (N, T) array."""
+    w = fit.weights if fit.weights is not None else np.broadcast_to(1.0, panel.y.shape)
     _write_cells(path, panel, ["weight"], w.reshape(-1, 1))

@@ -5,14 +5,18 @@ per-unit time means ("within transform") annihilates alpha_i, after which
 beta is estimated by pooled regression of the centered y on the centered x.
 
 Every symmetric K x K system the fits solve goes through one kernel,
-_solve: within LS's normal equations X'X b = X'y here, and in the
+_solve: within LS's normal equations X'X b = X'y here, in the
 estimators the weighted normal equations of IRLS and the start's polish
-and huber's Newton system.  Each counts as singular by one rule,
-_nonsingular: log|det a| - sum_j log s_j <= log 1e-12, with s_j the size
-of column j, which tuning also applies to esl's information matrix and
-the estimators to the start's elemental subsets.  The rule is compared
-in log space and measures each system against its own column sizes, so
-it does not depend on the units of any regressor.
+and huber's Newton system, and every covariance, whose inverse is the
+solve of the identity (_covariance here, for within LS's standard errors
+and the sandwich covariance, and tuning.esl_cov).  Each counts as
+singular by one rule, _nonsingular: log|det a| - sum_j log s_j <= log
+1e-12, with s_j the size of column j, which tuning also applies to esl's
+information matrix and the estimators to the start's elemental subsets.
+The rule is compared in log space and measures each system against its
+own column sizes, so it does not depend on the units of any regressor.
+Every estimator applies it to the centered design's X'X through one
+check, _gram, and raises SingularDesign where it fails.
 """
 
 from __future__ import annotations
@@ -147,8 +151,8 @@ class FitResult:
         beta = _frozen_array(self.beta)
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta must be finite")
-        if not self.sigma_hat >= 0.0:
-            raise ValueError("sigma_hat must be nonnegative")
+        if not 0.0 <= self.sigma_hat < np.inf:
+            raise ValueError("sigma_hat must be nonnegative and finite")
         object.__setattr__(self, "beta", beta)
         if self.std_errors is not None:
             object.__setattr__(self, "std_errors", _frozen_array(self.std_errors))
@@ -223,9 +227,7 @@ def within_transform(panel: PanelData) -> CenteredPanel:
 
 
 def _as_centered(panel) -> CenteredPanel:
-    if isinstance(panel, CenteredPanel):
-        return panel
-    return within_transform(panel)
+    return panel if isinstance(panel, CenteredPanel) else within_transform(panel)
 
 
 def _nonsingular(log_det, sizes):
@@ -246,7 +248,9 @@ def _nonsingular(log_det, sizes):
 
 def _solve(a, b):
     """Solve every member's symmetric K x K system a beta = b at once,
-    (S, K, K) by (S, K): the one solve of every such system the fits meet.
+    (S, K, K) by (S, K), or by (S, K, M) for M right-hand sides: the one
+    solve of every such system the fits meet.  The covariances take a^-1
+    as the solve of the identity (see _covariance and tuning.esl_cov).
 
     A system counts as singular by _nonsingular with its diagonal a_jj as
     the size of column j, and each is scaled to a unit diagonal (Jacobi
@@ -258,24 +262,42 @@ def _solve(a, b):
     """
     diag = np.diagonal(a, axis1=1, axis2=2)
     ok = _nonsingular(np.linalg.slogdet(a)[1], diag)
-    inv = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # a zero column is singular already
-    a = a * inv[:, :, None] * inv[:, None, :]
+    # (S, K, 1); a zero column is singular already
+    inv = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))[:, :, None]
+    a = a * inv * inv.transpose(0, 2, 1)
     a[~ok] = np.identity(a.shape[1])
-    return np.linalg.solve(a, (b * inv)[:, :, None])[:, :, 0] * inv, ok
+    return (np.linalg.solve(a, b.reshape(*b.shape[:2], -1) * inv) * inv).reshape(b.shape), ok
 
 
-def _in_float_range(compute, what: str) -> np.ndarray:
-    """compute(), a term built on (X'X)^{-1}, or SingularDesign when X'X (which
-    squares X's condition number) is singular in floats or a value overflows."""
+def _gram(x):
+    """X'X of every member of a stack of centered designs (S, NT, K), or
+    SingularDesign, naming a null direction (from an SVD of its X'X, taken
+    only then), for a member whose X'X is singular by _nonsingular: the
+    one design rule of every estimator.  Within LS runs it on its normal
+    equations; the robust fits run it once per stack, after the start is
+    drawn (see estimators._fit_rest), and fit_mestimator and irls_fit
+    before they iterate."""
+    a = x.transpose(0, 2, 1) @ x
+    ok = _nonsingular(np.linalg.slogdet(a)[1], np.diagonal(a, axis1=1, axis2=2))
+    if not ok.all():  # X'X's last right singular vector is its nearest null direction
+        null = ", ".join("%+.4f" % v for v in np.linalg.svd(a[np.argmin(ok)])[2][-1])
+        raise SingularDesign("centered design is singular: |det X'X| is below 1e-12 of the "
+                             "product of its diagonal; null direction approximately (%s)" % null)
+    return a
+
+
+def _covariance(a, factor, what: str) -> np.ndarray:
+    """factor * a^-1, symmetrized, for one centered design's K x K
+    cross-product `a`, its inverse the solve of the identity (see _solve);
+    `factor` may be inf or nan.  Raises SingularDesign naming `what` when
+    `a` is singular by _nonsingular or a value leaves the float range."""
+    inv, ok = _solve(a[None], np.identity(len(a))[None])
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            values = compute()
-        except (np.linalg.LinAlgError, ArithmeticError):  # the latter from float ** 2 or /
-            values = np.nan
-    if not np.all(np.isfinite(values)):
-        raise SingularDesign(f"{what} of the centered design leave the float range; "
-                             f"rescale the regressors or drop a collinear one")
-    return values
+        cov = factor * inv[0]
+    if not (ok[0] and np.isfinite(cov).all()):
+        raise SingularDesign(f"{what} of the centered design are singular or leave the float "
+                             f"range; rescale the regressors or drop a collinear one")
+    return 0.5 * (cov + cov.T)
 
 
 def _xb(x, b):
@@ -303,16 +325,11 @@ def _ls(x: np.ndarray, y: np.ndarray, shape: tuple) -> _Fits:
     digits as the solve keeps: with two columns correlated at 1 - 1e-12,
     at the edge of the singularity rule, the slopes lie within 2e-9
     relative of the exact solution (LAPACK least squares: 3e-10), where one
-    step leaves 2e-6 and none 1e-3.  Raises SingularDesign, naming a null
-    direction (from an SVD of its X'X, taken only then), for a member whose
-    X'X is singular by _nonsingular; every member's design is checked
+    step leaves 2e-6 and none 1e-3.  Raises SingularDesign for a member
+    whose X'X is singular (see _gram); every member's design is checked
     before the degrees of freedom."""
-    a = x.transpose(0, 2, 1) @ x
-    beta, ok = _solve(a, (y[:, None, :] @ x)[:, 0, :])
-    if not ok.all():  # X'X's last right singular vector is its nearest null direction
-        null = ", ".join("%+.4f" % v for v in np.linalg.svd(a[np.argmin(ok)])[2][-1])
-        raise SingularDesign("centered design is singular: |det X'X| is below 1e-12 of the "
-                             "product of its diagonal; null direction approximately (%s)" % null)
+    a = _gram(x)
+    beta = _solve(a, (y[:, None, :] @ x)[:, 0, :])[0]
     for _ in range(2):
         beta += _solve(a, ((y - _xb(x, beta))[:, None, :] @ x)[:, 0, :])[0]
     r = y - _xb(x, beta)
@@ -330,8 +347,7 @@ def within_ls(panel: PanelData | CenteredPanel) -> FitResult:
     """
     cp = _as_centered(panel)
     fits = _ls(cp.x[None], cp.y[None], cp.shape)
-    se = _in_float_range(lambda: fits.sigma[0] * np.sqrt(np.diag(np.linalg.inv(cp.x.T @ cp.x))),
-                         "standard errors")
+    se = np.sqrt(np.diag(_covariance(cp.x.T @ cp.x, fits.sigma[0] ** 2, "standard errors")))
     return _fit_result("ls", fits, cp.shape, se)
 
 

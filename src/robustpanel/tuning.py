@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import NoValidTuning, ZeroScale
 from .losses import ESL, LossSpec, _esl_v, _psi, _psi_prime, _rho
-from .panel import _as_centered, _coefficients, _nonsingular
+from .panel import _as_centered, _coefficients, _nonsingular, _solve
 from .scale import _mad
 
 HUBER_GRID = 0.05 * np.arange(1, 61)
@@ -430,7 +430,9 @@ def _esl_sandwich(x, e, grid, keep):
 
 def esl_cov(panel, beta0, c):
     """Sandwich covariance V_hat(c) = I^{-1} Sigma_tilde I^{-1} at beta0
-    (see _esl_sandwich for its terms and the singularity test).
+    (see _esl_sandwich for its terms and the singularity test), with M^-1
+    the solve of the identity by panel._solve, as every covariance takes
+    its inverse.
 
     Returns ``(matrix, defined)``; `defined` is False, with a nan matrix,
     when the information factor is numerically singular.
@@ -442,7 +444,7 @@ def esl_cov(panel, beta0, c):
                                                    np.ones(e.shape, dtype=bool))
     if not defined[0, 0]:
         return np.full(cross.shape[1:], np.nan), False
-    inv = np.linalg.inv(cross[0])
+    inv = _solve(cross, np.identity(len(beta0))[None])[0][0]  # M passes the rule where V does
     return inv @ s[0, 0] @ inv / kappa[0, 0] ** 2, True
 
 

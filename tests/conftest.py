@@ -57,3 +57,21 @@ def huge_scale_panel():
     for _ in range(11):
         y = 5e153 * rng.standard_normal((5, 3))
     return PanelData(y, x)
+
+
+# the SingularDesign message on nearly_collinear_panel: (1, -1) / sqrt(2), up to sign
+NULL_DIRECTION = r"null direction approximately \(([+-])0\.7071, (?!\1)[+-]0\.7071\)"
+
+
+def nearly_collinear_panel():
+    """A (40, 4) panel, K = 2, whose regressors are correlated at 1 - 1e-13:
+    |det X'X| is about 2e-13 of the product of its diagonal, below the
+    1e-12 of the rule every K x K system the fits solve meets, although a
+    rank test on the singular values (below eps NT times the largest, as
+    lstsq's) calls this design full rank.  Its near-null direction is
+    (1, -1) / sqrt(2), up to sign."""
+    rng = np.random.default_rng(12)
+    x1, z = rng.standard_normal((2, 40, 4))
+    rho = 1.0 - 1e-13
+    x = np.stack([x1, rho * x1 + np.sqrt(1.0 - rho**2) * z], axis=2)
+    return PanelData(rng.standard_normal((40, 4)), x)

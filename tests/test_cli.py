@@ -23,7 +23,7 @@ from robustpanel.simulation import (
     gen_panel,
 )
 
-from conftest import far_leverage_panel, huge_scale_panel, synth_panel
+from conftest import far_leverage_panel, huge_scale_panel, nearly_collinear_panel, synth_panel
 
 OK_CSV = "unit,time,y,x1\na,1,1,1\na,2,2,3\nb,1,3,2\nb,2,5,7\n"
 # MAD scale about 5e-301: its square underflows to 0
@@ -261,6 +261,19 @@ class TestFitCommand:
         assert code == 3
         assert err == ("error: NoValidTuning: MAD scale 2.72334e+153 of the residuals is too "
                        "large to square; rescale y\n")
+
+    @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+    def test_a_singular_design_is_the_same_error_for_every_estimator(self, tmp_path, capsys,
+                                                                     estimator):
+        # the one design rule: without it huber and tukey exit 0 with slopes
+        # of about -+5e5 on this design, and esl blames its tuning
+        path = str(tmp_path / "panel.csv")
+        write_panel_csv(nearly_collinear_panel(), path)
+        code, _, err = run(["fit", "--input", path, "--estimator", estimator,
+                            "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 3
+        assert err.startswith("error: SingularDesign: centered design is singular")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text,estimator,code,error", [
         # N = T = K = 2: no residual degrees of freedom for LS

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import far_leverage_panel, synth_panel
+from conftest import NULL_DIRECTION, far_leverage_panel, nearly_collinear_panel, synth_panel
 import robustpanel.estimators as estimators
 import robustpanel.simulation as sim
 from robustpanel.errors import (
@@ -35,7 +35,7 @@ from robustpanel.estimators import (
     sandwich_se,
 )
 from robustpanel.losses import LossSpec, psi, psi_prime, rho, weight
-from robustpanel.panel import (ESTIMATOR_NAMES, CenteredPanel, FitResult, PanelData,
+from robustpanel.panel import (ESTIMATOR_NAMES, CenteredPanel, FitResult, PanelData, _centered,
                                fixed_effects, predict, within_ls, within_transform)
 from robustpanel.scale import initial_scale, mad_scale
 from robustpanel.tuning import HUBER_GRID, TUKEY_GRID, esl_cov, esl_select_c, select_c_grid
@@ -650,7 +650,7 @@ class TestSandwich:
         assert np.isfinite(sandwich_se(p, esl, LossSpec("esl", 4.0)).matrix).all()
 
     def test_a_variance_past_the_float_range_is_a_singular_design(self):
-        # sigma_hat^2 raises OverflowError on a Python float
+        # sigma_hat^2 passes the float range
         p = synth_panel(n=20, t=3, k=2, seed=5)
         fit = FitResult(estimator="huber", beta=within_ls(p).beta, sigma_hat=1e200,
                         iterations=1, converged=True)
@@ -658,7 +658,7 @@ class TestSandwich:
             sandwich_se(p, fit, LossSpec("huber", 1.345))
 
     def test_equal_regressors_are_a_singular_design(self):
-        # X'X is exactly singular, so np.linalg.inv raises LinAlgError
+        # X'X is exactly singular
         p = synth_panel(n=20, t=3, k=1, seed=5)
         x = np.concatenate((p.x, p.x), axis=2)
         fit = FitResult(estimator="huber", beta=np.zeros(2), sigma_hat=1.0, iterations=1,
@@ -842,15 +842,49 @@ class TestRegressorUnits:
                     assert fit.c_selected == base.c_selected
 
 
+class TestSingularDesign:
+    # Every estimator meets within LS's design rule (panel._gram) and raises
+    # SingularDesign naming the null direction.  Without the rule, on the
+    # nearly collinear design (see conftest) huber and tukey return
+    # converged fits with slopes of about -+5e5 and standard errors of about
+    # 1.6e5, and esl blames its tuning (NoValidTuning).
+    CALLS = {
+        **{name: lambda p, name=name: fit_estimator(p, name) for name in ESTIMATOR_NAMES},
+        "fit_esl": fit_esl,
+        "fit_mestimator": lambda p: fit_mestimator(p, "huber"),
+        "fit_mestimator at a supplied start":
+            lambda p: fit_mestimator(p, "tukey", beta_init=np.zeros(2)),
+        "irls_fit": lambda p: irls_fit(p, LossSpec("huber", 1.345), np.zeros(2), 1.0),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_every_fit_raises_on_a_nearly_collinear_design(self, call):
+        with pytest.raises(SingularDesign, match=NULL_DIRECTION):
+            self.CALLS[call](nearly_collinear_panel())
+
+    def test_a_singular_member_fails_alone_in_a_stack(self):
+        # the halves of a stack that raised check their own designs again,
+        # so the singular member fails and its stack-mate fits as it does alone
+        good, bad = sim.gen_panel(sim.DgpConfig(40, 4, seed=1)), nearly_collinear_panel()
+        y, x, _ = _centered(np.stack([good.y, bad.y]), np.stack([good.x, bad.x]))
+        names = ("huber", "tukey", "esl")
+        fits, failures = estimators._fit(y, x, (40, 4), names, "auto", [3, 4])
+        assert list(failures) == [1] and isinstance(failures[1], SingularDesign)
+        for name in names:
+            assert np.array_equal(fits[name].beta[0], fit_estimator(good, name, seed=3).beta)
+
+
 class TestPinnedDigests:
     # SHA-256 over tobytes() of results computed on x86_64 with numpy 2.4;
-    # test_leverage_study, test_exact_fit_study and
-    # test_fit_results_the_cli_reports were last re-pinned when within LS
-    # and huber's Newton step came to solve their normal equations through
-    # panel._solve (ls's and huber's last bits moved, and on the exact-fit
-    # panels one huber sample whose scale is rounding noise; tukey and esl
-    # held); a kernel that moves one bit of a start, a selected c or a
-    # study sample fails here.  A change that moves study numbers on
+    # test_leverage_study and test_exact_fit_study were last re-pinned when
+    # within LS and huber's Newton step came to solve their normal equations
+    # through panel._solve (ls's and huber's last bits moved, and on the
+    # exact-fit panels one huber sample whose scale is rounding noise; tukey
+    # and esl held), and test_fit_results_the_cli_reports when the
+    # covariances came to invert X''X'' through panel._solve too (the
+    # standard errors' last bits moved, at most 4.7e-16 relative); a kernel
+    # that moves one bit of a start, a selected c or a study sample fails
+    # here.  A change that moves study numbers on
     # purpose re-pins these with the simulate table digests of test_cli.
     # test_exact_fit_study pins the (3, 2) regime, where every robust fit
     # is an exact fit and esl's selection works on residuals of rounding
@@ -919,4 +953,4 @@ class TestPinnedDigests:
                 digest.update(repr((fit.sigma_hat, fit.c_selected, fit.iterations,
                                     fit.converged)).encode())
         assert digest.hexdigest() == (
-            "57ff7d3d9796b7fb62ade434166abb1f50edecebf2bf59fd4b01775bd5c24dc6")
+            "5b544919bb4fa15585b85ee62b0cb584f569b2554b1a2b3dac596701d28d6457")

@@ -20,7 +20,7 @@ from robustpanel.panel import (
 )
 from robustpanel.tuning import HUBER_GRID, default_esl_grid, esl_cov, esl_select_c, select_c_grid
 
-from conftest import synth_panel
+from conftest import NULL_DIRECTION, nearly_collinear_panel, synth_panel
 from oracles import direct_rmse, exact_within_ls
 
 
@@ -92,6 +92,8 @@ class TestFitResult:
         ("sigma_hat", np.nan, "sigma_hat must be nonnegative"),
         ("weights", np.array([[0.5, -0.1]]), "weights must lie in \\[0, 1\\]"),
         ("weights", np.array([[1.5, 0.5]]), "weights must lie in \\[0, 1\\]"),
+        # sandwich_se squares the scale, and no fit produces an infinite one
+        ("sigma_hat", np.inf, "sigma_hat must be nonnegative and finite"),
     ])
     def test_invalid_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -236,20 +238,11 @@ class TestWithinLs:
             assert_allclose(within_ls(PanelData(y, x)).beta, exact_within_ls(y, x), rtol=1e-8)
 
     def test_nearly_collinear_design_is_singular_by_the_one_rule(self):
-        # Two regressors correlated at 1 - 1e-13: |det X'X| is about 2e-13
-        # of the product of its diagonal, below the 1e-12 of the rule every
-        # K x K system the fits solve meets, although a rank test on the
-        # singular values (below eps NT times the largest, as lstsq's)
-        # calls this design full rank.  The message names the near-null
-        # direction.
-        rng = np.random.default_rng(12)
-        x1, z = rng.standard_normal((2, 40, 4))
-        rho = 1.0 - 1e-13
-        x = np.stack([x1, rho * x1 + np.sqrt(1.0 - rho**2) * z], axis=2)
+        # Two regressors correlated at 1 - 1e-13 (see conftest): the message
+        # names the near-null direction.
         with pytest.raises(SingularDesign) as err:
-            within_ls(PanelData(rng.standard_normal((40, 4)), x))
-        assert re.search(r"null direction approximately \(([+-])0\.7071, (?!\1)[+-]0\.7071\)",
-                         str(err.value))
+            within_ls(nearly_collinear_panel())
+        assert re.search(NULL_DIRECTION, str(err.value))
 
     def test_no_residual_degrees_of_freedom_rejected(self):
         # N = T = K = 2: the slopes are solvable but NT - N - K = 0
