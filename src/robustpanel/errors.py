@@ -58,7 +58,9 @@ class SingularDesign(EstimationError):
 
 
 class SingularWeightedDesign(EstimationError):
-    """A reweighted design lost rank during IRLS (e.g. all weights vanished)."""
+    """The weighted cross-product X'WX of an IRLS step is singular by the one
+    rule of every K x K system the fits solve (panel._nonsingular): the
+    current weights reject too much of the sample."""
 
 
 class DegenerateDesign(EstimationError):

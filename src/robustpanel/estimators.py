@@ -44,7 +44,9 @@ takes a Newton step where the Hessian allows one and the weighted LS step
 elsewhere, and one exact line search carries either along its direction
 (see _huber_search and _huber_minimizer).  Both systems, like within
 LS's, are solved by panel._solve, the one equilibrated solve, and count
-as singular by its one rule, whatever the units of the regressors.
+as singular by its one rule, whatever the units of the regressors, with
+no fallback: a weighted system that fails it raises SingularWeightedDesign
+in IRLS and leaves the start's elemental winner unpolished.
 Every loop stops on one scale-free rule (see _settled).  IRLS evaluates
 the loss once per step and cell for its own use: one losses._psi_weight
 call gives the psi of the stopping rule and the weights of the next
@@ -107,23 +109,12 @@ def _settled(x, step, bounded, fitted):
 
 def _weighted_solve(x, y, w):
     """Solve every member's weighted normal equations X'WX b = X'Wy at once
-    (see panel._solve, whose singularity rule does not depend on the units
-    of the regressors).  A system that fails the rule falls back to least
-    squares on that member's sqrt-weighted design, which solves it unless
-    the design is rank deficient.  Returns (beta, {member:
-    SingularWeightedDesign}).
+    by panel._solve, whose one singularity rule does not depend on the units
+    of the regressors.  Returns (beta, which are not singular); a singular
+    member's beta is meaningless.
     """
     xwt = x.transpose(0, 2, 1) * w[:, None, :]
-    beta, ok = _solve(xwt @ x, (xwt @ y[:, :, None])[:, :, 0])
-    failures = {}
-    for i in np.flatnonzero(~ok):
-        root = np.sqrt(w[i])
-        beta[i], _, rank, _ = np.linalg.lstsq(x[i] * root[:, None], y[i] * root, rcond=None)
-        if rank < x.shape[2]:
-            failures[i] = SingularWeightedDesign(
-                "weighted cross-product is rank %d < %d; the current weights "
-                "reject too much of the sample" % (rank, x.shape[2]))
-    return beta, failures
+    return _solve(xwt @ x, (xwt @ y[:, :, None])[:, :, 0])
 
 
 def _huber_minimizer(u, v, c, deriv0):
@@ -218,33 +209,32 @@ def _huber_step(x, y, c, beta, u, sigma, w):
     direction is no descent or whose minimizer along it is not found takes
     the weighted LS step at w instead (see _weighted_solve), carried to the
     minimizer along it, or whole where that is not found.  Returns
-    (beta_new, {member: SingularWeightedDesign}), the latter only from
-    members that reach the weighted solve.
+    (beta_new, ok), ok as _weighted_solve's for a member that reaches the
+    weighted LS step and True for every other.
     """
     # psi' is 0 or 1, so X' diag(psi') X is X_in' X_in
     inner = _psi_prime("huber", c[:, None], u)
     clipped = _psi("huber", c[:, None], u)
     with np.errstate(invalid="ignore", over="ignore"):
-        step, ok = _solve((x.transpose(0, 2, 1) * inner[:, None, :]) @ x,
-                          sigma[:, None] * (clipped[:, None, :] @ x)[:, 0, :])
-    todo = np.flatnonzero(ok)
+        step, newton = _solve((x.transpose(0, 2, 1) * inner[:, None, :]) @ x,
+                              sigma[:, None] * (clipped[:, None, :] @ x)[:, 0, :])
+    todo = np.flatnonzero(newton)
     new, taken = beta.copy(), np.zeros(len(beta), dtype=bool)
     if todo.size:
         sub = _rows(todo, len(beta))
         new[todo], taken[todo] = _huber_search(x[sub], beta[sub], u[sub], sigma[sub], c[sub],
                                                step[sub], clipped[sub], True)
-    rest = np.flatnonzero(~taken)
-    if not rest.size:
-        return new, {}
-    sub = _rows(rest, len(beta))
-    xs, bs = x[sub], beta[sub]
-    irls, failures = _weighted_solve(xs, y[sub], w[sub])
-    # the IRLS step's curvature X'WX overstates huber's X_in' X_in, so the
-    # minimizer along it often lies past it
-    searched, found = _huber_search(xs, bs, u[sub], sigma[sub], c[sub], irls - bs, clipped[sub],
-                                    False)
-    new[rest] = np.where(found[:, None], searched, irls)
-    return new, {rest[i]: err for i, err in failures.items()}
+    rest, ok = np.flatnonzero(~taken), np.ones(len(beta), dtype=bool)
+    if rest.size:
+        sub = _rows(rest, len(beta))
+        xs, bs = x[sub], beta[sub]
+        irls, ok[rest] = _weighted_solve(xs, y[sub], w[sub])
+        # the IRLS step's curvature X'WX overstates huber's X_in' X_in, so the
+        # minimizer along it often lies past it
+        searched, found = _huber_search(xs, bs, u[sub], sigma[sub], c[sub], irls - bs,
+                                        clipped[sub], False)
+        new[rest] = np.where(found[:, None], searched, irls)
+    return new, ok
 
 
 def _irls(x, y, family, c, beta, sigma, max_iter):
@@ -262,8 +252,8 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     new iterate and the weights that the next step solves at come from one
     losses._psi_weight call.  Returns the record (see panel._Fits) of each
     member's last iterate at its c and sigma, with its loss weights there;
-    raises SingularWeightedDesign when a member's weights leave its design
-    singular.
+    raises SingularWeightedDesign when a member's weighted LS system is
+    singular by panel._solve's rule (see _weighted_solve).
     """
     fits = _Fits(np.array(beta, dtype=float), sigma, np.zeros(len(beta), dtype=int),
                  np.zeros(len(beta), dtype=bool), c, np.zeros(y.shape))
@@ -275,10 +265,11 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
         ua = (ya - _xb(xa, ba)) / sa
         wa = _weight(family, ca[:, None], ua)
         for it in range(1, max_iter + 1):
-            new, singular = (_huber_step(xa, ya, ca, ba, ua, sa[:, 0], wa) if family == "huber"
-                             else _weighted_solve(xa, ya, wa))
-            if singular:
-                raise next(iter(singular.values()))
+            new, ok = (_huber_step(xa, ya, ca, ba, ua, sa[:, 0], wa) if family == "huber"
+                       else _weighted_solve(xa, ya, wa))
+            if not ok.all():
+                raise SingularWeightedDesign("weighted cross-product X'WX is singular: the "
+                                             "current weights reject too much of the sample")
             resid = ya - _xb(xa, new)
             ua = resid / sa
             bounded, wa = _psi_weight(family, ca[:, None], ua)
@@ -457,11 +448,9 @@ def _starts(x, y, seeds):
     if live.size:
         with np.errstate(over="ignore"):  # +-inf residuals take their limit weight
             u = (y[live] - _xb(x[live], starts[live])) / sigma[live, None]
-            polished, singular = _weighted_solve(x[live], y[live],
-                                                 _weight("tukey", TUKEY_REFERENCE_C, u))
-        keep = np.ones(live.size, dtype=bool)
-        keep[list(singular)] = False  # a singular polish keeps the elemental winner
-        starts[live[keep]] = polished[keep]
+            polished, solved = _weighted_solve(x[live], y[live],
+                                               _weight("tukey", TUKEY_REFERENCE_C, u))
+        starts[live[solved]] = polished[solved]  # a singular polish keeps the elemental winner
     return starts
 
 
@@ -480,10 +469,11 @@ def high_breakdown_init(panel, seed=0):
     best HB_RESCORE are scored on the full sample, as in FAST-LTS and
     fast-S, so time and memory stay linear in the cells.  The winner is
     polished by one weighted LS step (see _weighted_solve) at Tukey's
-    weights (c = 4.685) at its MAD scale, unless that scale is 0 or the
-    weights leave the design singular.  A subset still singular is
-    skipped; if every one is, the panel cannot support even an elemental
-    fit and DegenerateDesign is raised.  A stack of one of _starts.
+    weights (c = 4.685) at its MAD scale, unless that scale is 0; where
+    that weighted system is singular by panel._solve's rule the elemental
+    winner stands.  A subset still singular is skipped; if every one is,
+    the panel cannot support even an elemental fit and DegenerateDesign is
+    raised.  A stack of one of _starts.
     """
     cp = _as_centered(panel)
     return _starts(cp.x[None], cp.y[None], [seed])[0]

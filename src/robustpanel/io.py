@@ -250,11 +250,13 @@ def _csv_fields(labels):
     delimiter, a quote or a line end.  A label goes out beside an empty
     field, since csv writes a lone empty field as ``""``, and under a
     ``"\\r\\n"`` line end, since csv quotes a carriage return or a line
-    feed only when the line terminator holds it."""
-    fields = []  # the writer's line of each label, less the empty field and the line end
-    csv.writer(types.SimpleNamespace(write=lambda line: fields.append(line[:-3])),
-               lineterminator="\r\n").writerows(zip(labels, itertools.repeat("")))
-    return fields
+    feed only when the line terminator holds it.  A field that csv leaves
+    as it is is the label object itself, compared as each line arrives, so
+    only the quoted labels take new strings."""
+    # writerow returns what write returns: here the line less the empty field and the line end
+    trimmed = csv.writer(types.SimpleNamespace(write=lambda line: line[:-3]),
+                         lineterminator="\r\n").writerow
+    return [label if (field := trimmed((label, ""))) == label else field for label in labels]
 
 
 def _write_cells(path, panel, names, table):

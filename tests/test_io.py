@@ -363,6 +363,15 @@ class TestWritePanelCsv:
         assert back.period_labels == labels
         assert np.array_equal(back.y, panel.y)
 
+    def test_unquoted_label_fields_are_the_labels(self):
+        # a label that csv leaves as it is goes out as the label object
+        # itself, so a million-cell write holds no copy of its labels
+        labels = tuple("%s%d" % (text, i) for i, text in enumerate(["u", "a,", 'q"', "eé"]))
+        fields = io._csv_fields(labels)
+        assert fields == ["u0", '"a,1"', '"q""2"', "eé3"]
+        reused = [field is label for field, label in zip(fields, labels)]
+        assert reused == [True, False, False, True]
+
     def test_round_trip_large(self, tmp_path):
         panel = synth_panel(n=700, t=3, k=2, seed=4)  # 6,300 floats
         path = str(tmp_path / "large.csv")
