@@ -59,7 +59,8 @@ class SingularDesign(EstimationError):
 
 class SingularWeightedDesign(EstimationError):
     """The weighted cross-product X'WX of an IRLS step is singular by the one
-    rule of every K x K system the fits solve (panel._nonsingular): the
+    rule of every K x K system the fits solve (panel._nonsingular), and its
+    sqrt-weighted design rank deficient by least squares' rank count: the
     current weights reject too much of the sample."""
 
 

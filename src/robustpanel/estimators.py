@@ -44,9 +44,13 @@ takes a Newton step where the Hessian allows one and the weighted LS step
 elsewhere, and one exact line search carries either along its direction
 (see _huber_search and _huber_minimizer).  Both systems, like within
 LS's, are solved by panel._solve, the one equilibrated solve, and count
-as singular by its one rule, whatever the units of the regressors, with
-no fallback: a weighted system that fails it raises SingularWeightedDesign
-in IRLS and leaves the start's elemental winner unpolished.
+as singular by its one rule, whatever the units of the regressors.  A
+weighted system that fails the rule still falls back to least squares,
+whose rank count does depend on those units; it serves only exact-fit
+panels, whose robust scale is rounding noise, and goes once they are
+reported as exact fits (ROADMAP item 17).  A weighted system that is
+singular after both raises SingularWeightedDesign in IRLS and leaves the
+start's elemental winner unpolished.
 Every loop stops on one scale-free rule (see _settled).  IRLS evaluates
 the loss once per step and cell for its own use: one losses._psi_weight
 call gives the psi of the stopping rule and the weights of the next
@@ -110,11 +114,18 @@ def _settled(x, step, bounded, fitted):
 def _weighted_solve(x, y, w):
     """Solve every member's weighted normal equations X'WX b = X'Wy at once
     by panel._solve, whose one singularity rule does not depend on the units
-    of the regressors.  Returns (beta, which are not singular); a singular
-    member's beta is meaningless.
+    of the regressors.  A system that fails the rule falls back to least
+    squares on that member's sqrt-weighted design, which solves it unless
+    the design is rank deficient.  Returns (beta, which are solved); an
+    unsolved member's beta is meaningless.
     """
     xwt = x.transpose(0, 2, 1) * w[:, None, :]
-    return _solve(xwt @ x, (xwt @ y[:, :, None])[:, :, 0])
+    beta, ok = _solve(xwt @ x, (xwt @ y[:, :, None])[:, :, 0])
+    for i in np.flatnonzero(~ok):
+        root = np.sqrt(w[i])
+        beta[i], _, rank, _ = np.linalg.lstsq(x[i] * root[:, None], y[i] * root, rcond=None)
+        ok[i] = rank == x.shape[2]
+    return beta, ok
 
 
 def _huber_minimizer(u, v, c, deriv0):
@@ -253,7 +264,7 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     losses._psi_weight call.  Returns the record (see panel._Fits) of each
     member's last iterate at its c and sigma, with its loss weights there;
     raises SingularWeightedDesign when a member's weighted LS system is
-    singular by panel._solve's rule (see _weighted_solve).
+    not solved (see _weighted_solve).
     """
     fits = _Fits(np.array(beta, dtype=float), sigma, np.zeros(len(beta), dtype=int),
                  np.zeros(len(beta), dtype=bool), c, np.zeros(y.shape))
@@ -268,8 +279,8 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
             new, ok = (_huber_step(xa, ya, ca, ba, ua, sa[:, 0], wa) if family == "huber"
                        else _weighted_solve(xa, ya, wa))
             if not ok.all():
-                raise SingularWeightedDesign("weighted cross-product X'WX is singular: the "
-                                             "current weights reject too much of the sample")
+                raise SingularWeightedDesign("weighted cross-product X'WX is rank deficient: "
+                                             "the current weights reject too much of the sample")
             resid = ya - _xb(xa, new)
             ua = resid / sa
             bounded, wa = _psi_weight(family, ca[:, None], ua)
@@ -470,10 +481,10 @@ def high_breakdown_init(panel, seed=0):
     fast-S, so time and memory stay linear in the cells.  The winner is
     polished by one weighted LS step (see _weighted_solve) at Tukey's
     weights (c = 4.685) at its MAD scale, unless that scale is 0; where
-    that weighted system is singular by panel._solve's rule the elemental
-    winner stands.  A subset still singular is skipped; if every one is,
-    the panel cannot support even an elemental fit and DegenerateDesign is
-    raised.  A stack of one of _starts.
+    that weighted system is not solved the elemental winner stands.  A
+    subset still singular is skipped; if every one is, the panel cannot
+    support even an elemental fit and DegenerateDesign is raised.  A stack
+    of one of _starts.
     """
     cp = _as_centered(panel)
     return _starts(cp.x[None], cp.y[None], [seed])[0]
