@@ -59,8 +59,7 @@ class SingularDesign(EstimationError):
 
 class SingularWeightedDesign(EstimationError):
     """The weighted cross-product X'WX of an IRLS step is singular by the one
-    rule of every K x K system the fits solve (panel._nonsingular), and its
-    sqrt-weighted design rank deficient by least squares' rank count: the
+    rule of every K x K system the fits solve (panel._nonsingular): the
     current weights reject too much of the sample."""
 
 
@@ -69,8 +68,11 @@ class DegenerateDesign(EstimationError):
 
 
 class ZeroScale(EstimationError):
-    """A residual scale estimate collapsed to zero (more than half of the
-    residuals coincide)."""
+    """A residual scale estimate is exactly zero (more than half of the
+    residuals coincide), raised by the public initial_scale and mad_scale,
+    or esl's smallest grid candidate underflows to zero.  The fits do not
+    raise it for a collapsed scale: a scale that counts as 0 by the
+    exact-fit rule (scale._zero_bound) is reported as an exact fit."""
 
 
 class NoValidTuning(EstimationError):

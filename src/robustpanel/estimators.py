@@ -45,12 +45,17 @@ elsewhere, and one exact line search carries either along its direction
 (see _huber_search and _huber_minimizer).  Both systems, like within
 LS's, are solved by panel._solve, the one equilibrated solve, and count
 as singular by its one rule, whatever the units of the regressors.  A
-weighted system that fails the rule still falls back to least squares,
-whose rank count does depend on those units; it serves only exact-fit
-panels, whose robust scale is rounding noise, and goes once they are
-reported as exact fits (ROADMAP item 17).  A weighted system that is
-singular after both raises SingularWeightedDesign in IRLS and leaves the
-start's elemental winner unpolished.
+singular weighted system raises SingularWeightedDesign in IRLS and leaves
+the start's elemental winner unpolished.
+
+Exact fits take one path (see _exact_fits).  A member whose robust scale
+at its start counts as 0 by the exact-fit rule of scale._zero_bound,
+because more than half of its cells lie on the start's plane, reports the
+start with a scale of 0 and skips the tuning search and IRLS, whose
+weights at a scale of rounding noise would be noise too.  The start ranks
+its candidates by the same rule, so exact candidates tie and the first
+drawn wins.
+
 Every loop stops on one scale-free rule (see _settled).  IRLS evaluates
 the loss once per step and cell for its own use: one losses._psi_weight
 call gives the psi of the stopping rule and the weights of the next
@@ -69,7 +74,7 @@ from .errors import DegenerateDesign, EstimationError, SingularWeightedDesign, U
 from .losses import LossSpec, _psi, _psi_prime, _psi_weight, _weight, psi, psi_prime
 from .panel import (ESTIMATOR_NAMES, _as_centered, _coefficients, _covariance, _Fits,
                     _fit_result, _gram, _ls, _nonsingular, _solve, _xb, within_ls)
-from .scale import _mad, _scales
+from .scale import _mad, _scales, _zero_bound
 from .tuning import HUBER_GRID, TUKEY_GRID, _blocks, _esl_grids, _esl_search, _tau_search
 
 TUKEY_REFERENCE_C = 4.685  # 95% normal efficiency, used for the start's polish
@@ -114,18 +119,11 @@ def _settled(x, step, bounded, fitted):
 def _weighted_solve(x, y, w):
     """Solve every member's weighted normal equations X'WX b = X'Wy at once
     by panel._solve, whose one singularity rule does not depend on the units
-    of the regressors.  A system that fails the rule falls back to least
-    squares on that member's sqrt-weighted design, which solves it unless
-    the design is rank deficient.  Returns (beta, which are solved); an
-    unsolved member's beta is meaningless.
+    of the regressors.  Returns (beta, which are not singular); a singular
+    member's beta is meaningless.
     """
     xwt = x.transpose(0, 2, 1) * w[:, None, :]
-    beta, ok = _solve(xwt @ x, (xwt @ y[:, :, None])[:, :, 0])
-    for i in np.flatnonzero(~ok):
-        root = np.sqrt(w[i])
-        beta[i], _, rank, _ = np.linalg.lstsq(x[i] * root[:, None], y[i] * root, rcond=None)
-        ok[i] = rank == x.shape[2]
-    return beta, ok
+    return _solve(xwt @ x, (xwt @ y[:, :, None])[:, :, 0])
 
 
 def _huber_minimizer(u, v, c, deriv0):
@@ -264,7 +262,7 @@ def _irls(x, y, family, c, beta, sigma, max_iter):
     losses._psi_weight call.  Returns the record (see panel._Fits) of each
     member's last iterate at its c and sigma, with its loss weights there;
     raises SingularWeightedDesign when a member's weighted LS system is
-    not solved (see _weighted_solve).
+    singular (see _weighted_solve).
     """
     fits = _Fits(np.array(beta, dtype=float), sigma, np.zeros(len(beta), dtype=int),
                  np.zeros(len(beta), dtype=bool), c, np.zeros(y.shape))
@@ -324,20 +322,47 @@ def irls_fit(panel, spec, beta_init, sigma, config=IrlsConfig()):
     return _fit_result(spec.family, fits, cp.shape, None)
 
 
+def _exact_fits(y, resid, beta, kind, c):
+    """The one exact-fit path, at every member's start beta, whose residuals
+    are resid: a member whose `kind` scale of them counts as 0 (see
+    scale._zero_bound) reports the start as an exact fit, with sigma 0, no
+    iteration, converged, c the fixed c (nan where c is selected: there is
+    no selection, and a FitResult reports None), and weight 1 on the cells
+    whose residual is within the bound and 0 elsewhere, the limit of every
+    family's weight as sigma -> 0.  The tuning search and IRLS are skipped
+    for it.  Returns that record (see panel._Fits) with every other
+    member's scale, positive, as its sigma; the rest of such a member's
+    row is meaningless.
+    """
+    sigma, bound = _scales(resid.copy(), kind), _zero_bound(y, kind)
+    s, exact = len(y), sigma <= bound
+    return _Fits(np.array(beta, dtype=float), np.where(exact, 0.0, sigma), np.zeros(s, dtype=int),
+                 exact, np.full(s, c), (np.abs(resid) <= bound[:, None]).astype(float))
+
+
 def _mestimators(x, y, family, c, beta0):
     """Steps 2-4 of fit_mestimator for every member of a stack, from its
     start beta0: the residual scale, c (the grid search unless c is fixed)
-    and IRLS.  Returns their record (see panel._Fits)."""
+    and IRLS, each member whose scale counts as 0 an exact fit instead (see
+    _exact_fits).  Returns their record (see panel._Fits)."""
     resid = y - _xb(x, beta0)
-    sigma = _scales(resid.copy(), "initial")
+    fits = _exact_fits(y, resid, beta0, "initial",
+                       np.nan if c == "auto" else LossSpec(family, c).c)  # LossSpec checks it
+    live = np.flatnonzero(fits.sigma)
+    if not live.size:
+        return fits
+    sub = _rows(live, len(y))
     if c == "auto":
         grid = HUBER_GRID if family == "huber" else TUKEY_GRID
         with np.errstate(over="ignore"):  # +-inf residuals take psi's limits, as in IRLS
-            e = resid / sigma[:, None]
-        cs = grid[_tau_search(e, family, grid)[2]]
+            cs = grid[_tau_search(resid[sub] / fits.sigma[sub, None], family, grid)[2]]
     else:
-        cs = np.full(len(beta0), LossSpec(family, c).c)  # LossSpec checks a fixed c
-    return _irls(x, y, family, cs, beta0, sigma, IrlsConfig().max_iter)
+        cs = fits.c[sub]
+    del resid  # so that IRLS does not hold it
+    for full, part in zip(fits, _irls(x[sub], y[sub], family, cs, beta0[sub], fits.sigma[sub],
+                                      IrlsConfig().max_iter)):
+        full[live] = part
+    return fits
 
 
 def fit_mestimator(panel, family, c="auto", beta_init=None):
@@ -351,7 +376,10 @@ def fit_mestimator(panel, family, c="auto", beta_init=None):
     the supplied coefficients.  The default (None) follows the printed
     procedure, whose LS start is cheap but inherits its sensitivity to
     high-leverage contamination.  Either way a singular design raises
-    SingularDesign (see panel._gram).
+    SingularDesign (see panel._gram).  Where the residual scale of step 2
+    counts as 0 (see scale._zero_bound) the start is reported as an exact
+    fit, with sigma_hat 0, no iteration, converged, c_selected the fixed c
+    or None, and weights 1 on the cells it passes through.
     """
     if family not in ("huber", "tukey"):
         raise ValueError("family must be huber or tukey, got %r" % (family,))
@@ -396,7 +424,10 @@ def _mad_rows(betas, x, y):
     """MAD scale of the residuals y - x beta for every candidate of every
     member, (S, G, K) betas on (S, n, K) x and (S, n) y, scored in blocks
     (see _blocks) that _mad overwrites; +inf where any residual or the MAD
-    leaves the float range, so that such a candidate never ranks first."""
+    leaves the float range, so that such a candidate never ranks first,
+    and 0 where the MAD counts as 0 by the exact-fit rule of these cells
+    (see scale._zero_bound), so that exact candidates tie and the first
+    drawn ranks first."""
     mads = np.empty(betas.shape[:2])
     xt = x.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -405,6 +436,7 @@ def _mad_rows(betas, x, y):
             np.subtract(y[i], resid, out=resid)
             finite = np.isfinite(resid).all(axis=1)
             mads[i, rows] = np.where(finite, _mad(resid), np.inf)
+    mads[mads <= _zero_bound(y, "mad")[:, None]] = 0.0
     return np.where(np.isfinite(mads), mads, np.inf)
 
 
@@ -478,10 +510,13 @@ def high_breakdown_init(panel, seed=0):
     every candidate is scored on the full sample.  On a larger panel every
     candidate is ranked on one random HB_SCORE_CELLS subsample and only the
     best HB_RESCORE are scored on the full sample, as in FAST-LTS and
-    fast-S, so time and memory stay linear in the cells.  The winner is
-    polished by one weighted LS step (see _weighted_solve) at Tukey's
-    weights (c = 4.685) at its MAD scale, unless that scale is 0; where
-    that weighted system is not solved the elemental winner stands.  A
+    fast-S, so time and memory stay linear in the cells.  A candidate's MAD
+    counts as 0 where it is at most EXACT_FIT times the MAD of the centered
+    y on the same cells (see scale._zero_bound), so exact candidates tie and
+    the first drawn wins.  The winner is polished by one weighted LS step
+    (see _weighted_solve) at Tukey's weights (c = 4.685) at its MAD scale,
+    unless that scale counts as 0; where that weighted system is singular
+    the elemental winner stands.  A
     subset still singular is skipped; if every one is, the panel cannot
     support even an elemental fit and DegenerateDesign is raised.  A stack
     of one of _starts.
@@ -493,13 +528,16 @@ def high_breakdown_init(panel, seed=0):
 def fit_esl(panel, seed=0):
     """Exponential-squared fit with data-driven constant selection.
 
-    Starts from high_breakdown_init(panel, seed).  The candidate grid is
-    built once, from the MAD scale of the residuals at that start.  Each
-    outer pass then re-flags pseudo-outliers at the current coefficients,
-    re-selects c by det(V) minimization over that fixed grid, and updates
-    the coefficients by IRLS with the loss applied to raw residuals (the
-    selected c lives on the squared raw-residual scale, so the IRLS
-    standardization is fixed at 1).  The loop stops after at most
+    Starts from high_breakdown_init(panel, seed).  Where the MAD scale of
+    the residuals at that start counts as 0 (see scale._zero_bound) the
+    start is reported as an exact fit: sigma_hat 0, no iteration,
+    converged, c_selected None and weights 1 on the cells it passes
+    through.  Otherwise the candidate grid is built once, from that MAD
+    scale.  Each outer pass then re-flags pseudo-outliers at the current
+    coefficients, re-selects c by det(V) minimization over that fixed
+    grid, and updates the coefficients by IRLS with the loss applied to
+    raw residuals (the selected c lives on the squared raw-residual scale,
+    so the IRLS standardization is fixed at 1).  The loop stops after at most
     ESL_MAX_OUTER passes, or earlier once both the coefficient change and
     the relative change in c are negligible.  The reported sigma_hat is
     the MAD scale at which the final selection was made.
@@ -510,23 +548,23 @@ def fit_esl(panel, seed=0):
 def _esls(x, y, start, c):
     """The outer loop of fit_esl for every member of a stack, from its
     high-breakdown fit `start`; a fixed `c` (from fit_estimator) skips the
-    selection step.  A member leaves the loop at its own pass.  Returns
-    their record (see panel._Fits)."""
+    selection step.  A member leaves the loop at its own pass, and one
+    whose MAD scale at the start counts as 0 never enters it: it is an
+    exact fit (see _exact_fits).  Returns their record (see panel._Fits)."""
     s = len(start)
-    beta = np.array(start, dtype=float)
-    if c == "auto":
-        grids = _esl_grids(_scales(y - _xb(x, beta), "mad"))
-    prev_c, c_sel, sigma_mad = np.full(s, np.nan), np.zeros(s), np.zeros(s)
-    total, inner, outer = np.zeros(s, dtype=int), np.zeros(s, dtype=bool), np.zeros(s, dtype=bool)
-    w = np.zeros(y.shape)
-    live = np.arange(s)
+    beta, sigma_mad, total, inner, c_sel, w = _exact_fits(
+        y, y - _xb(x, start), start, "mad", np.nan if c == "auto" else LossSpec("esl", c).c)
+    prev_c, outer, live = np.full(s, np.nan), inner.copy(), np.flatnonzero(sigma_mad)
+    if c == "auto":  # an exact member's grid, at a scale of 1, goes unused
+        grids = _esl_grids(np.where(outer, 1.0, sigma_mad))
     for _ in range(ESL_MAX_OUTER):
+        if not live.size:
+            break
         sub = _rows(live, s)
         if c == "auto":
             c_sel[live], sigma_mad[live] = _esl_search(x[sub], y[sub], beta[sub], grids[sub])[:2]
         else:
             sigma_mad[live] = _scales(y[sub] - _xb(x[sub], beta[sub]), "mad")
-            c_sel[live] = LossSpec("esl", c).c  # LossSpec rejects one that is not positive
         fits = _irls(x[sub], y[sub], "esl", c_sel[sub], beta[sub], np.ones(live.size),
                      IrlsConfig().max_iter)
         step = fits.beta - beta[sub]
@@ -541,8 +579,6 @@ def _esls(x, y, start, c):
                                        _psi("esl", c_sel[done, None], resid), y[done] - resid)
         prev_c[live] = c_sel[live]
         live = live[~outer[live]]
-        if not live.size:
-            break
     # the last pass's fit, at the MAD scale of its selection and with every pass's iterations
     return _Fits(beta, sigma_mad, total, inner & outer, c_sel, w)
 
@@ -672,10 +708,13 @@ def fit_estimator(panel, estimator, c="auto", seed=0):
     huber / tukey: M-fit started from high_breakdown_init(panel, seed),
     with sandwich standard errors.
     esl: exponential-squared fit with sandwich standard errors.
+    An exact fit (see _exact_fits) reports standard errors of 0.
     """
     cp = _as_centered(panel)
     if estimator == "ls":
         return within_ls(cp)
     fit = _fit_one(cp, estimator, c, seed)
+    if not fit.iterations:  # an exact fit (see _exact_fits)
+        return dataclasses.replace(fit, std_errors=np.zeros(len(fit.beta)))
     cov = sandwich_se(cp, fit, LossSpec(estimator, fit.c_selected))
     return dataclasses.replace(fit, std_errors=cov.std_errors)

@@ -184,7 +184,7 @@ def _fit_result(estimator: str, fits: _Fits, shape: tuple, std_errors) -> FitRes
     return FitResult(estimator=estimator, beta=fits.beta[0], sigma_hat=float(fits.sigma[0]),
                      iterations=int(fits.iterations[0]), converged=bool(fits.converged[0]),
                      std_errors=std_errors,
-                     c_selected=None if fits.c is None else float(fits.c[0]),
+                     c_selected=None if fits.c is None or np.isnan(fits.c[0]) else float(fits.c[0]),
                      weights=None if fits.weights is None else fits.weights[0].reshape(shape))
 
 

@@ -10,16 +10,25 @@ Two median-based estimators are used by the fitting pipelines:
   Shift invariant, 50% breakdown point; used by the high-breakdown start and
   the exponential-squared pipeline.
 
-Both raise ``ZeroScale`` when the estimate collapses to zero, which happens
+Both raise ``ZeroScale`` when the estimate is exactly zero, which happens
 exactly when more than half of the (centered, for mad) residuals coincide.
 
 Every median in the package comes from one kernel, ``_median``, and every
 MAD from ``_mad`` on top of it; both work along the last axis, so the
 high-breakdown start scores all of its candidate fits in one call.
 ``_scales`` gives either estimate for every row of a stack of residuals,
-as the stacked fits need it, and raises ZeroScale when any row collapses
-(``estimators._fit`` then isolates that row's panel); ``initial_scale`` and
-``mad_scale`` are its one-row calls.
+as the stacked fits need it; ``initial_scale`` and ``mad_scale`` are its
+one-row calls.
+
+The fits do not raise ZeroScale on a collapsed scale (esl's grid still
+does where its smallest candidate underflows; see tuning._esl_grids).
+They apply one exact-fit rule: a robust scale of the residuals at most
+EXACT_FIT times the same scale of the member's centered response counts
+as 0 (see _zero_bound).  That bound carries the units of y, so the rule does not depend on them,
+and it catches a scale made of rounding noise, which exact arithmetic
+would give as 0.  The fits then report the exact fit, as Rousseeuw &
+Leroy (1987) describe it: when more than half of the cells lie on a
+plane, that plane.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .errors import ZeroScale
 
 MEDIAN_ABS_CONSISTENCY = 0.6745
 MAD_CONSISTENCY = 1.4826
+EXACT_FIT = 1e-12  # a scale at most this times the same scale of the centered y counts as 0
 
 
 @dataclass(frozen=True)
@@ -87,24 +97,29 @@ _ZERO = {
 
 def _scales(e, kind):
     """initial_scale (`kind` "initial") or mad_scale ("mad") of every row of
-    the 2-D float array `e`, which it overwrites.
-
-    Raises ZeroScale when any row's estimate is 0 and ValueError when a
-    residual is not finite.
+    the 2-D float array `e`, which it overwrites; 0 where a row's estimate
+    collapses.  Raises ValueError when a residual is not finite.
     """
     if not np.all(np.isfinite(e)):
         raise ValueError("residuals must be finite")
     if kind == "mad":
-        values = _mad(e)
-    else:
-        values = _median(np.abs(e, out=e)) / MEDIAN_ABS_CONSISTENCY
-    if not values.all():
-        raise ZeroScale(_ZERO[kind])
-    return values
+        return _mad(e)
+    return _median(np.abs(e, out=e)) / MEDIAN_ABS_CONSISTENCY
+
+
+def _zero_bound(y, kind):
+    """The exact-fit bound of every row of the (S, NT) centered responses
+    y: EXACT_FIT times their `kind` scale (see _scales).  A residual scale
+    of that kind at or below it counts as 0, and so does a residual within
+    it."""
+    return EXACT_FIT * _scales(y.copy(), kind)
 
 
 def _scale(residuals, kind):
-    return ScaleEstimate(float(_scales(_as_vector(residuals)[None].copy(), kind)[0]))
+    value = float(_scales(_as_vector(residuals)[None].copy(), kind)[0])
+    if value == 0.0:
+        raise ZeroScale(_ZERO[kind])
+    return ScaleEstimate(value)
 
 
 def initial_scale(residuals) -> ScaleEstimate:

@@ -380,9 +380,8 @@ def _esl_sandwich(x, e, grid, keep):
     gathered C-contiguous (np.compress), so it adds in the order xi() adds
     them and equals it bit for bit; a sum over all cells with the flagged
     ones zeroed would add in another order.  The mean score is taken as
-    psi @ x: forming it in the kappa matmul as w @ (sign(e) |e| x) rounds
-    differently, and that moves esl's numbers on exact-fit panels such as
-    (N, T) = (3, 2).
+    psi @ x; forming it in the kappa matmul as w @ (sign(e) |e| x) would
+    round differently.
 
     Returns ``(kappa, M, S, log_det_v, defined, loss)`` with M of shape
     (S, K, K), S of shape (S, G, K, K) and loss of shape (S, G); log_det_v

@@ -12,17 +12,21 @@ transform with the same error type.  Every K x K system the fits solve,
 the design rule and the covariances' inverse are measured against the
 system's own column sizes, so none of this depends on the units.
 
-The "none" error law is left out: without noise every robust fit is an
-exact fit, whose residual scale is rounding noise (ROADMAP.md, item 17),
-and no transform preserves rounding noise.  For the same reason N >= 10:
-at T = 2 an elemental fit of the start passes exactly through 2K of the
-2N centered cells.
+The generated panels leave out the "none" error law and N < 10.  There a
+fit that IRLS ends exactly on fewer than half of the cells keeps a
+positive scale, and its standard errors are rounding noise, which no
+transform preserves.  A fit whose robust scale counts as 0 is an exact
+fit (scale.EXACT_FIT): it reports its start with a scale of 0, so it moves
+with the units exactly, and test_exact_fits_move_with_the_units checks it
+on (3, 2) panels and on noise-free ones.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import pytest
 
 import robustpanel.simulation as sim
 from robustpanel.errors import EstimationError
@@ -96,3 +100,50 @@ def test_fits_move_with_the_units_of_y_and_x(panel, sign, power, seed):
             assert fit.c_selected == base.c_selected, name
         if name != "ls":
             assert_allclose(fit.weights, base.weights, rtol=0.0, atol=RTOL, err_msg=name)
+
+
+def moved_panel(panel, a, rng):
+    """y -> a y + X b + alpha_i and x -> x A, with A well conditioned;
+    returns the moved panel, b and A."""
+    n, t, k = panel.x.shape
+    b, alpha = a * rng.standard_normal(k), a * rng.standard_normal(n)
+    u, _, vt = np.linalg.svd(rng.standard_normal((k, k)))
+    transform = u @ np.diag(rng.uniform(0.5, 2.0, k)) @ vt  # condition number at most 4
+    return PanelData(a * panel.y + panel.x @ b + alpha[:, None], panel.x @ transform), b, transform
+
+
+def exact_panel(n, t, law, m, seed):
+    """A panel of the law, with m cells of concentrated leverage if m."""
+    panel = sim.gen_panel(sim.DgpConfig(n, t, error_dist=law, seed=seed))
+    if m:
+        panel = sim.contaminate(panel, sim.ContaminationScheme("concentrated_leverage", m, seed))
+    return panel
+
+
+# (N, T), error law and leverage cells
+EXACT_PANELS = [(3, 2, "normal", 0), (3, 2, "t5", 0), (10, 2, "none", 0), (10, 2, "none", 4),
+                (20, 3, "none", 0), (20, 3, "none", 8)]
+
+
+@pytest.mark.parametrize("name", ["huber", "tukey", "esl"])
+@pytest.mark.parametrize("design", EXACT_PANELS, ids=str)
+def test_exact_fits_move_with_the_units(design, name):
+    # Panels where more than half of the cells lie on a plane: at (3, 2) an
+    # elemental fit at K = 2 passes through two units' mirrored pairs, and
+    # without noise every clean cell lies on the true plane.  The fit is
+    # exact on both sides of y -> a y + X b + alpha_i with |a| from 1e-100
+    # to 1e100 and x -> x A: a scale of 0, the same weights, zero standard
+    # errors and no selected c.
+    for seed in range(5):
+        panel = exact_panel(*design, seed)
+        base = fit_estimator(panel, name, seed=1)
+        rng = np.random.default_rng(seed)
+        for a in (1e-100, -1e-100, 1.0, -1.0, 1e100, -1e100):
+            moved, b, transform = moved_panel(panel, a, rng)
+            fit = fit_estimator(moved, name, seed=1)
+            for f in (base, fit):
+                assert f.sigma_hat == 0.0 and f.iterations == 0 and f.converged, (seed, a)
+                assert f.c_selected is None and not f.std_errors.any(), (seed, a)
+            scale = np.linalg.norm(base.beta) + np.linalg.norm(b / a)
+            assert np.linalg.norm((transform @ fit.beta - b) / a - base.beta) <= RTOL * scale
+            assert np.array_equal(fit.weights, base.weights), (seed, a)

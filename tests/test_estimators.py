@@ -37,7 +37,7 @@ from robustpanel.estimators import (
 from robustpanel.losses import LossSpec, psi, psi_prime, rho, weight
 from robustpanel.panel import (ESTIMATOR_NAMES, CenteredPanel, FitResult, PanelData, _centered,
                                fixed_effects, predict, within_ls, within_transform)
-from robustpanel.scale import initial_scale, mad_scale
+from robustpanel.scale import EXACT_FIT, initial_scale, mad_scale
 from robustpanel.tuning import HUBER_GRID, TUKEY_GRID, esl_cov, esl_select_c, select_c_grid
 
 
@@ -276,7 +276,10 @@ class TestIrls:
         # A fit that reports converged=True satisfies X' psi(r / sigma) = 0:
         # ||X' psi|| is small against ||X|| ||psi||, or against ||X|| ||u|| when
         # the fit passes through its retained cells and psi is rounding noise.
-        # esl is checked at its final inner IRLS, whose scale is 1.
+        # esl is checked at its final inner IRLS, whose scale is 1.  An exact
+        # fit (a scale of 0) has no psi to test: more than half of its
+        # weights are 1, and its residuals there are within the exact-fit
+        # bound, EXACT_FIT times the same scale of the centered y.
         p = synth_panel(n=n, t=t, k=k, seed=seed, beta=(2.4, -1.2, 0.7))
         rng = np.random.default_rng(seed)
         y = p.y.copy()
@@ -294,6 +297,12 @@ class TestIrls:
         if not fit.converged:
             return
         cp = within_transform(panel)
+        if fit.sigma_hat == 0.0:
+            scale = mad_scale if family == "esl" else initial_scale
+            kept = fit.weights.ravel() == 1.0
+            assert kept.sum() > kept.size / 2 and set(fit.weights.ravel()) <= {0.0, 1.0}
+            assert np.all(np.abs(cp.y - cp.x @ fit.beta)[kept] <= EXACT_FIT * scale(cp.y).value)
+            return
         u = (cp.y - cp.x @ fit.beta) / sigma
         ps = psi(LossSpec(family, fit.c_selected), u)
         x_norm = np.linalg.norm(cp.x)
@@ -886,9 +895,8 @@ class TestPinnedDigests:
     # here.  A change that moves study numbers on
     # purpose re-pins these with the simulate table digests of test_cli.
     # test_exact_fit_study pins the (3, 2) regime, where every robust fit
-    # is an exact fit and esl's selection works on residuals of rounding
-    # size; the exact-fit rule of ROADMAP.md's item 17 will move it on
-    # purpose and re-pin it.
+    # is an exact fit and reports its start; it was last re-pinned when the
+    # exact-fit rule (scale.EXACT_FIT) came in.
 
     def test_leverage_study(self):
         names = ("ls", "huber", "tukey", "esl")
@@ -903,10 +911,10 @@ class TestPinnedDigests:
             "8b54e2e13a80935ab439d4ecfa0f6b9f07f31771c7b3303c6f781a6f7e14ac17")
 
     def test_exact_fit_study(self):
-        # clean (3, 2) panels: 39 of 400 replications fail and esl leaves
-        # 101 fits unconverged.  Replications 200-399 are needed: forming
-        # esl's mean score in the same matmul as kappa moves the last bits
-        # of S(c) and a sample among them, while the first 200 hold.
+        # clean (3, 2) panels: no replication fails and no fit is left
+        # unconverged.  The start passes through two units' mirrored pairs,
+        # 4 of the 6 cells, so huber, tukey and esl all report it as an
+        # exact fit.
         names = ("ls", "huber", "tukey", "esl")
         report = sim.run_mc(sim.DgpConfig(n_units=3, n_periods=2), None, names, 400, 7)
         digest = hashlib.sha256()
@@ -915,7 +923,7 @@ class TestPinnedDigests:
         digest.update(repr((report.n_failed, [report.n_nonconverged[name] for name in names]))
                       .encode())
         assert digest.hexdigest() == (
-            "a29a44b96bc054dccb57bba2fdb455caf9d0e6cfa12a10842d0ee2894f9f22ef")
+            "e7b4f5dde0959ad9e020d80480ba7ac503ad18e893fb127f06a0efe231b808e5")
 
     def test_start_and_esl_fit_on_a_subsample(self):
         # 5,000 cells: the start ranks its candidates on HB_SCORE_CELLS
